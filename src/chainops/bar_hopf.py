@@ -170,10 +170,6 @@ def _word_degree(A, word):
     return sum(A.degree(a) - 1 for a in word)
 
 
-def _word_weight(A, word):
-    return sum(A.weight(a) for a in word)
-
-
 class BarComplex:
     """Window of the reduced bar construction of an augmented DGA.
 
@@ -447,12 +443,15 @@ class CoLieData:
                     products.append(list(coords))
         dim = H.h0.rank
         self.reducer = CosetReducer(QQ, products, dim)
-        seen = {}
+        # keep a class only when its reduction raises the rank of the
+        # reductions kept so far: a basis of the quotient
+        seen = []
         self.basis = []
         for x in positive:
-            red = tuple(self.reducer.reduce(list(H.class_vector(x))))
-            if any(red) and red not in seen:
-                seen[red] = x
+            red = self.reducer.reduce(list(H.class_vector(x)))
+            _, pivots = rref([list(r) for r in seen + [red]], QQ)
+            if len(pivots) > len(seen):
+                seen.append(red)
                 self.basis.append(x)
 
     def project(self, vec):

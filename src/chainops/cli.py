@@ -24,21 +24,17 @@ from .freemod import FreeModule, FreeModuleMap
 from .homology_classes import HomologySpace
 from .operads import check_einfinity, check_operad_axioms, surjection_operad
 from .powerops import (BigradedClass, CochainSystem, build_w, cup_i_oracle,
-                       bockstein, equivariant_lift_j, power_op,
-                       steenrod_square, verify_adem, verify_cartan)
+                       equivariant_lift_j, steenrod_square, verify_adem,
+                       verify_cartan)
 from .randomgen import random_chain_complex
 from .rings import QQ, RingSpec, ZZ, Zmod
 from .simplicial import (FiniteSimplicialSet, Simplex, chains,
-                         circle_space, classifying_space, cochains,
+                         circle_space, classifying_space,
                          sphere_space, torus_space)
 
 
 class ParseError(Exception):
     """Malformed input file; carries a location string."""
-
-
-class CapError(Exception):
-    """A requested computation exceeds a resource cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +323,8 @@ def cmd_steenrod(args):
     ring = Zmod(2)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
-    maxdim = max(X.dims())
-    W = build_w(2, 2 * maxdim + 4)
-    lift = equivariant_lift_j(W, None, 2 * maxdim)
+    W = build_w(2, 2 * max(X.dims()))
+    lift = equivariant_lift_j(W, None, 0)
     spaces = {n: HomologySpace(alg.complex, n) for n in X.dims()}
     results = []
     failures = []
@@ -535,9 +530,6 @@ def main(argv=None):
     except ParseError as e:
         print(f"chainops: {e}", file=sys.stderr)
         return 2
-    except CapError as e:
-        print(f"chainops: {e}", file=sys.stderr)
-        return 3
     except ValueError as e:
         if "cap" in str(e):
             print(f"chainops: {e}", file=sys.stderr)

@@ -56,31 +56,6 @@ class FreeModule:
         return {label: self.ring.one()}
 
 
-def vec_add(ring, u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = ring.add(out.get(k, ring.zero()), c)
-        if ring.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-def vec_scale(ring, c, u):
-    c = ring.normalize(c)
-    if ring.is_zero(c):
-        return {}
-    out = {}
-    for k, a in u.items():
-        s = ring.mul(c, a)
-        if not ring.is_zero(s):
-            out[k] = s
-    return out
-
-def vec_sub(ring, u, v):
-    return vec_add(ring, u, vec_scale(ring, -1 if ring.kind != "Q" else ring.normalize(-1), v))
-
-
 class FreeModuleMap:
     """Sparse linear map, entries indexed (target label, source label)."""
 

@@ -382,11 +382,14 @@ def sparse_kernel(rows, ncols: int, ring: RingSpec):
         v = [ring.normalize(vec.get(j, 0)) for j in range(ncols)]
         if any(not ring.is_zero(x) for x in v):
             cand.append(v)
-    # deduplicate the mod-m span deterministically
+    # deduplicate, then order by leading column and value, so a
+    # kernel of unit vectors comes back in column order
     seen = []
-    for v in sorted(cand):
+    for v in cand:
         if v not in seen:
             seen.append(v)
+    seen.sort(key=lambda v: (next(j for j, x in enumerate(v)
+                                  if not ring.is_zero(x)), v))
     return [{j: x for j, x in enumerate(v) if not ring.is_zero(x)}
             for v in seen]
 

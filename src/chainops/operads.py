@@ -307,28 +307,6 @@ class Operad(SymmetricSequence):
         raise KeyError(label)
 
 
-class WeightedOperad:
-    """Weight-graded wrapper: one copy of each level per weight, with a
-    composition that adds weights."""
-
-    def __init__(self, operad: Operad, weights):
-        self.operad = operad
-        self.weights = sorted(weights)
-
-    def level(self, k, m) -> ChainComplex:
-        if m not in self.weights:
-            raise KeyError(m)
-        return self.operad.level(k)
-
-    def compose_basis(self, labeled, k, inputs, arities):
-        """labeled: (basis label, weight); inputs: list of the same."""
-        u, m0 = labeled
-        vs = [lab for lab, _ in inputs]
-        total = m0 + sum(m for _, m in inputs)
-        raw = self.operad.compose_basis(u, k, vs, arities)
-        return {(w, total): c for w, c in raw.items()}
-
-
 class OperadAlgebra:
     """A complex with structure maps theta_k: O(k) (x) A^(x k) -> A.
 
@@ -522,7 +500,6 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
                     if O.compose_basis(u, k, units, [1] * k) != {u: 1}:
                         failures.append({"check": "right-unit",
                                          "witness": (k, u)})
-                    break_inner = False
 
     # left unit and equivariance / associativity sweeps
     for j in arities:
@@ -935,11 +912,6 @@ def cup_product(X: FiniteSimplicialSet, ring: RingSpec, x, p, y, q):
     return interval_cut_action(X, ring, (1, 2), 2, [(x, p), (y, q)])
 
 
-def cup_i_product(X: FiniteSimplicialSet, ring: RingSpec, i, x, p, y, q):
-    """The cup-i product: the degree-i arity-2 surjection acting on x, y."""
-    word = tuple((1, 2)[j % 2] for j in range(i + 2))
-    return interval_cut_action(X, ring, word, 2, [(x, p), (y, q)])
-
 # ---------------------------------------------------------------------------
 # algebra axiom checks
 # ---------------------------------------------------------------------------
@@ -1087,42 +1059,3 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
     return {"passed": not failures, "checked": checked,
             "failures": failures}
 
-
-def weighted_wrap(O: Operad, weights) -> WeightedOperad:
-    """One copy of every level per weight; composition adds weights."""
-    return WeightedOperad(O, weights)
-
-
-def check_weight_additivity(W: WeightedOperad, arity_cap: int,
-                            degree_cap: int) -> dict:
-    """gamma must land in the weight that is the sum of the inputs'."""
-    O = W.operad
-    failures = []
-    checked = 0
-    for k in [k for k in O.arities() if k <= arity_cap]:
-        for js in _arity_tuples(arity_cap, k):
-            if sum(js) > arity_cap or any(j not in O.levels for j in js):
-                continue
-            pools = [_basis_with_degrees(O.level(j), degree_cap)
-                     for j in js]
-            for (u, du) in _basis_with_degrees(O.level(k), degree_cap):
-                for chosen in itertools.product(*pools):
-                    if du + sum(d for _, d in chosen) > degree_cap:
-                        continue
-                    for ws in itertools.product(W.weights,
-                                                repeat=k + 1):
-                        if sum(ws) not in W.weights:
-                            continue
-                        checked += 1
-                        inputs = [(lab, m) for (lab, _), m
-                                  in zip(chosen, ws[1:])]
-                        res = W.compose_basis((u, ws[0]), k, inputs,
-                                              list(js))
-                        for (w, m) in res:
-                            if m != sum(ws):
-                                failures.append(
-                                    {"check": "weight-additivity",
-                                     "witness": (k, u, ws, w, m)})
-    failures.sort(key=repr)
-    return {"passed": not failures, "checked": checked,
-            "failures": failures}

@@ -15,7 +15,6 @@ import math
 import random
 
 from .complexes import ChainComplex
-from .ez_aw import alexander_whitney
 from .freemod import FreeModule, FreeModuleMap
 from .homology_classes import HomologySpace
 from .operads import (interval_cut_action, rename_values,
@@ -205,35 +204,6 @@ def _verify_psi(W: WResolution):
             raise ValueError("psi is not a chain map at degree %d" % n)
 
 
-class WeightedW:
-    """Direct sum of weight-indexed copies of W.
-
-    Generators are (n, r) with r the weight; the boundary and the
-    augmentation stay inside one copy, and the coproduct distributes a
-    weight additively over the two tensor factors.
-    """
-
-    def __init__(self, W: WResolution, weights):
-        self.resolution = W
-        self.weights = tuple(weights)
-
-    def generator(self, n, r):
-        if r not in self.weights:
-            raise ValueError("weight %r not tracked" % (r,))
-        return (n, r)
-
-    def psi_bar(self, n, r):
-        """All weight splits r = u + v of the coproduct of e_n^r."""
-        out = []
-        for u in self.weights:
-            v = r - u
-            if v not in self.weights:
-                continue
-            for (n1, r1), (n2, s1), c in self.resolution.psi(n):
-                out.append(((n1, r1, u), (n2, s1, v), c))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # equivariant lift into the surjection operad level
 # ---------------------------------------------------------------------------
@@ -290,23 +260,79 @@ def _contraction_solve(c, k, ring):
 
 class EquivariantLift:
     """A chain map from W into the arity-p surjection complex,
-    equivariant for the cyclic rotation of values.
+    equivariant for the cyclic rotation of values, grown on demand.
 
-    components[n] gives the image of e_n as a dict word -> coefficient
-    over Z/p; images of alpha^j e_n follow by applying the rotation j
+    component(n) gives the image of e_n as a dict word -> coefficient
+    over Z/p, first building every missing degree up to n in increasing
+    order; images of alpha^j e_n follow by applying the rotation j
     times.  Degree 0 is the identity permutation word, matching the
-    augmentations on both sides.
+    augmentations on both sides.  Each new degree solves the chain-map
+    equation with the contracting homotopy, adds the seeded
+    perturbation (drawn from an rng kept on the lift), checks the
+    equation, and, when an operad level is given, checks that the
+    image lies in it.  Because degrees are always built in order from
+    one rng, a lift grown to n equals one prebuilt to n, seeded or not.
+
+    The only bound is the resolution: growing past W.cap raises
+    ValueError.  An operation on a nonzero class of degree q asks for
+    an index of at most p*q (a larger one has negative output degree),
+    so W = build_w(p, p * maxdim) covers every request on a space of
+    dimension maxdim.
     """
 
-    def __init__(self, p, components, seed=None):
-        self.p = p
-        self.ring = Zmod(p)
-        self.components = components
+    def __init__(self, W: WResolution, level=None, seed=None):
+        self.W = W
+        self.p = W.p
+        self.ring = Zmod(W.p)
+        self.level = level
         self.seed = seed
+        self._rng = random.Random(seed) if seed is not None else None
+        self.components = {0: {tuple(range(1, W.p + 1)): self.ring.one()}}
 
     @property
     def cap(self):
+        """The highest degree built so far."""
         return max(self.components)
+
+    def component(self, n):
+        """Image of e_n, growing the lift up to degree n if needed."""
+        while self.cap < n:
+            self._grow()
+        return self.components[n]
+
+    def _grow(self):
+        W, p, ring, rng = self.W, self.p, self.ring, self._rng
+        n = self.cap + 1
+        if n > W.cap:
+            raise ValueError(
+                "lift degree %d is past the resolution cap %d" % (n, W.cap))
+        target = self.apply_group_element(n - 1, W.boundary_element(n))
+        x = _contraction_solve(dict(target), p, ring)
+        if rng is not None:
+            # perturb by the boundary of a sparse random chain one
+            # degree up: the lift equations are preserved exactly
+            words_up = surjection_words(p, n + 1)
+            picks = rng.sample(words_up, min(3, len(words_up)))
+            pert = {w: rng.randrange(p) for w in picks}
+            for w, co in _apply_word_boundary(pert, p).items():
+                t = ring.add(x.get(w, ring.zero()), ring.normalize(co))
+                if ring.is_zero(t):
+                    x.pop(w, None)
+                else:
+                    x[w] = t
+        check = _apply_word_boundary({w: int(c) for w, c in x.items()}, p)
+        check = {w: co % p for w, co in check.items() if co % p}
+        want = {w: int(c) % p for w, c in target.items() if int(c) % p}
+        if check != want:
+            raise ValueError(
+                "lift failed at degree %d: the level is not acyclic "
+                "within the cap" % n)
+        if self.level is not None and n in self.level.modules:
+            basis = set(self.level.module(n).basis)
+            if any(w not in basis for w in x):
+                raise ValueError("lift left the given operad level "
+                                 "at degree %d" % n)
+        self.components[n] = x
 
     def rotation(self, j):
         p = self.p
@@ -314,7 +340,7 @@ class EquivariantLift:
 
     def vector(self, n, j=0):
         """Image of alpha^j e_n."""
-        base = self.components[n]
+        base = self.component(n)
         if j % self.p == 0:
             return dict(base)
         perm = self.rotation(j % self.p)
@@ -335,7 +361,8 @@ class EquivariantLift:
         return out
 
     def check(self, W: WResolution):
-        """Confirm the chain-map equations d j(e_n) = j(boundary e_n)."""
+        """Confirm the chain-map equations d j(e_n) = j(boundary e_n)
+        in every degree built so far."""
         failures = []
         for n in range(1, self.cap + 1):
             lhs = _apply_word_boundary(
@@ -351,49 +378,19 @@ class EquivariantLift:
 
 def equivariant_lift_j(W: WResolution, level, cap: int,
                        seed=None) -> EquivariantLift:
-    """Lift the resolution generators into the degree-capped arity-p
-    surjection complex, degree by degree.
+    """An equivariant lift of the resolution generators into the
+    arity-p surjection complex, prebuilt through degree cap.
 
-    level: the operad level (a ChainComplex) the lift lands in; used to
-    sanity-check that the solved images exist in the stated degrees.
-    Passing None skips that containment check (needed above the stored
-    degree cap of the operad object).  A seed perturbs every positive
-    degree by a boundary, giving an independent but equally valid lift.
+    The lift grows further on demand (see EquivariantLift), so cap only
+    moves work up front: pass 0 to build nothing beyond degree 0.  It
+    must not exceed W.cap.  level: the operad level (a ChainComplex)
+    the lift lands in; every degree it holds is checked for
+    containment, and None skips that check.  A seed perturbs every
+    positive degree by a boundary, giving an independent but equally
+    valid lift.
     """
-    p = W.p
-    ring = Zmod(p)
-    rng = random.Random(seed) if seed is not None else None
-    components = {0: {tuple(range(1, p + 1)): ring.one()}}
-    lift = EquivariantLift(p, components, seed=seed)
-    for n in range(1, cap + 1):
-        target = lift.apply_group_element(n - 1, W.boundary_element(n))
-        x = _contraction_solve(dict(target), p, ring)
-        if rng is not None:
-            # perturb by the boundary of a sparse random chain one
-            # degree up: the lift equations are preserved exactly
-            words_up = surjection_words(p, n + 1)
-            picks = rng.sample(words_up, min(3, len(words_up)))
-            pert = {w: rng.randrange(p) for w in picks}
-            for w, co in _apply_word_boundary(pert, p).items():
-                t = ring.add(x.get(w, ring.zero()),
-                             ring.normalize(co))
-                if ring.is_zero(t):
-                    x.pop(w, None)
-                else:
-                    x[w] = t
-        check = _apply_word_boundary({w: int(c) for w, c in x.items()}, p)
-        check = {w: co % p for w, co in check.items() if co % p}
-        want = {w: int(c) % p for w, c in target.items() if int(c) % p}
-        if check != want:
-            raise ValueError(
-                "lift failed at degree %d: the level is not acyclic "
-                "within the cap" % n)
-        if level is not None and n in level.modules:
-            basis = set(level.module(n).basis)
-            if any(w not in basis for w in x):
-                raise ValueError("lift left the given operad level "
-                                 "at degree %d" % n)
-        components[n] = x
+    lift = EquivariantLift(W, level, seed)
+    lift.component(cap)
     return lift
 
 
@@ -448,10 +445,11 @@ def nu(q, p):
 def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
               lift: EquivariantLift, n: int, x: dict, q: int) -> dict:
     """Evaluate the lifted generator e_n on the p-th tensor power of
-    the cochain x of degree q."""
+    the cochain x of degree q, growing the lift to degree n first if
+    it has not reached it."""
     p = lift.p
     out = {}
-    for w, c in lift.components[n].items():
+    for w, c in lift.component(n).items():
         term = interval_cut_action(X, ring, w, p, [(x, q)] * p)
         for lab, c2 in term.items():
             t = ring.add(out.get(lab, ring.zero()), ring.mul(c, c2))
@@ -477,9 +475,10 @@ def power_op(x: BigradedClass, s: int, alg, W: WResolution,
     variant (the resolution is stored homologically, so the shift that
     raises output degree lowers the generator index); a negative index
     makes the operation zero.  For p > 2 the result is normalised by
-    (-1)^s nu(-q).  The zero class goes to the zero class at every index,
-    including indices above the lift cap; a nonzero class at such an
-    index raises ValueError.
+    (-1)^s nu(-q).  The zero class goes to the zero class without
+    touching the lift; otherwise the lift grows to the index if needed,
+    which stays within W = build_w(p, p * maxdim) because the index is
+    at most p*q whenever the output degree is nonnegative.
     """
     p = W.p
     ring = alg.complex.ring
@@ -490,9 +489,6 @@ def power_op(x: BigradedClass, s: int, alg, W: WResolution,
     out_degree = p * q - idx
     if idx < 0 or out_degree < 0 or not x.rep:
         return BigradedClass(out_degree, out_weight, {})
-    if idx > lift.cap:
-        raise ValueError("lift cap %d too small for index %d"
-                         % (lift.cap, idx))
     rep = theta_bar(X, ring, lift, idx, x.rep, q)
     if p > 2:
         scale = ((-1) ** (s % 2)) * nu(-q, p)
@@ -506,8 +502,9 @@ def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
     (one lower for the Bockstein variant) evaluated on the p-th tensor
     power, normalised so that the zeroth power is the identity and the
     top power is the p-th cup power, raising degree by 2s(p-1) (plus one
-    when bocksteined).  The zero class goes to the zero class at every
-    index, the lift cap only binds nonzero classes."""
+    when bocksteined).  The zero class goes to the zero class without
+    touching the lift; otherwise the lift grows to the index, at most
+    q(p-1), if needed."""
     p = W.p
     ring = alg.complex.ring
     q = x.degree
@@ -516,9 +513,6 @@ def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
     out_weight = None
     if s < 0 or idx < 0 or out_degree < 0 or not x.rep:
         return BigradedClass(out_degree, out_weight, {})
-    if idx > lift.cap:
-        raise ValueError("lift cap %d too small for index %d"
-                         % (lift.cap, idx))
     rep = theta_bar(alg.space, ring, lift, idx, x.rep, q)
     if p > 2:
         rep = _scaled_cochain(ring, rep, _classical_scale(q, s, p))
@@ -552,8 +546,8 @@ def steenrod_square(x: BigradedClass, i: int, alg, W: WResolution,
                     lift: EquivariantLift) -> BigradedClass:
     """Sq^i at p = 2, indexed so that Sq^i raises degree by i: the
     generator e_{q-i} evaluated on x tensor x.  The zero class goes to
-    the zero class at every index, the lift cap only binds nonzero
-    classes."""
+    the zero class without touching the lift; otherwise the lift grows
+    to the index, at most q, if needed."""
     if W.p != 2:
         raise ValueError("Steenrod squares live at p = 2")
     q = x.degree
@@ -562,8 +556,6 @@ def steenrod_square(x: BigradedClass, i: int, alg, W: WResolution,
     out_degree = q + i
     if idx < 0 or i < 0 or not x.rep:
         return BigradedClass(out_degree, out_weight, {})
-    if idx > lift.cap:
-        raise ValueError("lift cap too small")
     rep = theta_bar(alg.space, alg.complex.ring, lift, idx, x.rep, q)
     return BigradedClass(out_degree, out_weight, rep)
 
@@ -739,15 +731,20 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                               + (-1)^{deg P^i(x)} P^i(x) cross beta P^j(y),
 
     the sign being the Koszul sign beta picks up as a degree-one
-    derivation passing P^i(x)."""
+    derivation passing P^i(x).
+
+    The lift grows to whatever index the sweep asks for, and the
+    resolution is built to p times the dimension of the product space,
+    which bounds every such index.  lift_cap only prebuilds the lift
+    through that index before the sweep starts; the report is the same
+    with or without it.  It stays because callers that time the sweep
+    apart from the lift pass it."""
     X = alg.space
     ring = alg.ring if hasattr(alg, "ring") else alg.complex.ring
-    maxdim = max(X.dims())
     P = product_space(X, X)
     palg = CochainSystem(P, ring)
-    W = build_w(p, 2 * (lift_cap or (p * 2 * maxdim)) + 2)
-    cap = lift_cap or max(2 * smax * (p - 1) + 1, p * 2 * maxdim)
-    lift = equivariant_lift_j(W, None, cap)
+    W = build_w(p, max(p * max(P.dims()), lift_cap or 0))
+    lift = equivariant_lift_j(W, None, lift_cap or 0)
     classifier = ProductClassifier(X, X, ring)
     hspaces = {n: HomologySpace(alg.complex, n)
                for n in X.dims() if n <= degree_cap}
@@ -817,23 +814,19 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
             "failures": failures}
 
 
-def _power_with_table(x, s, alg, W, lift, bock, table):
-    """power_op with the binomial table injected (for negative
-    controls, verify_adem routes coefficients through the table)."""
-    return power_op(x, s, alg, W, lift, bocksteined=bock)
-
-
 def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
-                coefficient=adem_coefficient, lift_cap: int = None) -> dict:
+                coefficient=adem_coefficient) -> dict:
     """Check both Adem relations on every class of degree <= degree_cap
     for all pairs a < p b with a + b <= pair_bound and epsilon in
-    {0, 1}.  coefficient may be swapped out (negative controls)."""
+    {0, 1}.  coefficient may be swapped out (negative controls).
+
+    The lift starts at degree 0 and grows to the highest index a
+    nonzero class asks for; the resolution is built to p times the
+    dimension of the space, which bounds every such index."""
     X = alg.space
     ring = alg.ring if hasattr(alg, "ring") else alg.complex.ring
-    maxdim = max(X.dims())
-    cap = lift_cap or p * maxdim + 2
-    W = build_w(p, cap + 2)
-    lift = equivariant_lift_j(W, None, cap)
+    W = build_w(p, p * max(X.dims()))
+    lift = equivariant_lift_j(W, None, 0)
     hspaces = {n: HomologySpace(alg.complex, n)
                for n in X.dims() if n <= degree_cap}
     classifiers = {n: HomologySpace(alg.complex, n) for n in X.dims()}

@@ -365,6 +365,10 @@ class TestCriterion10Determinism:
          "--ring", "Z/2"],
         ["steenrod", "--p", "2", "--space", "bz2", "--dim", "4",
          "--degree-cap", "3"],
+        ["cartan-check", "--space", "bz3", "--dim", "2", "--degree-cap",
+         "1", "--smax", "2"],
+        ["adem-check", "--space", "bz3", "--dim", "3", "--degree-cap", "2",
+         "--amax", "3"],
         ["bar", "--fixture", "square-generator"],
         ["hopf-check", "--fixture", "one-generator"],
     ]

@@ -140,3 +140,15 @@ class TestCoLie:
             br = L.cobracket(x)
             for (a, b), c in br.items():
                 assert br.get((b, a), Fraction(0)) == -c
+
+    @pytest.mark.parametrize("length, lyndon", [(2, 3), (3, 5)])
+    def test_two_generators_count_lyndon_words(self, length, lyndon):
+        # closed degree-1 generators with zero products: H^0 of the bar
+        # construction is the shuffle algebra on two letters, whose
+        # indecomposables up to word length n are the Lyndon words
+        basis = {"1": (0, 0), "a": (1, 1), "b": (1, 1)}
+        mult = {(u, v): {} for u in "ab" for v in "ab"}
+        A = AugmentedDGA("two", basis, "1", mult=mult)
+        L = indecomposables(h0_hopf(reduced_bar(A, length, -1, 4)))
+        assert len(L.basis) == lyndon
+        assert L.verify_co_jacobi()["passed"]

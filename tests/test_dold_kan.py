@@ -42,7 +42,7 @@ class TestDenormalize:
 class TestRoundTrip:
     def test_literal_identity_many_seeds(self):
         rng = random.Random(3)
-        for ring in (ZZ, Zmod(3), Zmod(2)):
+        for ring in (ZZ, Zmod(3), Zmod(2), Zmod(4), Zmod(6)):
             for _ in range(12):
                 L = random_chain_complex(ring, 5, 3, rng)
                 top = max(L.modules, default=0)

@@ -97,6 +97,15 @@ class TestLift:
         b = equivariant_lift_j(W, None, 5, seed=12)
         assert a.components != b.components
 
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_grown_lift_equals_prebuilt(self, seed):
+        W = build_w(3, 6)
+        grown = equivariant_lift_j(W, None, 2, seed=seed)
+        prebuilt = equivariant_lift_j(W, None, 6, seed=seed)
+        assert grown.cap == 2
+        assert grown.component(6) == prebuilt.component(6)
+        assert grown.components == prebuilt.components
+
     def test_cap_violation_raises(self):
         p = 2
         X = classifying_space(2, 3)
@@ -286,7 +295,7 @@ class TestOddPrimaryPowers:
 
     def test_empty_class_above_cap_maps_to_empty(self):
         # the zero class has zero powers at every index, even one the
-        # lift does not reach; only a nonzero class trips the cap
+        # lift has not reached; a nonzero class grows the lift there
         lift = equivariant_lift_j(self.W, None, 2)
         empty = BigradedClass(2, None, {})
         x = self._gen(2)
@@ -294,14 +303,14 @@ class TestOddPrimaryPowers:
         out = power_op(empty, 2, self.alg, self.W, lift)
         assert out.is_zero()
         assert out.degree == 2
-        with pytest.raises(ValueError, match="cap"):
-            power_op(x, 2, self.alg, self.W, lift)
+        assert power_op(x, 2, self.alg, self.W, lift).rep == \
+            power_op(x, 2, self.alg, self.W, self.lift).rep
         # generator index (q - 2s)(p - 1) = 4 > 2
         out = classical_power(empty, 0, self.alg, self.W, lift)
         assert out.is_zero()
         assert out.degree == 2
-        with pytest.raises(ValueError, match="cap"):
-            classical_power(x, 0, self.alg, self.W, lift)
+        assert classical_power(x, 0, self.alg, self.W, lift).rep == \
+            classical_power(x, 0, self.alg, self.W, self.lift).rep
 
 
 class TestThetaWellDefined:
