@@ -27,7 +27,7 @@ from .powerops import (BigradedClass, CochainSystem, build_w, cup_i_oracle,
                        equivariant_lift_j, steenrod_square, verify_adem,
                        verify_cartan)
 from .randomgen import random_chain_complex
-from .rings import QQ, RingSpec, ZZ, Zmod
+from .rings import QQ, RingSpec, ZZ, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains,
                          circle_space, classifying_space,
                          sphere_space, torus_space)
@@ -526,6 +526,8 @@ def main(argv=None):
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("fn", "out", "format") and v is not None}
     try:
+        if getattr(args, "p", None) is not None and not _is_prime(args.p):
+            raise ParseError(f"--p must be a prime, got {args.p}")
         body = args.fn(args)
     except ParseError as e:
         print(f"chainops: {e}", file=sys.stderr)

@@ -319,6 +319,10 @@ class OperadAlgebra:
         self.complex = complex_
         self.theta = theta
 
+    @property
+    def ring(self):
+        return self.complex.ring
+
 
 # ---------------------------------------------------------------------------
 # the surjection operad

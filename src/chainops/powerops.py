@@ -10,6 +10,7 @@ exhaustively on finite test algebras.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,18 +20,9 @@ from .freemod import FreeModule, FreeModuleMap
 from .homology_classes import HomologySpace
 from .operads import (interval_cut_action, rename_values,
                       surjection_boundary, surjection_words)
-from .rings import RingSpec, Zmod
+from .rings import RingSpec, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains, cochains,
                          product_space, word_for_positions)
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    for q in range(2, int(p ** 0.5) + 1):
-        if p % q == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +473,7 @@ def power_op(x: BigradedClass, s: int, alg, W: WResolution,
     at most p*q whenever the output degree is nonnegative.
     """
     p = W.p
-    ring = alg.complex.ring
+    ring = alg.ring
     X = alg.space
     q = x.degree
     idx = (2 * s - q) * (p - 1) - (1 if bocksteined else 0)
@@ -506,7 +498,7 @@ def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
     touching the lift; otherwise the lift grows to the index, at most
     q(p-1), if needed."""
     p = W.p
-    ring = alg.complex.ring
+    ring = alg.ring
     q = x.degree
     idx = (q - 2 * s) * (p - 1) - (1 if bocksteined else 0)
     out_degree = p * q - idx
@@ -556,7 +548,7 @@ def steenrod_square(x: BigradedClass, i: int, alg, W: WResolution,
     out_degree = q + i
     if idx < 0 or i < 0 or not x.rep:
         return BigradedClass(out_degree, out_weight, {})
-    rep = theta_bar(alg.space, alg.complex.ring, lift, idx, x.rep, q)
+    rep = theta_bar(alg.space, alg.ring, lift, idx, x.rep, q)
     return BigradedClass(out_degree, out_weight, rep)
 
 
@@ -598,13 +590,22 @@ def bockstein(x: BigradedClass, X: FiniteSimplicialSet, p: int) -> BigradedClass
 # ---------------------------------------------------------------------------
 
 class CochainSystem:
-    """The minimal bundle power operations need: a space, its ring of
-    coefficients, and its normalized cochain complex."""
+    """The minimal bundle power operations need: a space and its ring of
+    coefficients.
+
+    The operations (power_op, classical_power, steenrod_square) read
+    only `space` and `ring`.  The normalized cochain complex, which the
+    verifiers read to find homology classes, is built on the first
+    access to `complex`; a system that only carries operations, like
+    the product space in verify_cartan, never builds it."""
 
     def __init__(self, X: FiniteSimplicialSet, ring: RingSpec):
         self.space = X
         self.ring = ring
-        self.complex = cochains(X, ring)
+
+    @functools.cached_property
+    def complex(self) -> ChainComplex:
+        return cochains(self.space, self.ring)
 
 
 def cochain_cross(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
@@ -631,78 +632,94 @@ def cochain_cross(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
 
 
 class ProductClassifier:
-    """Canonical coordinates for cohomology classes of a product space,
-    computed by pairing cocycles against shuffle images of homology
-    cycles of the factors (a basis of the product's homology over a
-    field, so the pairing separates classes)."""
+    """Canonical coordinates for cohomology classes of a product space
+    X x Y over a field.
+
+    The product cycles are the shuffle images of a (x) b, for a and b
+    running over cycle representatives of bases of H_i(X) and H_j(Y).
+    Over a field they form a basis of the product's homology, so
+    pairing a cocycle against them separates classes.
+
+    For each degree n a pairing table is built once, on first use.  It
+    has one row per product cycle, ordered by i ascending (j = n - i),
+    then by the basis class of H_i(X), then by that of H_j(Y); this is
+    the order of the coordinates.  A row holds the merged (product
+    simplex, coefficient) entries of its cycle's shuffle image, with
+    zero entries dropped, so coordinates(z, n) costs one lookup and one
+    multiply-add per entry and one normalize per row.
+    """
 
     def __init__(self, X, Y, ring):
         self.X = X
         self.Y = Y
         self.ring = ring
-        self._hx = {}
-        self._hy = {}
-        for n in X.dims():
-            self._hx[n] = HomologySpace(chains(X, ring), n)
-        for n in Y.dims():
-            self._hy[n] = HomologySpace(chains(Y, ring), n)
-        self._shuffle_terms = {}
-        self._xcycles = {n: self._cycles(h) for n, h in self._hx.items()}
-        self._ycycles = {n: self._cycles(h) for n, h in self._hy.items()}
 
-    def _cycles(self, h):
-        out = []
-        for idx in range(h.rank):
-            coords = [0] * h.rank
-            coords[idx] = 1
-            out.append(h.representative(coords))
-        return out
+        def cycles(S):
+            C = chains(S, ring)
+            return {n: _cycle_basis(HomologySpace(C, n)) for n in S.dims()}
+
+        self._xcycles = cycles(X)
+        self._ycycles = self._xcycles if Y is X else cycles(Y)
+        self._tables = {}
 
     def coordinates(self, z: dict, n: int):
         """Pair the degree-n cocycle z against every product cycle."""
-        ring = self.ring
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = self._pairing_table(n)
+        get = z.get
         vals = []
-        for i in sorted(self._hx):
-            j = n - i
-            if j not in self._hy:
-                continue
-            for a in self._xcycles[i]:
-                for b in self._ycycles[j]:
-                    total = ring.zero()
-                    for xa, ca in a.items():
-                        for yb, cb in b.items():
-                            total = ring.add(
-                                total,
-                                ring.mul(ring.mul(ca, cb),
-                                         self._pair_cell(z, xa, i, yb, j)))
-                    vals.append(ring.normalize(total))
+        for row in table:
+            total = 0
+            for lab, c in row:
+                v = get(lab)
+                if v is not None:
+                    total += c * v
+            vals.append(self.ring.normalize(total))
         return tuple(vals)
 
-    def _shuffles(self, i, j):
-        """(i, j)-shuffles as (degeneracy word of the first factor,
-        degeneracy word of the second factor, sign), listed once."""
-        key = (i, j)
-        if key not in self._shuffle_terms:
-            n = i + j
-            terms = []
-            for A in itertools.combinations(range(n), i):
-                B = tuple(t for t in range(n) if t not in A)
-                inv = sum(1 for u in A for v in B if u > v)
-                terms.append((word_for_positions(B), word_for_positions(A),
-                              self.ring.normalize((-1) ** inv)))
-            self._shuffle_terms[key] = terms
-        return self._shuffle_terms[key]
-
-    def _pair_cell(self, z, xa, i, yb, j):
-        """<z, shuffle image of the cell pair xa (x) yb>."""
+    def _pairing_table(self, n):
         ring = self.ring
-        total = ring.zero()
-        for word_b, word_a, sign in self._shuffles(i, j):
-            c = z.get((Simplex(word_b, xa, i), Simplex(word_a, yb, j)),
-                      ring.zero())
-            if not ring.is_zero(c):
-                total = ring.add(total, ring.mul(sign, c))
-        return total
+        rows = []
+        for i in sorted(self._xcycles):
+            j = n - i
+            if j not in self._ycycles:
+                continue
+            shuffles = _shuffles(i, j, ring)
+            for a in self._xcycles[i]:
+                for b in self._ycycles[j]:
+                    row = {}
+                    for xa, ca in a.items():
+                        for yb, cb in b.items():
+                            cab = ring.mul(ca, cb)
+                            for word_b, word_a, sign in shuffles:
+                                lab = (Simplex(word_b, xa, i),
+                                       Simplex(word_a, yb, j))
+                                row[lab] = ring.add(
+                                    row.get(lab, ring.zero()),
+                                    ring.mul(cab, sign))
+                    rows.append(tuple((lab, c) for lab, c in row.items()
+                                      if not ring.is_zero(c)))
+        return rows
+
+
+def _cycle_basis(h: HomologySpace):
+    """One cycle representative per basis class, in basis order."""
+    return [h.representative([int(k == idx) for k in range(h.rank)])
+            for idx in range(h.rank)]
+
+
+def _shuffles(i, j, ring):
+    """(i, j)-shuffles as (degeneracy word of the first factor,
+    degeneracy word of the second factor, sign)."""
+    n = i + j
+    terms = []
+    for A in itertools.combinations(range(n), i):
+        B = tuple(t for t in range(n) if t not in A)
+        inv = sum(1 for u in A for v in B if u > v)
+        terms.append((word_for_positions(B), word_for_positions(A),
+                      ring.normalize((-1) ** inv)))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +757,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     with or without it.  It stays because callers that time the sweep
     apart from the lift pass it."""
     X = alg.space
-    ring = alg.ring if hasattr(alg, "ring") else alg.complex.ring
+    ring = alg.ring
     P = product_space(X, X)
     palg = CochainSystem(P, ring)
     W = build_w(p, max(p * max(P.dims()), lift_cap or 0))
@@ -824,7 +841,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
     nonzero class asks for; the resolution is built to p times the
     dimension of the space, which bounds every such index."""
     X = alg.space
-    ring = alg.ring if hasattr(alg, "ring") else alg.complex.ring
+    ring = alg.ring
     W = build_w(p, p * max(X.dims()))
     lift = equivariant_lift_j(W, None, 0)
     hspaces = {n: HomologySpace(alg.complex, n)
@@ -940,7 +957,7 @@ def verify_vanishing_pattern(alg, W: WResolution,
     in the residue classes 0, -1 (q even) or p-1, p-2 (q odd) modulo
     2(p - 1)."""
     X = alg.space
-    ring = alg.ring if hasattr(alg, "ring") else alg.complex.ring
+    ring = alg.ring
     p = W.p
     period = 2 * (p - 1)
     hspaces = {n: HomologySpace(alg.complex, n)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import chainops.operads as operads_module
+import chainops.powerops as powerops_module
 from chainops.bar_hopf import (
     check_connected,
     h0_hopf,
@@ -332,6 +333,20 @@ class TestCriterion9NegativeControls:
         alg2 = cochain_algebra(X, ring, 2, 2)
         report = check_algebra_axioms(alg2, 2, 2)
         assert not report["passed"]
+        assert all(f["witness"] for f in report["failures"])
+
+    def test_corrupted_power_normalisation_is_caught(self, monkeypatch):
+        # with nu(q) = 1 the operations lose their normalising unit, and
+        # the Cartan formula must then fail on the product classes
+        ring = Zmod(3)
+        alg = CochainSystem(classifying_space(3, 2), ring)
+        baseline = verify_cartan(alg, degree_cap=1, p=3, smax=2)
+        assert baseline["passed"], baseline["failures"][:3]
+        monkeypatch.setattr(powerops_module, "nu", lambda q, p: 1)
+        report = verify_cartan(alg, degree_cap=1, p=3, smax=2)
+        assert not report["passed"]
+        assert report["checked"] == baseline["checked"]
+        assert any(f["check"] == "cartan" for f in report["failures"])
         assert all(f["witness"] for f in report["failures"])
 
     def test_corrupted_adem_table_is_caught(self):

@@ -245,3 +245,19 @@ class TestVerifierCommands:
         report = json.loads(out_path.read_text())
         assert report["command"] == "w-resolution"
         assert report["parameters"]["p"] == 2
+
+
+class TestBadPrime:
+    # a --p that is not a prime is a usage error (exit 2, one line on
+    # stderr), reported before any work starts
+    @pytest.mark.parametrize("argv", [
+        ["w-resolution", "--cap", "4"],
+        ["cartan-check", "--space", "bz3", "--dim", "1"],
+        ["adem-check", "--space", "bz3", "--dim", "1"],
+    ])
+    @pytest.mark.parametrize("p", ["4", "9", "1", "0", "-3"])
+    def test_non_prime_p_is_a_usage_error(self, capsys, argv, p):
+        assert main(argv + ["--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chainops: --p must be a prime, got {p}\n"

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +10,12 @@ from chainops.homology_classes import HomologySpace
 from chainops.operads import cochain_algebra, cup_product, surjection_words
 from chainops.powerops import (
     BigradedClass,
+    ProductClassifier,
     adem_coefficient,
     bockstein,
     build_w,
     classical_power,
+    cochain_cross,
     cup_i_oracle,
     equivariant_lift_j,
     nu,
@@ -20,8 +24,9 @@ from chainops.powerops import (
     theta_bar,
     verify_vanishing_pattern,
 )
-from chainops.rings import Zmod
-from chainops.simplicial import classifying_space, cochains, torus_space
+from chainops.rings import QQ, Zmod
+from chainops.simplicial import (chains, circle_space, classifying_space,
+                                 cochains, product_space, torus_space)
 
 
 def _cup(X, ring, a, qa, b, qb):
@@ -352,3 +357,111 @@ class TestThetaWellDefined:
         za = theta_bar(X, ring, lift, 2, y, 2)
         zb = theta_bar(X, ring, lift, 2, y2, 2)
         assert H4.class_vector(za) == H4.class_vector(zb)
+
+
+def _random_cochain(ring, labels, rng):
+    out = {}
+    for lab in labels:
+        if ring.kind == "Q":
+            c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        else:
+            c = ring.normalize(rng.randrange(ring.modulus))
+        if not ring.is_zero(c):
+            out[lab] = c
+    return out
+
+
+def _basis_reps(h):
+    return [h.representative([int(k == m) for k in range(h.rank)])
+            for m in range(h.rank)]
+
+
+def _brute_force_pairing(X, Y, ring, z, n):
+    """<z, shuffle image of a (x) b> for every pair of basis cycles, in
+    the classifier's order (degree of a, then a's class, then b's),
+    built cell by cell with the degeneracy maps."""
+    vals = []
+    for i in X.dims():
+        j = n - i
+        if j not in Y.dims():
+            continue
+        for a in _basis_reps(HomologySpace(chains(X, ring), i)):
+            for b in _basis_reps(HomologySpace(chains(Y, ring), j)):
+                total = ring.zero()
+                for xa, ca in a.items():
+                    for yb, cb in b.items():
+                        for A in itertools.combinations(range(n), i):
+                            B = [t for t in range(n) if t not in A]
+                            inv = sum(1 for u in A for v in B if u > v)
+                            sa = X.nondegenerate(xa)
+                            for t in B:
+                                sa = X.degeneracy(sa, t)
+                            sb = Y.nondegenerate(yb)
+                            for t in A:
+                                sb = Y.degeneracy(sb, t)
+                            c = z.get((sa, sb), ring.zero())
+                            total = ring.add(total, ring.mul(
+                                ring.normalize((-1) ** inv * ca * cb), c))
+                vals.append(total)
+    return tuple(vals)
+
+
+class TestProductClassifier:
+    """Coordinates on X x Y: X = Y = BZ/3 to dimension 3, and X = BZ/3
+    to dimension 3 with Y the circle, over Z/3 and Q."""
+
+    @pytest.fixture(scope="class", params=["bz3xbz3", "bz3xcircle"])
+    def factors(self, request):
+        X = classifying_space(3, 3)
+        Y = X if request.param == "bz3xbz3" else circle_space()
+        return X, Y, product_space(X, Y)
+
+    @pytest.fixture(params=[Zmod(3), QQ], ids=str)
+    def ring(self, request):
+        return request.param
+
+    def test_matches_brute_force_pairing(self, factors, ring):
+        X, Y, P = factors
+        classifier = ProductClassifier(X, Y, ring)
+        rng = random.Random(11)
+        for n in P.dims():
+            for _ in range(3):
+                z = _random_cochain(ring, P.simplices(n), rng)
+                assert classifier.coordinates(z, n) == \
+                    _brute_force_pairing(X, Y, ring, z, n), n
+
+    def test_coboundaries_vanish(self, factors, ring):
+        X, Y, P = factors
+        classifier = ProductClassifier(X, Y, ring)
+        C = cochains(P, ring)
+        rng = random.Random(12)
+        for n in P.dims():
+            if n == 0:
+                continue
+            for _ in range(3):
+                f = _random_cochain(ring, P.simplices(n - 1), rng)
+                df = C.differential(n - 1).apply(f)
+                assert all(ring.is_zero(c)
+                           for c in classifier.coordinates(df, n)), n
+
+    def test_cross_products_of_basis_classes_are_distinct(self, factors,
+                                                          ring):
+        X, Y, P = factors
+        classifier = ProductClassifier(X, Y, ring)
+        CX, CY = cochains(X, ring), cochains(Y, ring)
+        for n in P.dims():
+            coords = []
+            for i in X.dims():
+                j = n - i
+                if j not in Y.dims():
+                    continue
+                hx, hy = HomologySpace(CX, i), HomologySpace(CY, j)
+                for x in _basis_reps(hx):
+                    for y in _basis_reps(hy):
+                        z = cochain_cross(X, Y, ring, x, i, y, j, P)
+                        coords.append(classifier.coordinates(z, n))
+            # Kuenneth: as many cross products as product cycles
+            assert all(len(c) == len(coords) for c in coords), n
+            assert len(set(coords)) == len(coords), n
+            assert all(any(not ring.is_zero(v) for v in c) for c in coords)
+
