@@ -233,8 +233,9 @@ def builtin_space(name: str, dim: int) -> FiniteSimplicialSet:
         return circle_space()
     if name == "torus":
         return torus_space()
-    if name.startswith("sphere"):
-        return sphere_space(int(name[len("sphere"):]))
+    n = name[len("sphere"):]
+    if name.startswith("sphere") and n.isascii() and n.isdigit():
+        return sphere_space(int(n))
     if name in ("bz2", "bz3", "bz5"):
         return classifying_space(int(name[2:]), dim)
     raise ParseError(f"unknown space {name!r}")
@@ -351,6 +352,8 @@ def cmd_steenrod(args):
 
 
 def cmd_cartan_check(args):
+    if args.p == 2:
+        raise ParseError("cartan-check needs an odd prime --p, got 2")
     ring = Zmod(args.p)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freemod import FreeModule, FreeModuleMap, tensor_map
-from .linalg import integer_quotient, kernel_matrix, rref
+from .linalg import (hnf_rows, identity_matrix, integer_quotient,
+                     kernel_matrix, rref)
 from .rings import RingSpec, ZZ
 
 HOMOLOGICAL = "homological"
@@ -136,7 +137,8 @@ def homology(C: ChainComplex, n: int) -> HomologyGroup:
         rank_im = len(rref([list(c) for c in zip(*im_cols)], ring)[1]) if im_cols else 0
         return HomologyGroup(ring, ker_dim - rank_im, ())
     if ring.kind == "Z":
-        ker_cols = _eye_cols(dim_n) if zero_out else kernel_matrix(d_out, ring)
+        ker_cols = (identity_matrix(dim_n) if zero_out
+                    else kernel_matrix(d_out, ring))
         free, div = integer_quotient(ker_cols, im_cols)
         return HomologyGroup(ring, free, tuple(div))
     # Z/m with m composite: work with integer lattices containing m Z^dim
@@ -146,36 +148,13 @@ def homology(C: ChainComplex, n: int) -> HomologyGroup:
     aug = [row + [m if j == i else 0 for j in range(R)]
            for i, row in enumerate(lifted_out)]
     if R and not zero_out:
-        full_ker = kernel_matrix(aug, ZZ)
-        ker_cols = [v[:dim_n] for v in full_ker]
-        ker_cols = _lattice_basis(ker_cols, dim_n)
+        ker_cols = hnf_rows([v[:dim_n] for v in kernel_matrix(aug, ZZ)])
     else:
-        ker_cols = _eye_cols(dim_n)
+        ker_cols = identity_matrix(dim_n)
     im_lifted = [[int(x) for x in col] for col in im_cols]
-    for i in range(dim_n):
-        e = [0] * dim_n
-        e[i] = m
-        im_lifted.append(e)
+    im_lifted += [[m * x for x in e] for e in identity_matrix(dim_n)]
     free, div = integer_quotient(ker_cols, im_lifted)
-    div = [d for d in div]
     return HomologyGroup(ring, free, tuple(div))
-
-
-def _eye_cols(n):
-    cols = []
-    for j in range(n):
-        v = [0] * n
-        v[j] = 1
-        cols.append(v)
-    return cols
-
-
-def _lattice_basis(cols, dim):
-    from .linalg import hnf_rows
-    rows = [list(c) for c in cols if any(c)]
-    if not rows:
-        return []
-    return [list(r) for r in hnf_rows(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap
-from .linalg import (CosetReducer, kernel_matrix, rref,
-                     smith_normal_form_matrix, solve_matrix)
-from .rings import RingSpec, ZZ
+from .linalg import (CosetReducer, identity_matrix, kernel_matrix,
+                     lattice_coordinates, rref, smith_normal_form_matrix,
+                     solve_matrix)
+from .rings import QQ
 
 
 class HomologySpace:
@@ -40,7 +41,7 @@ class HomologySpace:
         if dim == 0:
             self._ker = []
         elif d_out.is_zero():
-            self._ker = _eye(dim)
+            self._ker = identity_matrix(dim)
         else:
             self._ker = kernel_matrix(d_out.to_matrix(), ring)
         mat_in = d_in.to_matrix()
@@ -75,39 +76,39 @@ class HomologySpace:
     # -- integral backend ----------------------------------------------
 
     def _init_integral(self):
+        # self._ker is a row-Hermite basis, so an image column's kernel
+        # coordinates come from back-substitution
         k = len(self._ker)
-        K = [[self._ker[j][i] for j in range(k)]
-             for i in range(len(self.basis))]
         coords = []
         for col in self._im:
-            x = solve_matrix(K, list(col), ZZ)
+            x = lattice_coordinates(self._ker, col)
             if x is None:
                 raise ValueError("image is not contained in the kernel")
-            coords.append([int(v) for v in x])
+            coords.append(x)
         # Smith form of the image inside kernel coordinates: in y = U x
         # coordinates the image lattice is spanned by d_i e_i, so the
         # quotient splits as a direct sum of Z/d_i and Z factors.
-        Cm = [[coords[j][i] for j in range(len(coords))] for i in range(k)]
         if coords:
-            S, U, _ = smith_normal_form_matrix(Cm)
+            S, U, _ = smith_normal_form_matrix(
+                [list(r) for r in zip(*coords)])
             diag = [S[i][i] if i < len(S[0]) else 0 for i in range(k)]
         else:
-            U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+            U = identity_matrix(k)
             diag = [0] * k
         self._U = U
         self._diag = diag
         self._coord_idx = [i for i, d in enumerate(diag) if d != 1]
-        # generator for y-coordinate i is K . (U^{-1} e_i)
-        gens = []
-        for i in self._coord_idx:
-            e = [1 if j == i else 0 for j in range(k)]
-            x = solve_matrix(U, e, ZZ)
-            gen = [sum(K[row][j] * int(x[j]) for j in range(k))
-                   for row in range(len(self.basis))]
-            gens.append(gen)
-        self.generators = gens
-        self.divisors = tuple(0 if diag[i] == 0 else diag[i]
-                              for i in self._coord_idx)
+        # generator for y-coordinate i is K . (U^{-1} e_i); U is
+        # unimodular, so its inverse over Q is integral
+        inv = []
+        if self._coord_idx:
+            inv = [[int(x) for x in row[k:]] for row in
+                   rref([u + e for u, e in zip(U, identity_matrix(k))], QQ)[0]]
+        self.generators = [
+            [sum(inv[j][i] * self._ker[j][r] for j in range(k))
+             for r in range(len(self.basis))]
+            for i in self._coord_idx]
+        self.divisors = tuple(diag[i] for i in self._coord_idx)
 
     # -- shared API -----------------------------------------------------
 
@@ -134,14 +135,10 @@ class HomologySpace:
             if x is None:
                 raise ValueError("cycle outside the computed kernel")
             return tuple(self.ring.normalize(c) for c in x)
-        k = len(self._ker)
-        K = [[self._ker[j][i] for j in range(k)]
-             for i in range(len(self.basis))]
-        x = solve_matrix(K, col, ZZ)
+        x = lattice_coordinates(self._ker, col)
         if x is None:
             raise ValueError("cycle outside the computed kernel")
-        x = [int(v) for v in x]
-        y = [sum(self._U[i][j] * x[j] for j in range(k)) for i in range(k)]
+        y = [sum(u * c for u, c in zip(row, x)) for row in self._U]
         out = []
         for i in self._coord_idx:
             d = self._diag[i]
@@ -191,11 +188,3 @@ def induced_map(f: ChainMap, n: int, source_h: HomologySpace = None,
         cols.append(target_h.class_vector(image))
     return cols
 
-
-def _eye(n):
-    cols = []
-    for j in range(n):
-        v = [0] * n
-        v[j] = 1
-        cols.append(v)
-    return cols

@@ -5,9 +5,12 @@ elements.  Echelon forms and kernels are computed on sparse rows (dicts
 column -> nonzero entry), since the structure maps this engine meets
 are mostly zero; their outputs are canonical (reduced row echelon form,
 Hermite normal form), so they do not depend on the elimination order.
-Smith normal form uses smallest-absolute-value pivoting with (row,
-column) tie-break, so all outputs are deterministic and suitable for
-golden tests.
+Smith normal form runs one pivot loop: the smallest nonzero |entry| of
+the trailing block, with (row, column) tie-break, becomes the pivot, and
+floor division leaves remainders smaller than it, so all outputs are
+deterministic and suitable for golden tests.  Lattice coordinates against
+a row-Hermite basis (the Z kernels below) come from back-substitution,
+with no Smith form.
 """
 
 from __future__ import annotations
@@ -23,148 +26,65 @@ from .rings import QQ, RingSpec, ZZ
 # integer Smith normal form
 # ---------------------------------------------------------------------------
 
+def identity_matrix(n: int, ring: RingSpec = ZZ):
+    """The n x n identity matrix over the ring, as dense rows (so also as
+    columns)."""
+    return [[ring.one() if i == j else ring.zero() for j in range(n)]
+            for i in range(n)]
+
+
 def smith_normal_form_matrix(m_rows):
     """Return (S, U, V) with U*M*V = S, U, V unimodular, S diagonal with
-    d1 | d2 | ... and nonnegative diagonal entries."""
+    d1 | d2 | ... and nonnegative diagonal entries.
+
+    One pivot loop fills the diagonal.  At (t, t) it moves the smallest
+    nonzero |entry| of the trailing block there and clears the pivot's
+    row and column by floor division.  A remainder is smaller than the
+    pivot, so while one is left the pivot is chosen again.  Once the row
+    and column are clear, a row of the block holding an entry the pivot
+    does not divide is added to the pivot row and the pivot is chosen
+    again.  So every new choice is smaller than the last, and the pivot
+    left at (t, t) divides every entry after it."""
     R = len(m_rows)
     C = len(m_rows[0]) if R else 0
     S = [list(map(int, row)) for row in m_rows]
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):          # row_i += c * row_j
-        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, c):          # col_i += c * col_j
-        for row in S:
-            row[i] += c * row[j]
-        for row in V:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if S[i][j] != 0:
-                    cand = (abs(S[i][j]), i, j)
-                    if pivot is None or cand < pivot:
-                        pivot = cand
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        # clear row and column t; pivot may need re-selection after reduction
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, R):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, C):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if S[t][t] < 0:
-            negate_row(t)
-        t += 1
-        if t >= min(R, C):
-            break
-
-    # enforce divisibility d1 | d2 | ...
-    rank = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if b % a != 0:
-                # fold entry b into position i via the classical 2x2 trick
-                add_col(i, i + 1, 1)
-                q = S[i + 1][i] // S[i][i]
-                add_row(i + 1, i, -q)
-                if S[i + 1][i] != 0:
-                    # gcd landed below; redo the 2x2 block from scratch
-                    _rediagonalize_block(S, U, V, i)
-                else:
-                    add_col(i + 1, i, -(S[i][i + 1] // S[i][i]))
-                if S[i][i] < 0:
-                    negate_row(i)
-                if S[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return S, U, V
-
-
-def _rediagonalize_block(S, U, V, t):
-    """Re-run elimination on the trailing block starting at (t, t)."""
-    R, C = len(S), len(S[0])
-    while True:
-        pivot = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if S[i][j] != 0:
-                    cand = (abs(S[i][j]), i, j)
-                    if pivot is None or cand < pivot:
-                        pivot = cand
-        if pivot is None:
-            return
-        _, pi, pj = pivot
-        if pi != t:
+    U = identity_matrix(R)
+    V = identity_matrix(C)
+    for t in range(min(R, C)):
+        while True:
+            pivot = min(((abs(x), i, j) for i in range(t, R)
+                         for j, x in enumerate(S[i][t:], t) if x),
+                        default=None)
+            if pivot is None:
+                return S, U, V
+            _, pi, pj = pivot
             S[t], S[pi] = S[pi], S[t]
             U[t], U[pi] = U[pi], U[t]
-        if pj != t:
-            for row in S:
+            for row in S + V:
                 row[t], row[pj] = row[pj], row[t]
-            for row in V:
-                row[t], row[pj] = row[pj], row[t]
-        done = True
-        for i in range(t + 1, R):
-            if S[i][t] != 0:
-                q = S[i][t] // S[t][t]
-                S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-                if S[i][t] != 0:
-                    done = False
-        for j in range(t + 1, C):
-            if S[t][j] != 0:
-                q = S[t][j] // S[t][t]
-                for row in S:
-                    row[j] -= q * row[t]
-                for row in V:
-                    row[j] -= q * row[t]
-                if S[t][j] != 0:
-                    done = False
-        if done:
-            if S[t][t] < 0:
-                S[t] = [-a for a in S[t]]
-                U[t] = [-a for a in U[t]]
-            t += 1
-            if t >= min(R, C):
-                return
+            p = S[t][t]
+            for i in range(t + 1, R):
+                q = S[i][t] // p
+                if q:
+                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+            for j in range(t + 1, C):
+                q = S[t][j] // p
+                if q:
+                    for row in S + V:
+                        row[j] -= q * row[t]
+            if any(S[i][t] for i in range(t + 1, R)) or any(S[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, R)
+                        if any(x % p for x in S[i][t + 1:])), None)
+            if bad is None:
+                break
+            S[t] = [a + b for a, b in zip(S[t], S[bad])]
+            U[t] = [a + b for a, b in zip(U[t], U[bad])]
+        if S[t][t] < 0:
+            S[t] = [-a for a in S[t]]
+            U[t] = [-a for a in U[t]]
+    return S, U, V
 
 
 def smith_normal_form(M: FreeModuleMap):
@@ -331,12 +251,7 @@ def kernel_matrix(rows, ring: RingSpec):
     if C == 0:
         return []
     if R == 0:
-        eye = []
-        for j in range(C):
-            v = [ring.zero()] * C
-            v[j] = ring.one()
-            eye.append(v)
-        return eye
+        return identity_matrix(C, ring)
     out = []
     for vec in sparse_kernel(_sparse_rows(rows, ring), C, ring):
         v = [ring.zero()] * C
@@ -534,34 +449,52 @@ def solve_linear(M: FreeModuleMap, b, rng: random.Random | None = None):
 # quotients (homology backends)
 # ---------------------------------------------------------------------------
 
+def lattice_coordinates(basis, v):
+    """The integer coordinates x with sum_j x[j] * basis[j] = v, or None
+    when v is outside the lattice the basis spans.
+
+    basis must be in row echelon form, its vectors' leading entries in
+    strictly increasing positions, as a row-Hermite basis is; the
+    coordinates are then unique and one back-substitution pass finds
+    them."""
+    v = [int(x) for x in v]
+    coords = []
+    last = -1
+    for b in basis:
+        lead = next((j for j, x in enumerate(b) if x), -1)
+        if lead <= last:
+            raise ValueError("lattice basis is not in row echelon form")
+        last = lead
+        q, r = divmod(v[lead], b[lead])
+        if r:
+            return None
+        if q:
+            v = [a - q * c for a, c in zip(v, b)]
+        coords.append(q)
+    return None if any(v) else coords
+
+
 def integer_quotient(ker_cols, im_cols):
     """Invariant factors of (lattice spanned by ker_cols)/(lattice spanned by
-    im_cols) inside Z^n; im must be contained in ker.  Returns (free_rank,
-    [divisors > 1])."""
+    im_cols) inside Z^n; im must be contained in ker.  ker_cols must be a
+    row-Hermite basis (leading entries in strictly increasing positions),
+    as kernel_matrix returns over Z: the image columns are read in its
+    coordinates by back-substitution.  Returns (free_rank, [divisors > 1]),
+    each divisor dividing the next."""
     k = len(ker_cols)
     if k == 0:
         return 0, []
-    n = len(ker_cols[0])
-    K = [[ker_cols[j][i] for j in range(k)] for i in range(n)]
     coords = []
     for col in im_cols:
-        x = solve_matrix(K, list(col), ZZ)
+        x = lattice_coordinates(ker_cols, col)
         if x is None:
             raise ValueError("image is not contained in kernel")
         coords.append(x)
     if not coords:
         return k, []
-    Cm = [[coords[j][i] for j in range(len(coords))] for i in range(k)]
-    S, _, _ = smith_normal_form_matrix(Cm)
-    divisors = []
-    rank = 0
-    for i in range(min(len(S), len(S[0]) if S else 0)):
-        d = S[i][i]
-        if d != 0:
-            rank += 1
-            if d != 1:
-                divisors.append(d)
-    return k - rank, sorted(divisors)
+    S, _, _ = smith_normal_form_matrix([list(r) for r in zip(*coords)])
+    diag = [S[i][i] for i in range(min(k, len(coords)))]
+    return k - sum(1 for d in diag if d), [d for d in diag if d > 1]
 
 
 class CosetReducer:

@@ -755,7 +755,12 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     which bounds every such index.  lift_cap only prebuilds the lift
     through that index before the sweep starts; the report is the same
     with or without it.  It stays because callers that time the sweep
-    apart from the lift pass it."""
+    apart from the lift pass it.
+
+    p must be odd: the operations are indexed by the odd-prime rule
+    (2s - q)(p - 1), which does not give the Steenrod squares at p = 2."""
+    if p == 2:
+        raise ValueError("verify_cartan needs an odd prime p, got 2")
     X = alg.space
     ring = alg.ring
     P = product_space(X, X)

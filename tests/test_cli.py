@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,14 @@ class TestBuiltinSpaces:
     def test_unknown(self):
         with pytest.raises(ParseError):
             builtin_space("moebius", 2)
+
+    @pytest.mark.parametrize("name", ["sphere", "spherex", "sphere-1",
+                                      "sphere+1", "sphere 2", "sphere1.5"])
+    def test_bad_sphere_name_is_a_usage_error(self, capsys, name):
+        assert main(["homology", "--space", name, "--ring", "Z"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chainops: unknown space {name!r}\n"
 
 
 class TestHomologyCommand:
@@ -118,6 +130,31 @@ class TestFileInputs:
         groups = {r["degree"]: r["group"]
                   for r in json.loads(out)["results"]}
         assert groups[0] == "Z/2"
+
+    def test_z4_complex_answers_in_time(self, tmp_path):
+        # d_1 = A over Z/4 lifts to [A | 4I], whose Smith form once grew
+        # without bound; run in a child so a stall fails, not hangs
+        A = [[0, 0, 0, 0, 0, 3, 0, 2], [0, 3, 0, 2, 3, 3, 0, 0],
+             [3, 1, 0, 3, 2, 1, 1, 1], [0, 0, 0, 3, 0, 3, 0, 0],
+             [0, 3, 0, 3, 0, 3, 3, 0], [0, 3, 0, 3, 0, 3, 3, 0],
+             [0, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 2, 3, 0, 2, 3]]
+        lines = ["ring Z/4",
+                 "module 0 " + " ".join(f"a{i}" for i in range(8)),
+                 "module 1 " + " ".join(f"b{j}" for j in range(8))]
+        lines += [f"d 1 a{i} b{j} {c}" for i, row in enumerate(A)
+                  for j, c in enumerate(row) if c]
+        path = tmp_path / "z4.cx"
+        path.write_text("\n".join(lines) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainops.cli", "homology",
+             "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        groups = {r["degree"]: r["group"]
+                  for r in json.loads(proc.stdout)["results"]}
+        assert groups == {0: "Z/4 + Z/4", 1: "Z/4 + Z/4"}
 
     def test_complex_d_squared_rejected(self, tmp_path, capsys):
         path = tmp_path / "cx.txt"
@@ -228,6 +265,15 @@ class TestVerifierCommands:
     def test_steenrod_rejects_odd_p(self):
         assert main(["steenrod", "--p", "3", "--space", "bz2",
                      "--dim", "3"]) == 2
+
+    def test_cartan_rejects_p_2(self, capsys):
+        # the Cartan check indexes powers by the odd-prime rule
+        assert main(["cartan-check", "--p", "2", "--space", "bz2",
+                     "--dim", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "chainops: cartan-check needs an odd prime --p, got 2\n"
 
     def test_steenrod_small(self, capsys):
         code, out = run(capsys, ["steenrod", "--p", "2", "--space", "bz2",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,11 @@ from chainops.freemod import FreeModule, FreeModuleMap, tensor_map
 from chainops.linalg import (
     CosetReducer,
     det_unimodular,
+    hnf_rows,
     integer_quotient,
     kernel,
     kernel_matrix,
+    lattice_coordinates,
     smith_normal_form,
     smith_normal_form_matrix,
     solve_linear,
@@ -110,11 +113,18 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form(M)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.data())
-    def test_random_matrices(self, r, c, data):
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([None, 4, 6, 8, 9, 12]), st.data())
+    def test_random_matrices(self, r, c, m, data):
         rows = [[data.draw(st.integers(-3, 3)) for _ in range(c)]
                 for _ in range(r)]
+        if m is not None:
+            # [B | mI], the matrix a Z/m kernel is lifted to
+            rows = [[x % m for x in row] + [m if j == i else 0
+                                            for j in range(r)]
+                    for i, row in enumerate(rows)]
+            c += r
         S, U, V = smith_normal_form_matrix(rows)
         # exact factorization
         UM = [[sum(U[i][k] * rows[k][j] for k in range(r)) for j in range(c)]
@@ -135,6 +145,26 @@ class TestSmithNormalForm:
                 if i != j:
                     assert S[i][j] == 0
         assert [d for d in diag if d != 0] == snf_diagonal_oracle(rows)
+
+    def test_z4_lift_does_not_stall(self):
+        # [A | 4I] grew its entries without bound under the earlier
+        # elimination; the invariant factors agree with sympy's
+        A = [[0, 0, 0, 0, 0, 3, 0, 2], [0, 3, 0, 2, 3, 3, 0, 0],
+             [3, 1, 0, 3, 2, 1, 1, 1], [0, 0, 0, 3, 0, 3, 0, 0],
+             [0, 3, 0, 3, 0, 3, 3, 0], [0, 3, 0, 3, 0, 3, 3, 0],
+             [0, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 2, 3, 0, 2, 3]]
+        rows = [row + [4 if j == i else 0 for j in range(8)]
+                for i, row in enumerate(A)]
+        start = time.perf_counter()
+        S, U, V = smith_normal_form_matrix(rows)
+        assert time.perf_counter() - start < 1.0
+        UM = [[sum(U[i][k] * rows[k][j] for k in range(8))
+               for j in range(16)] for i in range(8)]
+        assert [[sum(UM[i][k] * V[k][j] for k in range(16))
+                 for j in range(16)] for i in range(8)] == S
+        assert [S[i][i] for i in range(8)] == [1, 1, 1, 1, 1, 1, 4, 4]
+        assert all(S[i][j] == 0 for i in range(8) for j in range(16)
+                   if i != j)
 
 
 class TestSolveLinear:
@@ -257,6 +287,41 @@ class TestKernelAndQuotient:
         for v in cols:
             assert (v[0] + 2 * v[1] + 3 * v[2]) % 5 == 0
         assert len(cols) == 2
+
+    def test_lattice_coordinates_match_solve(self):
+        # back-substitution against a row-Hermite basis gives the unique
+        # coordinates solve_matrix finds, and None off the lattice
+        rng = random.Random(11)
+        members = outside = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            basis = hnf_rows([[rng.randint(-4, 4) for _ in range(n)]
+                              for _ in range(rng.randint(1, n))])
+            if not basis:
+                continue
+            K = [list(col) for col in zip(*basis)]
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-5, 5) for _ in basis]
+                v = [sum(c * b[i] for c, b in zip(coeffs, basis))
+                     for i in range(n)]
+            else:
+                v = [rng.randint(-6, 6) for _ in range(n)]
+            want = solve_matrix(K, v, ZZ)
+            got = lattice_coordinates(basis, v)
+            assert got == want
+            if got is None:
+                outside += 1
+            else:
+                members += 1
+                assert [sum(c * b[i] for c, b in zip(got, basis))
+                        for i in range(n)] == v
+        assert members > 50 and outside > 50
+
+    def test_lattice_coordinates_need_echelon_basis(self):
+        with pytest.raises(ValueError):
+            lattice_coordinates([[0, 1], [1, 0]], [1, 1])
+        with pytest.raises(ValueError):
+            lattice_coordinates([[0, 0]], [0, 0])
 
     def test_integer_quotient_torsion(self):
         # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6 in invariant factors

@@ -22,6 +22,7 @@ from chainops.powerops import (
     power_op,
     steenrod_square,
     theta_bar,
+    verify_cartan,
     verify_vanishing_pattern,
 )
 from chainops.rings import QQ, Zmod
@@ -252,6 +253,14 @@ class TestOddPrimaryPowers:
             out = classical_power(x, 0, self.alg, self.W, self.lift)
             H = HomologySpace(self.alg.complex, q)
             assert H.class_vector(out.rep) == H.class_vector(x.rep)
+
+    def test_cartan_refuses_p_2(self):
+        # power_op's index (2s - q)(p - 1) is the odd-prime rule; at p = 2
+        # it would report a false Cartan failure on BZ/2
+        from chainops.powerops import CochainSystem
+        alg = CochainSystem(classifying_space(2, 3), Zmod(2))
+        with pytest.raises(ValueError, match="odd prime"):
+            verify_cartan(alg, degree_cap=1, p=2)
 
     def test_classical_negative_and_overflow_vanish(self):
         x = self._gen(2)
