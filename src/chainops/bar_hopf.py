@@ -17,7 +17,7 @@ from fractions import Fraction
 from .complexes import COHOMOLOGICAL, ChainComplex, verify_differential
 from .freemod import FreeModule, FreeModuleMap
 from .homology_classes import HomologySpace
-from .linalg import CosetReducer, rref
+from .linalg import EchelonBasis, sparse_rows
 from .rings import QQ
 
 
@@ -434,25 +434,16 @@ class CoLieData:
     def __init__(self, H: HopfData):
         self.hopf = H
         positive = [x for x in H.basis if H.counit(x) == 0 and x]
-        products = []
-        for x in positive:
-            for y in positive:
-                z = H.product(x, y)
-                coords = H.class_vector(z)
-                if coords is not None and any(coords):
-                    products.append(list(coords))
-        dim = H.h0.rank
-        self.reducer = CosetReducer(QQ, products, dim)
+        self.products = EchelonBasis(QQ, sparse_rows(
+            [H.class_vector(H.product(x, y)) or ()
+             for x in positive for y in positive], QQ))
         # keep a class only when its reduction raises the rank of the
         # reductions kept so far: a basis of the quotient
-        seen = []
-        self.basis = []
-        for x in positive:
-            red = self.reducer.reduce(list(H.class_vector(x)))
-            _, pivots = rref([list(r) for r in seen + [red]], QQ)
-            if len(pivots) > len(seen):
-                seen.append(red)
-                self.basis.append(x)
+        kept = EchelonBasis(QQ)
+        self.basis = [
+            x for x, v in zip(positive, sparse_rows(
+                [H.class_vector(x) for x in positive], QQ))
+            if kept.add(self.products.reduce(v))]
 
     def project(self, vec):
         """Canonical coordinates of a class in the indecomposable
@@ -460,7 +451,8 @@ class CoLieData:
         coords = self.hopf.class_vector(vec)
         if coords is None:
             return None
-        return tuple(self.reducer.reduce(list(coords)))
+        red = self.products.reduce(sparse_rows([coords], QQ)[0])
+        return tuple(red.get(i, QQ.zero()) for i in range(len(coords)))
 
     def cobracket(self, x):
         """Antisymmetrized reduced deconcatenation, with both tensor

@@ -4,8 +4,10 @@ Parses input descriptions (simplicial sets, chain complexes, DGA
 presentations, or built-in space names), runs the requested computation
 or verifier sweep, and emits a deterministic machine-readable report.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 parse error,
-3 resource-cap violation.
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (a
+malformed file, an unknown name, a --p that is not a prime, or a count
+or size option below its least value), 3 a request past a size bound
+(rings.SizeBoundError).
 """
 
 import argparse
@@ -27,7 +29,7 @@ from .powerops import (BigradedClass, CochainSystem, build_w, cup_i_oracle,
                        equivariant_lift_j, steenrod_square, verify_adem,
                        verify_cartan)
 from .randomgen import random_chain_complex
-from .rings import QQ, RingSpec, ZZ, Zmod, _is_prime
+from .rings import QQ, RingSpec, SizeBoundError, ZZ, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains,
                          circle_space, classifying_space,
                          sphere_space, torus_space)
@@ -326,23 +328,22 @@ def cmd_steenrod(args):
     alg = CochainSystem(X, ring)
     W = build_w(2, 2 * max(X.dims()))
     lift = equivariant_lift_j(W, None, 0)
-    spaces = {n: HomologySpace(alg.complex, n) for n in X.dims()}
     results = []
     failures = []
-    for q in sorted(spaces):
+    for q in X.dims():
         if q == 0 or q > args.degree_cap:
             continue
-        for label, rep in spaces[q].all_classes():
+        for label, rep in alg.homology_space(q).all_classes():
             if not rep:
                 continue
             x = BigradedClass(q, 0, rep)
             for i in range(0, q + 1):
                 out = steenrod_square(x, i, alg, W, lift)
-                if out.degree not in spaces:
+                if out.degree not in X.dims():
                     continue
-                got = spaces[out.degree].class_vector(out.rep)
-                oracle = cup_i_oracle(X, ring, q - i, rep, q)
-                want = spaces[out.degree].class_vector(oracle)
+                H = alg.homology_space(out.degree)
+                got = H.class_vector(out.rep)
+                want = H.class_vector(cup_i_oracle(X, ring, q - i, rep, q))
                 results.append({"degree": q, "class": _w(label), "i": i,
                                 "value": _w(got)})
                 if got != want:
@@ -523,6 +524,12 @@ def render(report, fmt):
     return "\n".join(lines) + "\n"
 
 
+# the least value each count or size option accepts
+LEAST_VALUE = {"arity_cap": 1, "dim": 0, "count": 0, "length": 0,
+               "max_rank": 0, "cap": 0, "degree_cap": 0, "length_cap": 0,
+               "smax": 0, "amax": 0}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -531,15 +538,18 @@ def main(argv=None):
     try:
         if getattr(args, "p", None) is not None and not _is_prime(args.p):
             raise ParseError(f"--p must be a prime, got {args.p}")
+        for name, least in LEAST_VALUE.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ParseError(f"--{name.replace('_', '-')} must be at "
+                                 f"least {least}, got {value}")
         body = args.fn(args)
     except ParseError as e:
         print(f"chainops: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        if "cap" in str(e):
-            print(f"chainops: {e}", file=sys.stderr)
-            return 3
-        raise
+    except SizeBoundError as e:
+        print(f"chainops: {e}", file=sys.stderr)
+        return 3
     report = {"schema": 1, "command": args.command, "parameters": params,
               "passed": not body["failures"],
               "results": body["results"], "failures": body["failures"]}

@@ -1,10 +1,15 @@
 """Explicit homology classes: representatives, canonical coordinates,
 equality of classes, and maps induced on homology by chain maps.
 
-Over a field the quotient ker/im is handled by row reduction; over Z the
-image lattice is put in Hermite form inside kernel coordinates and class
-coordinates are canonicalized by division with remainder (so torsion
-classes come out reduced mod their divisors).
+Over a field the quotient ker/im is read from two incremental echelon
+bases (linalg.EchelonBasis): one spans the image, and the other is fed
+each kernel column reduced modulo the image, so a column becomes a
+generator exactly when it raises the rank of the reductions kept so far.
+A class's coordinates are those of its reduction in the kept
+reductions.  Over Z the image lattice is put in Hermite form inside
+kernel coordinates and class coordinates are canonicalized by division
+with remainder (so torsion classes come out reduced mod their
+divisors).
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap
-from .linalg import (CosetReducer, identity_matrix, kernel_matrix,
+from .linalg import (EchelonBasis, identity_matrix, kernel_matrix,
                      lattice_coordinates, rref, smith_normal_form_matrix,
-                     solve_matrix)
+                     sparse_rows)
 from .rings import QQ
 
 
@@ -57,21 +62,15 @@ class HomologySpace:
     # -- field backend ------------------------------------------------
 
     def _init_field(self):
+        # a kernel column is a new generator exactly when its reduction
+        # modulo the image raises the rank of the reductions kept so far
         ring = self.ring
-        dim = len(self.basis)
-        self._reducer = CosetReducer(ring, self._im, dim)
-        reduced = [self._reducer.reduce(col) for col in self._ker]
-        gens = []
-        seen = []
-        for col, red in zip(self._ker, reduced):
-            trial = seen + [red]
-            _, pivots = rref([list(r) for r in trial], ring)
-            if len(pivots) > len(seen):
-                gens.append(col)
-                seen.append(red)
-        self.generators = gens
-        self._gen_reduced = seen
-        self.divisors = (0,) * len(gens)
+        self._image = EchelonBasis(ring, sparse_rows(self._im, ring))
+        self._classes = EchelonBasis(ring)
+        self.generators = [
+            col for col, v in zip(self._ker, sparse_rows(self._ker, ring))
+            if self._classes.add(self._image.reduce(v))]
+        self.divisors = (0,) * len(self.generators)
 
     # -- integral backend ----------------------------------------------
 
@@ -127,14 +126,11 @@ class HomologySpace:
             return None
         col = [vector.get(b, self.ring.zero()) for b in self.basis]
         if self.ring.is_field():
-            red = self._reducer.reduce(col)
-            if not self._gen_reduced:
-                return ()
-            rows = [list(r) for r in zip(*self._gen_reduced)]
-            x = solve_matrix(rows, red, self.ring)
+            x = self._classes.coordinates(
+                self._image.reduce(sparse_rows([col], self.ring)[0]))
             if x is None:
                 raise ValueError("cycle outside the computed kernel")
-            return tuple(self.ring.normalize(c) for c in x)
+            return tuple(x)
         x = lattice_coordinates(self._ker, col)
         if x is None:
             raise ValueError("cycle outside the computed kernel")
@@ -157,9 +153,6 @@ class HomologySpace:
                 else:
                     out[self.basis[i]] = t
         return out
-
-    def same_class(self, u, v):
-        return self.class_vector(u) == self.class_vector(v)
 
     def all_classes(self):
         """Iterate (coords, representative) over every class; finite

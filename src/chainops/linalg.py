@@ -5,6 +5,12 @@ elements.  Echelon forms and kernels are computed on sparse rows (dicts
 column -> nonzero entry), since the structure maps this engine meets
 are mostly zero; their outputs are canonical (reduced row echelon form,
 Hermite normal form), so they do not depend on the elimination order.
+Over a field there is one elimination loop, EchelonBasis: a reduced
+row echelon basis grown one vector at a time, which says whether each
+vector raised the rank, reduces a vector to its canonical coset
+representative, and reads coordinates in the vectors it kept.  rref,
+the field kernels, the rational echelon form behind the Z kernels and
+the field homology quotients are all built on it.
 Smith normal form runs one pivot loop: the smallest nonzero |entry| of
 the trailing block, with (row, column) tie-break, becomes the pivot, and
 floor division leaves remainders smaller than it, so all outputs are
@@ -87,17 +93,6 @@ def smith_normal_form_matrix(m_rows):
     return S, U, V
 
 
-def smith_normal_form(M: FreeModuleMap):
-    """SNF of an integer FreeModuleMap: returns (S, U, V) with U o M o V = S."""
-    if M.ring != ZZ:
-        raise ValueError("smith_normal_form requires coefficients in Z")
-    S, U, V = smith_normal_form_matrix(M.to_matrix())
-    s_map = FreeModuleMap.from_matrix(M.source, M.target, S)
-    u_map = FreeModuleMap.from_matrix(M.target, M.target, U)
-    v_map = FreeModuleMap.from_matrix(M.source, M.source, V)
-    return s_map, u_map, v_map
-
-
 def det_unimodular(rows):
     """Determinant of a small integer matrix by fraction-free expansion."""
     n = len(rows)
@@ -118,7 +113,7 @@ def det_unimodular(rows):
 # echelon forms
 # ---------------------------------------------------------------------------
 
-def _sparse_rows(rows, ring: RingSpec):
+def sparse_rows(rows, ring: RingSpec):
     """Dense rows as sparse dicts column -> nonzero normalized entry."""
     out = []
     for row in rows:
@@ -148,33 +143,77 @@ def _sub_scaled(dst, f, src, ring: RingSpec):
                 dst.pop(k, None)
 
 
-def _sparse_rref(rows, ring: RingSpec):
-    """Reduced row echelon form of sparse rows over a field.
+class EchelonBasis:
+    """A subspace over a field, grown one vector at a time and kept in
+    reduced row echelon form.
 
-    rows: iterable of dicts column -> nonzero normalized entry.  Returns a
-    dict pivot column -> row, each row with a 1 at its pivot, its pivot as
-    its leading column, and zeros at every other pivot column.  The rows
-    are kept fully reduced as they come in, so one pass over the pivot
-    columns of an incoming row clears it.
+    Vectors are sparse dicts column -> nonzero normalized entry.  rows
+    maps each pivot column to its row: a 1 at the pivot, the pivot as its
+    leading column, and zeros at every other pivot column.  The rows are
+    kept fully reduced as vectors come in, so one pass over the pivot
+    columns of a vector reduces it.  The vectors that raised the rank
+    when added are kept, in order; coordinates() reads a vector in them.
     """
-    if not ring.is_field():
-        raise ValueError("rref needs a field")
-    basis = {}
-    for row in rows:
-        v = dict(row)
-        for c in [c for c in v if c in basis]:
-            _sub_scaled(v, v[c], basis[c], ring)
-        if not v:
-            continue
-        c0 = min(v)
-        inv = ring.inv(v[c0])
-        v = {k: ring.mul(inv, x) for k, x in sorted(v.items())}
-        for other in basis.values():
+
+    def __init__(self, ring: RingSpec, vectors=()):
+        if not ring.is_field():
+            raise ValueError("rref needs a field")
+        self.ring = ring
+        self.rows = {}
+        self.kept = []
+        self._inverse = None
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v):
+        """The canonical representative of v modulo the span: v minus
+        each row times v's entry at its pivot, so zero at every pivot
+        column.  Two vectors lie in the same coset iff their reductions
+        are equal."""
+        v = dict(v)
+        rows = self.rows
+        for c in [c for c in v if c in rows]:
+            _sub_scaled(v, v[c], rows[c], self.ring)
+        return v
+
+    def add(self, v) -> bool:
+        """Add v to the span; True, and v is kept, when the rank rose."""
+        ring = self.ring
+        r = self.reduce(v)
+        if not r:
+            return False
+        c0 = min(r)
+        inv = ring.inv(r[c0])
+        r = {k: ring.mul(inv, x) for k, x in sorted(r.items())}
+        for other in self.rows.values():
             f = other.get(c0)
             if f is not None:
-                _sub_scaled(other, f, v, ring)
-        basis[c0] = v
-    return basis
+                _sub_scaled(other, f, r, ring)
+        self.rows[c0] = r
+        self.kept.append(v)
+        self._inverse = None
+        return True
+
+    def coordinates(self, v):
+        """The coefficients x with sum_k x[k] * kept[k] = v, as a list,
+        or None when v is outside the span.
+
+        In the span, v is the sum of the rows times its entries at their
+        pivots.  Those entries are carried to the kept vectors by the
+        inverse of the square matrix of the kept vectors' entries at the
+        pivots, computed on first use after the last add."""
+        if self.reduce(v):
+            return None
+        ring = self.ring
+        pivots = sorted(self.rows)
+        if self._inverse is None:
+            k = len(self.kept)
+            square = [[u.get(p, ring.zero()) for u in self.kept] + row
+                      for p, row in zip(pivots, identity_matrix(k, ring))]
+            self._inverse = [row[k:] for row in rref(square, ring)[0]]
+        at_pivots = [v.get(p, ring.zero()) for p in pivots]
+        return [ring.normalize(sum(a * x for a, x in zip(row, at_pivots)))
+                for row in self._inverse]
 
 
 def rref(rows, ring: RingSpec):
@@ -184,7 +223,7 @@ def rref(rows, ring: RingSpec):
     order, then zero rows."""
     R = len(rows)
     C = len(rows[0]) if R else 0
-    basis = _sparse_rref(_sparse_rows(rows, ring), ring)
+    basis = EchelonBasis(ring, sparse_rows(rows, ring)).rows
     pivots = sorted(basis)
     A = []
     for p in pivots:
@@ -253,7 +292,7 @@ def kernel_matrix(rows, ring: RingSpec):
     if R == 0:
         return identity_matrix(C, ring)
     out = []
-    for vec in sparse_kernel(_sparse_rows(rows, ring), C, ring):
+    for vec in sparse_kernel(sparse_rows(rows, ring), C, ring):
         v = [ring.zero()] * C
         for j, x in vec.items():
             v[j] = x
@@ -270,7 +309,7 @@ def sparse_kernel(rows, ncols: int, ring: RingSpec):
     rows leave the kernel, and so the result, unchanged.
     """
     if ring.is_field():
-        basis = _sparse_rref(rows, ring)
+        basis = EchelonBasis(ring, rows).rows
         vecs = {fc: {fc: ring.one()} for fc in range(ncols)
                 if fc not in basis}
         for pc in sorted(basis):
@@ -320,8 +359,8 @@ def _integral_null_space(rows, ncols):
     the integer combination of these vectors given by its free
     coordinates, so they span the kernel lattice.
     """
-    basis = _sparse_rref([{j: Fraction(x) for j, x in row.items()}
-                         for row in rows], QQ)
+    basis = EchelonBasis(QQ, ({j: Fraction(x) for j, x in row.items()}
+                              for row in rows)).rows
     vecs = {fc: [0] * ncols for fc in range(ncols) if fc not in basis}
     for fc, v in vecs.items():
         v[fc] = 1
@@ -425,26 +464,6 @@ def solve_matrix(rows, b, ring: RingSpec, rng: random.Random | None = None):
     return [ring.normalize(sol[j]) for j in range(C)]
 
 
-def solve_linear(M: FreeModuleMap, b, rng: random.Random | None = None):
-    """Solve M x = b for a sparse target-indexed vector b.
-
-    Returns a sparse source-indexed vector, or None when unsolvable."""
-    ring = M.ring
-    for t in b:
-        if t not in M.target.index:
-            raise ValueError(f"vector label {t!r} not in target basis")
-    bvec = [ring.normalize(b.get(t, ring.zero())) for t in M.target.basis]
-    x = solve_matrix(M.to_matrix(), bvec, ring, rng=rng)
-    if x is None:
-        return None
-    out = {}
-    for j, s in enumerate(M.source.basis):
-        c = ring.normalize(x[j])
-        if not ring.is_zero(c):
-            out[s] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quotients (homology backends)
 # ---------------------------------------------------------------------------
@@ -495,33 +514,3 @@ def integer_quotient(ker_cols, im_cols):
     S, _, _ = smith_normal_form_matrix([list(r) for r in zip(*coords)])
     diag = [S[i][i] for i in range(min(k, len(coords)))]
     return k - sum(1 for d in diag if d), [d for d in diag if d > 1]
-
-
-class CosetReducer:
-    """Canonical coset representatives modulo a subspace over a field.
-
-    Build from the columns spanning the subspace; reduce(v) then returns
-    the canonical representative of v + subspace, so two vectors are in
-    the same coset iff their reductions are equal.
-    """
-
-    def __init__(self, ring: RingSpec, span_cols, dim):
-        self.ring = ring
-        self.dim = dim
-        rows = [list(col) for col in span_cols]
-        if rows:
-            A, pivots = rref(rows, ring)
-            self.rows = [A[i] for i in range(len(pivots))]
-            self.pivots = pivots
-        else:
-            self.rows = []
-            self.pivots = []
-
-    def reduce(self, v):
-        ring = self.ring
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not ring.is_zero(c):
-                v = [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, row)]
-        return v

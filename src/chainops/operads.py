@@ -22,7 +22,7 @@ import itertools
 
 from .complexes import ChainComplex, ChainMap, HOMOLOGICAL, homology
 from .freemod import FreeModule, FreeModuleMap
-from .rings import RingSpec
+from .rings import RingSpec, SizeBoundError
 from .simplicial import FiniteSimplicialSet, cochains
 
 
@@ -337,7 +337,7 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     if arity < 1:
         raise ValueError("arity must be at least 1")
     if degree_cap > 10:
-        raise ValueError("degree cap too large for exhaustive levels")
+        raise SizeBoundError("degree cap too large for exhaustive levels")
     levels = {}
     transpositions = {}
     stored = degree_cap + 1

@@ -20,7 +20,7 @@ from .freemod import FreeModule, FreeModuleMap
 from .homology_classes import HomologySpace
 from .operads import (interval_cut_action, rename_values,
                       surjection_boundary, surjection_words)
-from .rings import RingSpec, Zmod, _is_prime
+from .rings import RingSpec, SizeBoundError, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains, cochains,
                          product_space, word_for_positions)
 
@@ -296,7 +296,7 @@ class EquivariantLift:
         W, p, ring, rng = self.W, self.p, self.ring, self._rng
         n = self.cap + 1
         if n > W.cap:
-            raise ValueError(
+            raise SizeBoundError(
                 "lift degree %d is past the resolution cap %d" % (n, W.cap))
         target = self.apply_group_element(n - 1, W.boundary_element(n))
         x = _contraction_solve(dict(target), p, ring)
@@ -596,16 +596,24 @@ class CochainSystem:
     The operations (power_op, classical_power, steenrod_square) read
     only `space` and `ring`.  The normalized cochain complex, which the
     verifiers read to find homology classes, is built on the first
-    access to `complex`; a system that only carries operations, like
-    the product space in verify_cartan, never builds it."""
+    access to `complex`, and its cohomology in degree n on the first
+    call to homology_space(n); a system that only carries operations,
+    like the product space in verify_cartan, builds neither."""
 
     def __init__(self, X: FiniteSimplicialSet, ring: RingSpec):
         self.space = X
         self.ring = ring
+        self._homology = {}
 
     @functools.cached_property
     def complex(self) -> ChainComplex:
         return cochains(self.space, self.ring)
+
+    def homology_space(self, n: int) -> HomologySpace:
+        """H^n of the cochain complex, built once per degree."""
+        if n not in self._homology:
+            self._homology[n] = HomologySpace(self.complex, n)
+        return self._homology[n]
 
 
 def cochain_cross(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
@@ -768,8 +776,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     W = build_w(p, max(p * max(P.dims()), lift_cap or 0))
     lift = equivariant_lift_j(W, None, lift_cap or 0)
     classifier = ProductClassifier(X, X, ring)
-    hspaces = {n: HomologySpace(alg.complex, n)
-               for n in X.dims() if n <= degree_cap}
+    degrees = [n for n in X.dims() if n <= degree_cap]
     failures = []
     checked = 0
     ops = {}
@@ -782,10 +789,10 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                 bocksteined=bock)
         return ops[key]
 
-    for q1 in sorted(hspaces):
-        for q2 in sorted(hspaces):
-            for xc, xrep in hspaces[q1].all_classes():
-                for yc, yrep in hspaces[q2].all_classes():
+    for q1 in degrees:
+        for q2 in degrees:
+            for xc, xrep in alg.homology_space(q1).all_classes():
+                for yc, yrep in alg.homology_space(q2).all_classes():
                     x = (q1, xc, xrep)
                     y = (q2, yc, yrep)
                     z = BigradedClass(
@@ -826,11 +833,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                 failures.append({
                                     "check": "cartan" if not bock
                                     else "cartan-bockstein",
-                                    "witness": (q1, q2, s, bock,
-                                                hspaces[q1].class_vector(
-                                                    xrep),
-                                                hspaces[q2].class_vector(
-                                                    yrep))})
+                                    "witness": (q1, q2, s, bock, xc, yc)})
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}
@@ -849,9 +852,6 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
     ring = alg.ring
     W = build_w(p, p * max(X.dims()))
     lift = equivariant_lift_j(W, None, 0)
-    hspaces = {n: HomologySpace(alg.complex, n)
-               for n in X.dims() if n <= degree_cap}
-    classifiers = {n: HomologySpace(alg.complex, n) for n in X.dims()}
     failures = []
     checked = 0
 
@@ -868,9 +868,9 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
         return cache[key]
 
     def class_coords(rep, n):
-        if n not in classifiers:
+        if n not in X.dims():
             return ("zero",) if not rep else ("nonzero-offcap", repr(rep))
-        return classifiers[n].class_vector(rep)
+        return alg.homology_space(n).class_vector(rep)
 
     # independent binomial oracle: Lucas' theorem digit by digit
     def lucas(i, j):
@@ -895,8 +895,8 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
 
     pairs = [(a, b) for b in range(1, pair_bound)
              for a in range(1, pair_bound - b + 1) if a < p * b]
-    for q in sorted(hspaces):
-        for _, xrep in hspaces[q].all_classes():
+    for q in [n for n in X.dims() if n <= degree_cap]:
+        for xc, xrep in alg.homology_space(q).all_classes():
             x = BigradedClass(q, 0, xrep)
             for (a, b) in pairs:
                 for eps in (0, 1):
@@ -922,8 +922,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
                             class_coords(rhs, deg):
                         failures.append({
                             "check": "adem",
-                            "witness": (q, a, b, eps,
-                                        hspaces[q].class_vector(xrep))})
+                            "witness": (q, a, b, eps, xc)})
                     # second relation: beta^eps P^a betaP^b
                     checked += 1
                     inner = op(x, b, True)
@@ -948,8 +947,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
                             class_coords(rhs, deg):
                         failures.append({
                             "check": "adem-bockstein",
-                            "witness": (q, a, b, eps,
-                                        hspaces[q].class_vector(xrep))})
+                            "witness": (q, a, b, eps, xc)})
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}
@@ -965,12 +963,10 @@ def verify_vanishing_pattern(alg, W: WResolution,
     ring = alg.ring
     p = W.p
     period = 2 * (p - 1)
-    hspaces = {n: HomologySpace(alg.complex, n)
-               for n in X.dims() if n <= degree_cap}
     failures = []
     checked = 0
-    for q in sorted(hspaces):
-        for _, xrep in hspaces[q].all_classes():
+    for q in [n for n in X.dims() if n <= degree_cap]:
+        for _, xrep in alg.homology_space(q).all_classes():
             if not xrep:
                 continue
             for n in range(index_cap + 1):
@@ -979,8 +975,7 @@ def verify_vanishing_pattern(alg, W: WResolution,
                     continue
                 checked += 1
                 z = theta_bar(X, ring, lift, n, xrep, q)
-                h = HomologySpace(alg.complex, out_deg)
-                coords = h.class_vector(z)
+                coords = alg.homology_space(out_deg).class_vector(z)
                 if coords is None:
                     failures.append({"check": "vanishing-cocycle",
                                      "witness": (q, n)})

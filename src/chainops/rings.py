@@ -101,6 +101,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class SizeBoundError(ValueError):
+    """A request past one of the engine's size bounds: the classifying
+    space skeleton, the surjection operad's degree cap, or the cyclic
+    resolution a power-operation lift is built in."""
+
+
 ZZ = RingSpec("Z")
 QQ = RingSpec("Q")
 

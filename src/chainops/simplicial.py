@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .complexes import ChainComplex, COHOMOLOGICAL, HOMOLOGICAL
 from .freemod import FreeModule, FreeModuleMap
-from .rings import RingSpec, _is_prime
+from .rings import RingSpec, SizeBoundError, _is_prime
 
 
 class Simplex(NamedTuple):
@@ -219,7 +219,7 @@ def classifying_space(p: int, nmax: int) -> FiniteSimplicialSet:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if nmax > 10:
-        raise ValueError("dimension cap exceeded (nmax <= 10)")
+        raise SizeBoundError("dimension cap exceeded (nmax <= 10)")
     simplices = {0: [()]}
     faces = {}
     for n in range(1, nmax + 1):

@@ -307,3 +307,70 @@ class TestBadPrime:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"chainops: --p must be a prime, got {p}\n"
+
+
+class TestOptionRanges:
+    # a count or size option below its least value is a usage error
+    # (exit 2, one line on stderr), reported before any work starts
+    @pytest.mark.parametrize("argv, option, value", [
+        (["operad-check"], "--arity-cap", "0"),
+        (["einfinity-check"], "--arity-cap", "0"),
+        (["operad-check"], "--degree-cap", "-1"),
+        (["cartan-check", "--space", "bz3", "--dim", "1"], "--smax", "-1"),
+        (["adem-check", "--space", "bz3", "--dim", "1"], "--amax", "-1"),
+        (["w-resolution"], "--cap", "-1"),
+        (["bar"], "--length-cap", "-1"),
+        (["hopf-check"], "--degree-cap", "-1"),
+        (["steenrod", "--space", "bz2", "--dim", "2"], "--degree-cap", "-1"),
+        (["homology", "--space", "bz3"], "--dim", "-1"),
+        (["dold-kan-roundtrip"], "--count", "-1"),
+        (["dold-kan-roundtrip"], "--length", "-1"),
+        (["dold-kan-roundtrip"], "--max-rank", "-1"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, capsys, argv, option,
+                                                  value):
+        assert main(argv + [option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        least = 1 if option == "--arity-cap" else 0
+        assert captured.err == \
+            f"chainops: {option} must be at least {least}, got {value}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["operad-check", "--arity-cap", "1", "--degree-cap", "0"],
+        ["steenrod", "--space", "bz2", "--dim", "2", "--degree-cap", "0"],
+        ["cartan-check", "--space", "bz3", "--dim", "1", "--smax", "0",
+         "--degree-cap", "0"],
+        ["adem-check", "--space", "bz3", "--dim", "1", "--amax", "0"],
+        ["w-resolution", "--cap", "0"],
+        ["dold-kan-roundtrip", "--count", "0", "--length", "0",
+         "--max-rank", "0"],
+        ["bar", "--length-cap", "0", "--degree-cap", "0"],
+        ["homology", "--space", "bz3", "--dim", "0"],
+    ])
+    def test_least_values_are_accepted(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestSizeBounds:
+    # a request past a size bound exits 3 with one line on stderr
+    @pytest.mark.parametrize("argv, message", [
+        (["homology", "--space", "bz3", "--dim", "11"],
+         "dimension cap exceeded (nmax <= 10)"),
+        (["operad-check", "--degree-cap", "11"],
+         "degree cap too large for exhaustive levels"),
+    ])
+    def test_size_bound_exits_3(self, capsys, argv, message):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"chainops: {message}\n"
+
+    def test_exit_code_follows_the_error_type(self, monkeypatch):
+        # a plain ValueError is not a size bound, whatever its wording
+        def fail(args):
+            raise ValueError("lift failed within the cap")
+        monkeypatch.setattr("chainops.cli.cmd_homology", fail)
+        with pytest.raises(ValueError, match="within the cap"):
+            main(["homology", "--space", "circle"])

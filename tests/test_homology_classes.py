@@ -5,6 +5,7 @@ import pytest
 from chainops.complexes import ChainComplex, homology
 from chainops.freemod import FreeModule, FreeModuleMap
 from chainops.homology_classes import HomologySpace, induced_map
+from chainops.linalg import kernel_matrix, solve_matrix
 from chainops.randomgen import random_chain_complex
 from chainops.rings import QQ, ZZ, Zmod
 from chainops.simplicial import chains, circle_space, classifying_space
@@ -59,7 +60,8 @@ class TestClassArithmetic:
                 if not d.source.rank:
                     continue
                 b = d.apply({d.source.basis[0]: ring.normalize(3)})
-                assert H.same_class(rep, _perturb(ring, rep, b))
+                assert H.class_vector(rep) == \
+                    H.class_vector(_perturb(ring, rep, b))
 
     def test_non_cycle_rejected(self):
         C = chains(circle_space(), ZZ)
@@ -73,6 +75,47 @@ class TestClassArithmetic:
         assert len(classes) == 3 ** H.rank
         for coords, rep in classes.items():
             assert H.class_vector(rep) == coords
+
+
+class TestFieldClasses:
+    @pytest.mark.parametrize("ring", (Zmod(2), Zmod(3), Zmod(5), QQ),
+                             ids=str)
+    def test_cycle_minus_its_class_representative_is_a_boundary(self, ring):
+        # checked against solve_matrix, not against the echelon bases:
+        # v - representative(class_vector(v)) is a boundary, and the
+        # representative of a nonzero class is not
+        rng = random.Random(5)
+        nonzero = 0
+        for _ in range(12):
+            C = random_chain_complex(ring, 4, 5, rng)
+            for n in range(5):
+                H = HomologySpace(C, n)
+                d_in = C.differential(n - C.step).to_matrix()
+                ker = kernel_matrix(C.differential(n).to_matrix(), ring)
+                for _ in range(4):
+                    coeffs = [ring.normalize(rng.randint(-4, 4))
+                              for _ in ker]
+                    col = [ring.normalize(sum(c * k[i]
+                                              for c, k in zip(coeffs, ker)))
+                           for i in range(len(H.basis))]
+                    v = {b: x for b, x in zip(H.basis, col) if x}
+                    coords = H.class_vector(v)
+                    assert len(coords) == H.rank
+                    rep = H.representative(coords)
+                    assert H.class_vector(rep) == coords
+                    w = [ring.sub(x, rep.get(b, ring.zero()))
+                         for b, x in zip(H.basis, col)]
+                    assert solve_matrix(d_in, w, ring) is not None
+                    nonzero += any(coords)
+                    # and the generators are independent modulo boundaries
+                    coords = [ring.normalize(rng.randint(-4, 4))
+                              for _ in range(H.rank)]
+                    if any(coords):
+                        rep = H.representative(coords)
+                        assert solve_matrix(
+                            d_in, [rep.get(b, ring.zero()) for b in H.basis],
+                            ring) is None
+        assert nonzero > 20
 
 
 class TestInducedMap:

@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from chainops.freemod import FreeModule, FreeModuleMap, tensor_map
 from chainops.linalg import (
-    CosetReducer,
+    EchelonBasis,
     det_unimodular,
     hnf_rows,
     integer_quotient,
     kernel,
     kernel_matrix,
     lattice_coordinates,
-    smith_normal_form,
+    rref,
     smith_normal_form_matrix,
-    solve_linear,
     solve_matrix,
 )
 from chainops.rings import QQ, ZZ, Zmod
@@ -86,32 +85,31 @@ def snf_diagonal_oracle(rows):
     return diag
 
 
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         # diag(2,3) -> diag(1,6), oracle-checked
-        M = diag_map(ZZ, [2, 3])
-        S, U, V = smith_normal_form(M)
-        assert U.compose(M).compose(V) == S
-        rows = S.to_matrix()
-        assert [rows[i][i] for i in range(2)] == [1, 6]
-        assert snf_diagonal_oracle(M.to_matrix()) == [1, 6]
+        M = [[2, 0], [0, 3]]
+        S, U, V = smith_normal_form_matrix(M)
+        assert matmul(matmul(U, M), V) == S
+        assert abs(det_unimodular(U)) == 1
+        assert abs(det_unimodular(V)) == 1
+        assert S == [[1, 0], [0, 6]]
+        assert snf_diagonal_oracle(M) == [1, 6]
 
     def test_identity(self):
-        M = diag_map(ZZ, [1, 1, 1])
-        S, U, V = smith_normal_form(M)
-        assert S.to_matrix() == M.to_matrix()
+        M = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        S, U, V = smith_normal_form_matrix(M)
+        assert S == M
 
     def test_zero(self):
-        src = mod(ZZ, ["a", "b"])
-        tgt = mod(ZZ, ["x"])
-        M = FreeModuleMap.zero(src, tgt)
-        S, U, V = smith_normal_form(M)
-        assert S.is_zero()
-
-    def test_rejects_non_integer_ring(self):
-        M = diag_map(QQ, [1])
-        with pytest.raises(ValueError):
-            smith_normal_form(M)
+        S, U, V = smith_normal_form_matrix([[0, 0]])
+        assert S == [[0, 0]]
+        assert matmul(matmul(U, [[0, 0]]), V) == S
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4),
@@ -169,33 +167,26 @@ class TestSmithNormalForm:
 
 class TestSolveLinear:
     def test_divisible(self):
-        M = diag_map(ZZ, [2])
-        x = solve_linear(M, {("t", 0): 4})
-        assert x == {("s", 0): 2}
+        assert solve_matrix([[2]], [4], ZZ) == [2]
 
     def test_not_divisible(self):
-        M = diag_map(ZZ, [2])
-        assert solve_linear(M, {("t", 0): 3}) is None
+        assert solve_matrix([[2]], [3], ZZ) is None
 
     def test_mod3_system(self):
         # [[1,1],[0,1]] x = (2,1) over Z/3 -> (1,1); brute-forced oracle
         ring = Zmod(3)
-        src = mod(ring, ["a", "b"])
-        tgt = mod(ring, ["x", "y"])
-        M = FreeModuleMap(src, tgt, {("x", "a"): 1, ("x", "b"): 1,
-                                     ("y", "b"): 1})
         sols = []
         for xa in range(3):
             for xb in range(3):
                 if ((xa + xb) % 3, xb % 3) == (2, 1):
                     sols.append({"a": xa, "b": xb})
         assert sols == [{"a": 1, "b": 1}]
-        assert solve_linear(M, {"x": 2, "y": 1}) == {"a": 1, "b": 1}
+        assert solve_matrix([[1, 1], [0, 1]], [2, 1], ring) == [1, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     def test_small_instance_none_is_real(self, r, c, data):
-        # solve_linear returning a vector means Mx = b exactly; None means
+        # solve_matrix returning a vector means Mx = b exactly; None means
         # exhaustive search over a bounding box confirms no solution (Z/p)
         ring = Zmod(3)
         rows = [[data.draw(st.integers(-3, 3)) for _ in range(c)]
@@ -329,8 +320,128 @@ class TestKernelAndQuotient:
         assert free == 0 and div == [6]
 
     def test_coset_reducer(self):
-        ring = Zmod(5)
-        red = CosetReducer(ring, [[1, 1, 0]], 3)
-        a = red.reduce([2, 2, 0])
-        assert a == [0, 0, 0]
-        assert red.reduce([1, 2, 0]) != [0, 0, 0]
+        # reduction modulo the span of (1, 1, 0) over Z/5
+        span = EchelonBasis(Zmod(5), [{0: 1, 1: 1}])
+        assert span.reduce({0: 2, 1: 2}) == {}
+        assert span.reduce({0: 1, 1: 2}) == {1: 1}
+
+
+# -- the incremental echelon basis against references ------------------------
+
+FIELDS = (Zmod(2), Zmod(3), Zmod(5), QQ)
+
+
+def _random_entry(ring, rng):
+    if ring is QQ:
+        return QQ.normalize(rng.randint(-3, 3)) / rng.randint(1, 3)
+    return ring.normalize(rng.randint(0, ring.modulus - 1))
+
+
+def _random_rows(ring, rng):
+    """Dense rows over the ring, some of them combinations of earlier
+    ones, so that adding them does not always raise the rank."""
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        if rows and rng.random() < 0.4:
+            coeffs = [_random_entry(ring, rng) for _ in rows]
+            rows.append([ring.normalize(sum(c * r[j]
+                                            for c, r in zip(coeffs, rows)))
+                         for j in range(ncols)])
+        else:
+            rows.append([_random_entry(ring, rng) if rng.random() < 0.6
+                         else ring.zero() for _ in range(ncols)])
+    return rows, ncols
+
+
+def _sparse(v, ring):
+    return {j: ring.normalize(x) for j, x in enumerate(v)
+            if not ring.is_zero(x)}
+
+
+def _textbook_coset_reduce(rows, ncols, v, ring):
+    """Rank and canonical coset representative modulo the span of rows,
+    the way the dense reducer did it: Gauss-Jordan to reduced row echelon
+    form, then v minus each row times v's entry at the row's pivot."""
+    A = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(A)) if not ring.is_zero(A[i][c])),
+                 None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = ring.inv(A[r][c])
+        A[r] = [ring.mul(inv, x) for x in A[r]]
+        for k in range(len(A)):
+            if k != r and not ring.is_zero(A[k][c]):
+                f = A[k][c]
+                A[k] = [ring.sub(x, ring.mul(f, y))
+                        for x, y in zip(A[k], A[r])]
+        pivots.append(c)
+    v = [ring.normalize(x) for x in v]
+    for row, p in zip(A, pivots):
+        c = v[p]
+        if not ring.is_zero(c):
+            v = [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, row)]
+    return len(pivots), v
+
+
+class TestEchelonBasis:
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_add_raises_rank_as_rref_counts(self, ring):
+        rng = random.Random(41)
+        rises = stays = 0
+        for _ in range(150):
+            rows, ncols = _random_rows(ring, rng)
+            basis = EchelonBasis(ring)
+            for i, row in enumerate(rows):
+                before = len(rref(rows[:i], ring)[1]) if i else 0
+                after = len(rref(rows[:i + 1], ring)[1])
+                assert basis.add(_sparse(row, ring)) == (after > before)
+                if after > before:
+                    rises += 1
+                else:
+                    stays += 1
+            assert len(basis.kept) == \
+                _textbook_coset_reduce(rows, ncols, [0] * ncols, ring)[0]
+        assert rises > 100 and stays > 100
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_reduce_matches_dense_coset_reduction(self, ring):
+        rng = random.Random(42)
+        for _ in range(150):
+            rows, ncols = _random_rows(ring, rng)
+            basis = EchelonBasis(ring, [_sparse(r, ring) for r in rows])
+            for _ in range(3):
+                v = [_random_entry(ring, rng) for _ in range(ncols)]
+                _, want = _textbook_coset_reduce(rows, ncols, v, ring)
+                assert basis.reduce(_sparse(v, ring)) == _sparse(want, ring)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_coordinates_match_solve(self, ring):
+        # asked after every add, so a stale inverse would show
+        rng = random.Random(43)
+        inside = outside = 0
+        for _ in range(100):
+            rows, ncols = _random_rows(ring, rng)
+            basis = EchelonBasis(ring)
+            for i, row in enumerate(rows):
+                basis.add(_sparse(row, ring))
+                K = [[k.get(j, ring.zero()) for k in basis.kept]
+                     for j in range(ncols)]
+                if rng.random() < 0.5:
+                    coeffs = [_random_entry(ring, rng) for _ in rows[:i + 1]]
+                    v = [ring.normalize(sum(c * r[j]
+                                            for c, r in zip(coeffs, rows)))
+                         for j in range(ncols)]
+                else:
+                    v = [_random_entry(ring, rng) for _ in range(ncols)]
+                got = basis.coordinates(_sparse(v, ring))
+                assert got == solve_matrix(K, v, ring)
+                if got is None:
+                    outside += 1
+                else:
+                    inside += 1
+        assert inside > 100 and outside > 100

@@ -25,7 +25,7 @@ from chainops.powerops import (
     verify_cartan,
     verify_vanishing_pattern,
 )
-from chainops.rings import QQ, Zmod
+from chainops.rings import QQ, SizeBoundError, Zmod
 from chainops.simplicial import (chains, circle_space, classifying_space,
                                  cochains, product_space, torus_space)
 
@@ -122,7 +122,7 @@ class TestLift:
         lift = equivariant_lift_j(W, None, 1)
         H = HomologySpace(alg.complex, 2)
         x = BigradedClass(2, 0, H.representative([1] + [0] * (H.rank - 1)))
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(SizeBoundError, match="resolution cap"):
             steenrod_square(x, 0, alg, W, lift)
 
     def test_zero_class_above_cap_is_zero(self):
@@ -474,3 +474,45 @@ class TestProductClassifier:
             assert len(set(coords)) == len(coords), n
             assert all(any(not ring.is_zero(v) for v in c) for c in coords)
 
+
+
+class TestHomologySpacesPerDegree:
+    """A CochainSystem builds the homology space of a degree once, on the
+    first read, and the verifiers read through it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # (complex, degree) of every homology space powerops builds
+        import chainops.powerops as powerops
+        spaces = []
+
+        class Counting(HomologySpace):
+            def __init__(self, C, n):
+                spaces.append((C, n))
+                super().__init__(C, n)
+
+        monkeypatch.setattr(powerops, "HomologySpace", Counting)
+        return spaces
+
+    def test_accessor_builds_once(self, built):
+        from chainops.powerops import CochainSystem
+        alg = CochainSystem(classifying_space(3, 3), Zmod(3))
+        assert alg.homology_space(2) is alg.homology_space(2)
+        assert built == [(alg.complex, 2)]
+
+    def test_verify_adem(self, built):
+        from chainops.powerops import CochainSystem, verify_adem
+        alg = CochainSystem(classifying_space(3, 5), Zmod(3))
+        assert verify_adem(alg, p=3, pair_bound=3, degree_cap=4)["passed"]
+        assert sorted(n for _, n in built) == [0, 1, 2, 3, 4]
+
+    def test_cartan_and_vanishing_pattern_share_spaces(self, built):
+        from chainops.powerops import CochainSystem
+        alg = CochainSystem(classifying_space(3, 2), Zmod(3))
+        assert verify_cartan(alg, degree_cap=1, p=3, smax=2)["passed"]
+        W = build_w(3, 6)
+        lift = equivariant_lift_j(W, None, 6)
+        assert verify_vanishing_pattern(alg, W, lift, degree_cap=1,
+                                        index_cap=6)["passed"]
+        # the rest are the Cartan classifier's spaces of the factor chains
+        assert sorted(n for C, n in built if C is alg.complex) == [0, 1, 2]
