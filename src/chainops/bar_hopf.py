@@ -166,6 +166,11 @@ def check_connected(A: AugmentedDGA) -> dict:
     return {"passed": not failures, "failures": failures}
 
 
+# the lowest shifted degree a bar window keeps: one below degree 0, so
+# that the differential into degree 0, which H^0 reads, is built
+DEGREE_LO = -1
+
+
 def _word_degree(A, word):
     return sum(A.degree(a) - 1 for a in word)
 
@@ -189,18 +194,16 @@ class BarComplex:
     product or differential that does not respect the grading.
     """
 
-    def __init__(self, A: AugmentedDGA, length_cap: int, degree_lo: int,
-                 degree_hi: int):
+    def __init__(self, A: AugmentedDGA, length_cap: int, degree_hi: int):
         self.algebra = A
         self.length_cap = length_cap
-        self.degree_lo = degree_lo
         self.degree_hi = degree_hi
         ideal = A.ideal_basis()
         words = {(): 0}
         for n in range(1, length_cap + 1):
             for w in itertools.product(ideal, repeat=n):
                 deg = _word_degree(A, w)
-                if degree_lo <= deg <= degree_hi:
+                if DEGREE_LO <= deg <= degree_hi:
                     words[w] = deg
         by_deg = {}
         for w, deg in words.items():
@@ -254,16 +257,16 @@ class BarComplex:
                 "square_failures": bad, "incomplete": self.incomplete}
 
 
-def reduced_bar(A: AugmentedDGA, length_cap: int, degree_lo: int = -1,
+def reduced_bar(A: AugmentedDGA, length_cap: int,
                 degree_hi: int = 2) -> BarComplex:
-    """Reduced bar construction of a connected augmented DGA.
+    """Reduced bar construction of a connected augmented DGA, on the
+    window of shifted degrees DEGREE_LO through degree_hi.
 
     Words draw letters from the augmentation ideal; raising degree_hi
     widens the window the differential is verified on.  Only cohomology
     strictly below degree_hi is faithful.
     """
-    B = BarComplex(A, length_cap, degree_lo, degree_hi)
-    return B
+    return BarComplex(A, length_cap, degree_hi)
 
 
 def shuffle_words(A, w1, w2):

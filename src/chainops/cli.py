@@ -118,8 +118,7 @@ def parse_simplicial_file(path) -> FiniteSimplicialSet:
                 raise ParseError(f"{path}:{lineno}: face {spec!r} of "
                                  f"{sid!r} has the wrong dimension")
             faces[(dim, sid, i)] = Simplex(word, base, dims[base])
-    X = FiniteSimplicialSet(path, simplices, faces,
-                            max(simplices, default=0))
+    X = FiniteSimplicialSet(path, simplices, faces)
     bad = X.check_simplicial_identities()
     if bad:
         raise ParseError(f"{path}: simplicial identities fail at {bad[0]!r}")
@@ -323,6 +322,10 @@ def cmd_einfinity_check(args):
 def cmd_steenrod(args):
     if args.p != 2:
         raise ParseError("the operation-table command runs at p = 2")
+    if args.degree_cap < 1:
+        # no class of degree 0 is squared, so a cap of 0 compares nothing
+        raise ParseError(f"--degree-cap must be at least 1, got "
+                         f"{args.degree_cap}")
     ring = Zmod(2)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
@@ -410,7 +413,7 @@ def cmd_bar(args):
     conn = check_connected(A)
     failures.extend({"check": f["check"], "witness": _w(f["witness"])}
                     for f in conn["failures"])
-    B = reduced_bar(A, args.length_cap, -1, args.degree_cap)
+    B = reduced_bar(A, args.length_cap, args.degree_cap)
     rep = B.verify()
     for w in rep["square_failures"]:
         failures.append({"check": "bar-d-squared", "witness": _w(w)})
@@ -424,7 +427,7 @@ def cmd_hopf_check(args):
     A = _dga_from_args(args)
     if not isinstance(A, AugmentedDGA):
         raise ParseError("hopf-check needs a DGA input")
-    B = reduced_bar(A, args.length_cap, -1, args.degree_cap)
+    B = reduced_bar(A, args.length_cap, args.degree_cap)
     H = h0_hopf(B)
     failures = [{"check": f["check"], "witness": _w(f["witness"])}
                 for f in H.verify()["failures"]]
@@ -524,10 +527,12 @@ def render(report, fmt):
     return "\n".join(lines) + "\n"
 
 
-# the least value each count or size option accepts
-LEAST_VALUE = {"arity_cap": 1, "dim": 0, "count": 0, "length": 0,
-               "max_rank": 0, "cap": 0, "degree_cap": 0, "length_cap": 0,
-               "smax": 0, "amax": 0}
+# the least value each count or size option accepts; below it a request
+# compares nothing or is malformed (an Adem pair has a, b >= 1, so a
+# sum cap --amax below 2 admits no pair)
+LEAST_VALUE = {"arity_cap": 1, "dim": 0, "count": 1, "length": 0,
+               "max_rank": 0, "cap": 1, "degree_cap": 0, "length_cap": 0,
+               "smax": 0, "amax": 2}
 
 
 def main(argv=None):

@@ -4,16 +4,15 @@ nc collapses a cubical module to a complex with differential
 sum_i (-1)^i (d_i^0 - d_i^1); dnc rebuilds a cubical module from a complex
 by adjoining one formal degenerate copy of L_r for every subset of dropped
 coordinates, with face actions derived by rewriting faces past degeneracies
-through the cube-category relations.  The shuffle maps land in the
-degreewise (diagonal) tensor product of two cubical modules.
+through the cube-category relations.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap, HOMOLOGICAL, tensor_complexes
-from .freemod import FreeModule, FreeModuleMap, tensor_map
+from .complexes import ChainComplex, ChainMap, HOMOLOGICAL
+from .freemod import FreeModule, FreeModuleMap
 from .rings import RingSpec
 
 
@@ -241,186 +240,3 @@ def dnc_projection(L: ChainComplex, K: CubicalModule) -> ChainMap:
         entries = {(x, x): L.ring.one() for x in L.module(n).basis}
         comps[n] = FreeModuleMap(N.module(n), L.module(n), entries)
     return ChainMap(N, _truncate(L, K.top_degree()), comps)
-
-
-# ---------------------------------------------------------------------------
-# diagonal tensor and shuffles
-# ---------------------------------------------------------------------------
-
-def diagonal_tensor(K: CubicalModule, K2: CubicalModule) -> CubicalModule:
-    """Degreewise tensor with componentwise faces and degeneracies."""
-    if K.ring != K2.ring:
-        raise ValueError("ring mismatch")
-    ring = K.ring
-    modules = {n: K.module(n).tensor(K2.module(n))
-               for n in set(K.modules) & set(K2.modules)}
-    faces = {}
-    degens = {}
-    for n in modules:
-        for i in range(1, n + 1):
-            for c in (0, 1):
-                f = tensor_map(K.face(n, i, c), K2.face(n, i, c))
-                if (n - 1) in modules:
-                    faces[(n, i, c)] = f
-        if (n + 1) in modules:
-            for i in range(1, n + 2):
-                degens[(n, i)] = tensor_map(K.degeneracy(n, i),
-                                            K2.degeneracy(n, i))
-    return CubicalModule(ring, modules, faces, degens)
-
-
-def _shuffle_sign(mu, nu):
-    inv = sum(1 for a in mu for b in nu if a > b)
-    return (-1) ** inv
-
-
-def _degeneracy_word(K: CubicalModule, start_degree, positions):
-    """Composite s_{i_k} o ... o s_{i_1} for increasing positions."""
-    f = FreeModuleMap.identity(K.module(start_degree))
-    deg = start_degree
-    for i in sorted(positions):
-        f = K.degeneracy(deg, i).compose(f)
-        deg += 1
-    return f
-
-
-def shuffle_cubical(K: CubicalModule, K2: CubicalModule,
-                    p: int, q: int) -> FreeModuleMap:
-    """K_p (x) K2_q -> K_{p+q} (x) K2_{p+q}, the signed sum over
-    (p, q)-shuffles; the first factor receives the degeneracies at the
-    second factor's positions and vice versa."""
-    ring = K.ring
-    n = p + q
-    src = K.module(p).tensor(K2.module(q))
-    tgt = K.module(n).tensor(K2.module(n))
-    out = FreeModuleMap.zero(src, tgt)
-    for mu in itertools.combinations(range(1, n + 1), p):
-        nu = tuple(i for i in range(1, n + 1) if i not in mu)
-        term = tensor_map(_degeneracy_word(K, p, nu),
-                          _degeneracy_word(K2, q, mu))
-        out = out.add(term.scale(ring.normalize(_shuffle_sign(mu, nu))))
-    return out
-
-
-def multi_shuffle(Ks, degrees) -> FreeModuleMap:
-    """k-fold shuffle K1_{p1} (x) ... (x) Kk_{pk} -> diagonal tensor in
-    degree p1+...+pk, with left-nested pair labels; the sign is the
-    signature of the block permutation of the chosen position sets."""
-    ring = Ks[0].ring
-    n = sum(degrees)
-    src = Ks[0].module(degrees[0])
-    for K, pdeg in zip(Ks[1:], degrees[1:]):
-        src = src.tensor(K.module(pdeg))
-    tgt = Ks[0].module(n)
-    for K in Ks[1:]:
-        tgt = tgt.tensor(K.module(n))
-    out = FreeModuleMap.zero(src, tgt)
-    for blocks in _sized_partitions(tuple(range(1, n + 1)), degrees):
-        sign = _block_sign(blocks)
-        term = None
-        for K, pdeg, block in zip(Ks, degrees, blocks):
-            rest = [i for i in range(1, n + 1) if i not in block]
-            f = _degeneracy_word(K, pdeg, rest)
-            term = f if term is None else tensor_map(term, f)
-        out = out.add(term.scale(ring.normalize(sign)))
-    return out
-
-
-def _sized_partitions(items, sizes):
-    if not sizes:
-        yield ()
-        return
-    for first in itertools.combinations(items, sizes[0]):
-        rest = tuple(i for i in items if i not in first)
-        for tail in _sized_partitions(rest, sizes[1:]):
-            yield (first,) + tail
-
-
-def _block_sign(blocks):
-    flat = [i for b in blocks for i in b]
-    inv = sum(1 for a in range(len(flat)) for b in range(a + 1, len(flat))
-              if flat[a] > flat[b])
-    return (-1) ** inv
-
-
-def shuffle_map(L: ChainComplex, L2: ChainComplex, p: int, q: int,
-                K: CubicalModule = None, K2: CubicalModule = None) -> FreeModuleMap:
-    """L_p (x) L2_q -> (diag dnc(L) (x) dnc(L2))_{p+q}: the cubical shuffle
-    precomposed with the canonical inclusion of the undegenerate copies."""
-    if K is None:
-        K = dnc(L, p + q)
-    if K2 is None:
-        K2 = dnc(L2, p + q)
-    ring = L.ring
-    sh = shuffle_cubical(K, K2, p, q)
-    src = L.module(p).tensor(L2.module(q))
-    inc = FreeModuleMap(src, sh.source,
-                        {(lab, lab): ring.one() for lab in src.basis})
-    return sh.compose(inc)
-
-
-def cross_product_map(L: ChainComplex, L2: ChainComplex, p: int, q: int,
-                      K: CubicalModule = None,
-                      K2: CubicalModule = None) -> FreeModuleMap:
-    """L_p (x) L2_q -> (diag dnc(L) (x) dnc(L2))_{p+q}, the single-term
-    concatenation product: the first factor is degenerated at the high
-    positions p+1..p+q, the second at the low positions 1..p, sign +1.
-
-    This is the identity-shuffle summand of shuffle_map; unlike the full
-    signed sum it assembles into a strict chain map (see cross_product)."""
-    n = p + q
-    if K is None:
-        K = dnc(L, n)
-    if K2 is None:
-        K2 = dnc(L2, n)
-    ring = L.ring
-    term = tensor_map(_degeneracy_word(K, p, range(p + 1, n + 1)),
-                      _degeneracy_word(K2, q, range(1, p + 1)))
-    src = L.module(p).tensor(L2.module(q))
-    inc = FreeModuleMap(src, term.source,
-                        {(lab, lab): ring.one() for lab in src.basis})
-    return term.compose(inc)
-
-
-def _assemble(L, L2, nmax, piece):
-    K = dnc(L, nmax)
-    K2 = dnc(L2, nmax)
-    src = _truncate(tensor_complexes(L, L2), nmax)
-    tgt = nc(diagonal_tensor(K, K2))
-    comps = {}
-    for n in range(nmax + 1):
-        entries = {}
-        for p in L.modules:
-            q = n - p
-            if q not in L2.modules:
-                continue
-            entries.update(piece(L, L2, p, q, K, K2).entries)
-        comps[n] = FreeModuleMap(src.module(n), tgt.module(n), entries)
-    return ChainMap(src, tgt, comps)
-
-
-def shuffle_chain_map(L: ChainComplex, L2: ChainComplex,
-                      nmax: int = None) -> ChainMap:
-    """The degreewise assembly of the signed shuffle sum,
-    L (x) L2 -> nc(diag dnc(L) (x) dnc(L2)).
-
-    The assembly commutes with the differentials in the one-sided bidegrees
-    (p, 0) and (0, q) but not in general: in a mixed bidegree every boundary
-    target collects one contribution per insertion slot of the removed
-    coordinate, all with the same sign, so the comparison fails by integer
-    multiples (already by a factor of 2 at bidegree (1, 1)).  The strict
-    chain map supported by this normalization is cross_product."""
-    top = max(L.modules, default=0) + max(L2.modules, default=0)
-    if nmax is None:
-        nmax = top
-    return _assemble(L, L2, nmax, shuffle_map)
-
-
-def cross_product(L: ChainComplex, L2: ChainComplex,
-                  nmax: int = None) -> ChainMap:
-    """The concatenation pairing L (x) L2 -> nc(diag dnc(L) (x) dnc(L2)),
-    a strict chain map."""
-    top = max(L.modules, default=0) + max(L2.modules, default=0)
-    if nmax is None:
-        nmax = top
-    return _assemble(L, L2, nmax, cross_product_map)

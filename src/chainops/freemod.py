@@ -41,20 +41,6 @@ class FreeModule:
     def __repr__(self):
         return f"FreeModule({self.ring}, rank {self.rank})"
 
-    def tensor(self, other: "FreeModule") -> "FreeModule":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in tensor")
-        return FreeModule(self.ring,
-                          [(a, b) for a in self.basis for b in other.basis])
-
-    def zero_vector(self):
-        return {}
-
-    def basis_vector(self, label):
-        if label not in self.index:
-            raise KeyError(label)
-        return {label: self.ring.one()}
-
 
 class FreeModuleMap:
     """Sparse linear map, entries indexed (target label, source label)."""
@@ -121,15 +107,6 @@ class FreeModuleMap:
                 entries[(t, s)] = c
         return FreeModuleMap(source, target, entries)
 
-    @staticmethod
-    def from_matrix(source, target, rows):
-        """rows[i][j] = coefficient of target.basis[i] in image of source.basis[j]."""
-        entries = {}
-        for i, t in enumerate(target.basis):
-            for j, s in enumerate(source.basis):
-                entries[(t, s)] = rows[i][j]
-        return FreeModuleMap(source, target, entries)
-
     # -- linear algebra as label algebra ------------------------------------
 
     def apply(self, vector):
@@ -168,24 +145,6 @@ class FreeModuleMap:
                     entries[key] = val
         return FreeModuleMap(first.source, self.target, entries)
 
-    def add(self, other: "FreeModuleMap") -> "FreeModuleMap":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("addition mismatch")
-        ring = self.ring
-        entries = dict(self.entries)
-        for k, c in other.entries.items():
-            val = ring.add(entries.get(k, ring.zero()), c)
-            if ring.is_zero(val):
-                entries.pop(k, None)
-            else:
-                entries[k] = val
-        return FreeModuleMap(self.source, self.target, entries)
-
-    def scale(self, c) -> "FreeModuleMap":
-        ring = self.ring
-        return FreeModuleMap(self.source, self.target,
-                             {k: ring.mul(c, v) for k, v in self.entries.items()})
-
     def is_zero(self):
         return not self.entries
 
@@ -196,21 +155,3 @@ class FreeModuleMap:
         for (t, s), c in self.entries.items():
             rows[self.target.index[t]][self.source.index[s]] = c
         return rows
-
-    def is_diagonal(self):
-        return all(self.target.index[t] == self.source.index[s]
-                   for (t, s) in self.entries)
-
-
-def tensor_map(f: FreeModuleMap, g: FreeModuleMap) -> FreeModuleMap:
-    """(f (x) g)(a (x) b) = f(a) (x) g(b) on the pair-label bases."""
-    if f.ring != g.ring:
-        raise ValueError("ring mismatch in tensor_map")
-    ring = f.ring
-    source = f.source.tensor(g.source)
-    target = f.target.tensor(g.target)
-    entries = {}
-    for (t1, s1), c1 in f.entries.items():
-        for (t2, s2), c2 in g.entries.items():
-            entries[((t1, t2), (s1, s2))] = ring.mul(c1, c2)
-    return FreeModuleMap(source, target, entries)

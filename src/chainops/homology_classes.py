@@ -1,5 +1,5 @@
-"""Explicit homology classes: representatives, canonical coordinates,
-equality of classes, and maps induced on homology by chain maps.
+"""Explicit homology classes: representatives, canonical coordinates
+and equality of classes.
 
 Over a field the quotient ker/im is read from two incremental echelon
 bases (linalg.EchelonBasis): one spans the image, and the other is fed
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex
 from .linalg import (EchelonBasis, identity_matrix, kernel_matrix,
                      lattice_coordinates, rref, smith_normal_form_matrix,
                      sparse_rows)
@@ -162,22 +162,3 @@ class HomologySpace:
         p = self.ring.modulus
         for coords in itertools.product(range(p), repeat=self.rank):
             yield coords, self.representative(coords)
-
-
-def induced_map(f: ChainMap, n: int, source_h: HomologySpace = None,
-                target_h: HomologySpace = None):
-    """Matrix of H_n(f): columns are class vectors of the images of the
-    source generators (as a list of coordinate tuples per generator)."""
-    if source_h is None:
-        source_h = HomologySpace(f.source, n)
-    if target_h is None:
-        target_h = HomologySpace(f.target, n)
-    cols = []
-    for j in range(source_h.rank):
-        coords = [0] * source_h.rank
-        coords[j] = 1
-        rep = source_h.representative(coords)
-        image = f.component(n).apply(rep)
-        cols.append(target_h.class_vector(image))
-    return cols
-

@@ -21,7 +21,6 @@ with no Smith form.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .freemod import FreeModule, FreeModuleMap
@@ -403,11 +402,10 @@ def kernel(M: FreeModuleMap) -> FreeModuleMap:
 # solving
 # ---------------------------------------------------------------------------
 
-def solve_matrix(rows, b, ring: RingSpec, rng: random.Random | None = None):
+def solve_matrix(rows, b, ring: RingSpec):
     """One solution x of A x = b over the ring, or None if unsolvable.
 
-    Free variables default to zero; pass an rng to sample them instead
-    (used to generate independently seeded solutions of the same system).
+    Free variables are set to zero.
     """
     R = len(rows)
     C = len(rows[0]) if R else 0
@@ -424,20 +422,12 @@ def solve_matrix(rows, b, ring: RingSpec, rng: random.Random | None = None):
         if C in pivots:
             return None
         x = [ring.zero()] * C
-        free = [c for c in range(C) if c not in pivots]
-        if rng is not None:
-            for fc in free:
-                x[fc] = ring.normalize(rng.randrange(0, 64))
         for r_i, pc in enumerate(pivots):
-            val = A[r_i][C]
-            for fc in free:
-                val = ring.sub(val, ring.mul(A[r_i][fc], x[fc]))
-            x[pc] = val
+            x[pc] = A[r_i][C]
         return x
     if ring.kind == "Z":
         S, U, V = smith_normal_form_matrix(rows)
         ub = [sum(U[i][j] * b[j] for j in range(R)) for i in range(R)]
-        rank = sum(1 for i in range(min(R, C)) if S[i][i] != 0)
         z = [0] * C
         for i in range(min(R, C)):
             if S[i][i] != 0:
@@ -449,16 +439,13 @@ def solve_matrix(rows, b, ring: RingSpec, rng: random.Random | None = None):
         for i in range(min(R, C), R):
             if ub[i] != 0:
                 return None
-        if rng is not None:
-            for i in range(rank, C):
-                z[i] = rng.randrange(-8, 9)
         return [sum(V[i][j] * z[j] for j in range(C)) for i in range(C)]
     # Z/m with m composite: lift to Z with the extra relations m*e_i = 0
     m = ring.modulus
     lifted = [[int(x) for x in row] + [m if j == i else 0 for j in range(R)]
               for i, row in enumerate(rows)]
     bb = [int(x) for x in b]
-    sol = solve_matrix(lifted, bb, ZZ, rng=rng)
+    sol = solve_matrix(lifted, bb, ZZ)
     if sol is None:
         return None
     return [ring.normalize(sol[j]) for j in range(C)]

@@ -244,7 +244,7 @@ class SymmetricSequence:
             result = self.transpositions[k][i - 1].compose(result)
         return result
 
-    def group_relation_failures(self, degree_cap=None):
+    def group_relation_failures(self):
         """Generator relations of the symmetric groups as map equalities."""
         bad = []
         for k in self.arities():
@@ -292,12 +292,10 @@ class Operad(SymmetricSequence):
     label of the arity-1 identity in degree 0.
     """
 
-    def __init__(self, ring, levels, transpositions, compose_basis, unit,
-                 degree_cap=None):
+    def __init__(self, ring, levels, transpositions, compose_basis, unit):
         super().__init__(ring, levels, transpositions)
         self.compose_basis = compose_basis
         self.unit = unit
-        self.degree_cap = degree_cap
 
     def basis_degree(self, k, label):
         C = self.level(k)
@@ -368,8 +366,7 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     def compose(u, k, vs, arities):
         return surjection_composition(u, k, vs, arities)
 
-    return Operad(ring, levels, transpositions, compose, (1,),
-                  degree_cap=degree_cap)
+    return Operad(ring, levels, transpositions, compose, (1,))
 
 
 def one_point_operad(ring: RingSpec, arity: int) -> Operad:
@@ -390,8 +387,7 @@ def one_point_operad(ring: RingSpec, arity: int) -> Operad:
     def compose(u, k, vs, arities):
         return {("pt", sum(arities)): 1}
 
-    return Operad(ring, levels, transpositions, compose, ("pt", 1),
-                  degree_cap=0)
+    return Operad(ring, levels, transpositions, compose, ("pt", 1))
 
 # ---------------------------------------------------------------------------
 # axiom checks
@@ -407,17 +403,11 @@ def _basis_with_degrees(C: ChainComplex, degree_cap):
     return out
 
 
-def _apply_boundary(O: Operad, k, label, degree):
-    """Boundary of a basis element as {label: coefficient}."""
-    C = O.level(k)
+def _d_of_basis(C: ChainComplex, label, degree):
+    """Differential of a basis element as {label: coefficient}; a degree
+    whose differential is zero builds no map."""
     d = C.differentials.get(degree)
-    if d is None:
-        return {}
-    out = {}
-    for (t, s), c in d.entries.items():
-        if s == label:
-            out[t] = c
-    return out
+    return d.column(label) if d is not None else {}
 
 
 def _scaled(ring, vec, c):
@@ -467,14 +457,15 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
         j = sum(js)
         lhs = {}
         for w, c in O.compose_basis(u, k, vs, js).items():
-            _accumulate(ring, lhs,
-                        _apply_boundary(O, j, w, du + sum(ds)), c)
+            _accumulate(ring, lhs, _d_of_basis(O.level(j), w, du + sum(ds)),
+                        c)
         rhs = {}
-        for u2, c in _apply_boundary(O, k, u, du).items():
+        for u2, c in _d_of_basis(O.level(k), u, du).items():
             _accumulate(ring, rhs, O.compose_basis(u2, k, vs, js), c)
         sgn = (-1) ** du
         for s in range(k):
-            for v2, c in _apply_boundary(O, js[s], vs[s], ds[s]).items():
+            for v2, c in _d_of_basis(O.level(js[s]), vs[s],
+                                     ds[s]).items():
                 vs2 = list(vs)
                 vs2[s] = v2
                 _accumulate(ring, rhs, O.compose_basis(u, k, vs2, js),
@@ -920,13 +911,6 @@ def cup_product(X: FiniteSimplicialSet, ring: RingSpec, x, p, y, q):
 # algebra axiom checks
 # ---------------------------------------------------------------------------
 
-def _coboundary_of_basis(C: ChainComplex, lab, n):
-    d = C.differentials.get(n)
-    if d is None:
-        return {}
-    return {t: c for (t, s), c in d.entries.items() if s == lab}
-
-
 def _theta_linear(alg: OperadAlgebra, u, k, xs_mixed):
     """theta extended linearly: entries of xs_mixed may be a basis pair
     (label, degree) or a pair (dict, degree)."""
@@ -980,15 +964,13 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                 n_out = sum(ns) - du
                 lhs = {}
                 for lab, c in theta(u, k, xs).items():
-                    _accumulate(ring, lhs,
-                                _coboundary_of_basis(C, lab, n_out), c)
+                    _accumulate(ring, lhs, _d_of_basis(C, lab, n_out), c)
                 rhs = {}
-                for u2, c in _apply_boundary(O, k, u, du).items():
+                for u2, c in _d_of_basis(O.level(k), u, du).items():
                     _accumulate(ring, rhs, theta(u2, k, xs), c)
                 sgn = (-1) ** du
                 for s in range(k):
-                    for lab2, c in _coboundary_of_basis(
-                            C, xs[s][0], ns[s]).items():
+                    for lab2, c in _d_of_basis(C, xs[s][0], ns[s]).items():
                         xs2 = list(xs)
                         xs2[s] = (lab2, ns[s] + 1)
                         _accumulate(ring, rhs, theta(u, k, xs2),

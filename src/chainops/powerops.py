@@ -69,14 +69,6 @@ class WResolution:
             return {1: 1, 0: -1}                      # T
         return {j: 1 for j in range(self.p)}          # N
 
-    def augmentation(self, vector):
-        """epsilon on degree 0: every alpha^j e_0 maps to 1."""
-        total = self.ring.zero()
-        for (_, n, _j), c in vector.items():
-            if n == 0:
-                total = self.ring.add(total, self.ring.normalize(c))
-        return total
-
     def psi(self, n):
         """Coproduct of e_n: list of ((n1, r), (n2, s), coeff) terms
         meaning alpha^r e_{n1} tensor alpha^s e_{n2}."""
@@ -277,7 +269,6 @@ class EquivariantLift:
         self.p = W.p
         self.ring = Zmod(W.p)
         self.level = level
-        self.seed = seed
         self._rng = random.Random(seed) if seed is not None else None
         self.components = {0: {tuple(range(1, W.p + 1)): self.ring.one()}}
 
@@ -352,21 +343,6 @@ class EquivariantLift:
                     out[w] = t
         return out
 
-    def check(self, W: WResolution):
-        """Confirm the chain-map equations d j(e_n) = j(boundary e_n)
-        in every degree built so far."""
-        failures = []
-        for n in range(1, self.cap + 1):
-            lhs = _apply_word_boundary(
-                {w: int(c) for w, c in self.components[n].items()}, self.p)
-            lhs = {w: c % self.p for w, c in lhs.items() if c % self.p}
-            rhs = self.apply_group_element(n - 1, W.boundary_element(n))
-            rhs = {w: int(c) % self.p for w, c in rhs.items()
-                   if int(c) % self.p}
-            if lhs != rhs:
-                failures.append(n)
-        return failures
-
 
 def equivariant_lift_j(W: WResolution, level, cap: int,
                        seed=None) -> EquivariantLift:
@@ -416,11 +392,6 @@ def adem_coefficient(i, j, p):
     if i < 0 or j < 0:
         return 0
     return math.comb(i + j, i) % p
-
-
-def delta(q):
-    """The parity epsilon of q = 2j + epsilon."""
-    return q % 2
 
 
 def nu(q, p):

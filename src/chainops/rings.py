@@ -80,10 +80,6 @@ class RingSpec:
             return _is_prime(self.modulus)
         return False
 
-    @property
-    def char(self):
-        return self.modulus if self.kind == "Zmod" else 0
-
     def __str__(self):
         if self.kind == "Zmod":
             return f"Z/{self.modulus}"

@@ -69,7 +69,7 @@ def surjection_of_word(word: tuple, n: int) -> tuple:
 class FiniteSimplicialSet:
     """Nondegenerate simplices per dimension plus a face incidence table."""
 
-    def __init__(self, name, simplices, faces, dim_cap):
+    def __init__(self, name, simplices, faces):
         """simplices: dim -> list of ids; faces: (dim, id, i) -> Simplex."""
         self.name = name
         self._simplices = {n: list(ids) for n, ids in simplices.items() if ids}
@@ -79,7 +79,6 @@ class FiniteSimplicialSet:
                 self._dims[s] = n
         self._faces = dict(faces)
         self._degenerate_faces = {}     # (simplex, i) -> face, memoized
-        self.dim_cap = dim_cap
 
     def dims(self):
         return sorted(self._simplices)
@@ -185,7 +184,7 @@ def cochains(X: FiniteSimplicialSet, ring: RingSpec) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 def point_space() -> FiniteSimplicialSet:
-    return FiniteSimplicialSet("point", {0: ["*"]}, {}, 0)
+    return FiniteSimplicialSet("point", {0: ["*"]}, {})
 
 
 def circle_space() -> FiniteSimplicialSet:
@@ -196,17 +195,17 @@ def circle_space() -> FiniteSimplicialSet:
                             ("e20", "v2", "v0")):
         faces[(1, e, 0)] = Simplex((), head, 0)
         faces[(1, e, 1)] = Simplex((), tail, 0)
-    return FiniteSimplicialSet("circle", simplices, faces, 1)
+    return FiniteSimplicialSet("circle", simplices, faces)
 
 
 def sphere_space(n: int) -> FiniteSimplicialSet:
     """Minimal simplicial n-sphere: a point and a single n-cell."""
     if n == 0:
-        return FiniteSimplicialSet("sphere0", {0: ["n", "s"]}, {}, 0)
+        return FiniteSimplicialSet("sphere0", {0: ["n", "s"]}, {})
     simplices = {0: ["*"], n: ["cell"]}
     basept = Simplex(word_for_positions(range(n - 1)), "*", 0)
     faces = {(n, "cell", i): basept for i in range(n + 1)}
-    return FiniteSimplicialSet(f"sphere{n}", simplices, faces, n)
+    return FiniteSimplicialSet(f"sphere{n}", simplices, faces)
 
 
 def classifying_space(p: int, nmax: int) -> FiniteSimplicialSet:
@@ -234,7 +233,7 @@ def classifying_space(p: int, nmax: int) -> FiniteSimplicialSet:
                 else:
                     f = g[:i - 1] + ((g[i - 1] + g[i]) % p,) + g[i + 1:]
                 faces[(n, g, i)] = _bar_simplex(f)
-    return FiniteSimplicialSet(f"bz{p}", simplices, faces, nmax)
+    return FiniteSimplicialSet(f"bz{p}", simplices, faces)
 
 
 def _bar_simplex(tup) -> Simplex:
@@ -249,13 +248,14 @@ def _bar_simplex(tup) -> Simplex:
 
 
 def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
-                  dim_cap=None, name=None) -> FiniteSimplicialSet:
-    """Materialized product simplicial set, truncated at dim_cap.
+                  name=None) -> FiniteSimplicialSet:
+    """Materialized product simplicial set, up to dimension
+    dim X + dim Y, where its nondegenerate simplices end.
 
     Nondegenerate n-simplices are pairs (s_I x, s_J y) with x, y
     nondegenerate and disjoint degeneracy position sets I, J.
     """
-    cap = dim_cap if dim_cap is not None else (max(X.dims()) + max(Y.dims()))
+    cap = max(X.dims()) + max(Y.dims())
     simplices = {}
     for n in range(cap + 1):
         cells = []
@@ -285,7 +285,7 @@ def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
                 faces[(n, (a, b), i)] = pair_simplex(X, Y, X.face(a, i),
                                                      Y.face(b, i))
     return FiniteSimplicialSet(name or f"{X.name}x{Y.name}", simplices,
-                               faces, cap)
+                               faces)
 
 
 def pair_simplex(X, Y, a: Simplex, b: Simplex) -> Simplex:

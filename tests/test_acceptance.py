@@ -291,7 +291,7 @@ class TestCriterion8BarHopf:
             A = make()
             assert A.verify()["passed"]
             assert check_connected(A)["passed"]
-            B = reduced_bar(A, 4, -1, 4)
+            B = reduced_bar(A, 4, 4)
             rep = B.verify()
             assert rep["square_failures"] == []
             H = h0_hopf(B)

@@ -49,7 +49,7 @@ class TestFixtures:
 class TestBarComplex:
     @pytest.mark.parametrize("make", FIXTURES)
     def test_d_squared_zero(self, make):
-        B = reduced_bar(make(), 4, -1, 4)
+        B = reduced_bar(make(), 4, 4)
         rep = B.verify()
         assert rep["square_failures"] == []
 
@@ -59,16 +59,16 @@ class TestBarComplex:
 
     def test_one_generator_words(self):
         # letters of shifted degree zero: one word per length
-        B = reduced_bar(one_generator_dga(), 4, -1, 2)
+        B = reduced_bar(one_generator_dga(), 4, 2)
         assert B.modules[0].rank == 5  # (), (x), (x,x), (x,x,x), (x,x,x,x)
 
     def test_one_generator_h0_is_polynomial(self):
-        B = reduced_bar(one_generator_dga(), 4, -1, 2)
+        B = reduced_bar(one_generator_dga(), 4, 2)
         assert HomologySpace(B.complex, 0).rank == 5
 
     def test_boundary_collapses_adjacent_letters(self):
         A = square_generator_dga()
-        B = reduced_bar(A, 3, -1, 6)
+        B = reduced_bar(A, 3, 6)
         # d(x|x) has the collapse term (x.x) = (y) with a sign
         d = B._boundary(("x", "x"))
         assert ("y",) in d
@@ -93,19 +93,19 @@ class TestShuffles:
 class TestHopf:
     @pytest.mark.parametrize("make", FIXTURES)
     def test_bialgebra_and_antipode_to_length_4(self, make):
-        B = reduced_bar(make(), 4, -1, 4)
+        B = reduced_bar(make(), 4, 4)
         H = h0_hopf(B)
         rep = H.verify()
         assert rep["passed"], rep["failures"][:3]
 
     def test_antipode_on_a_letter(self):
-        B = reduced_bar(one_generator_dga(), 4, -1, 2)
+        B = reduced_bar(one_generator_dga(), 4, 2)
         H = h0_hopf(B)
         S = H.antipode({("x",): Fraction(1)})
         assert S == {("x",): Fraction(-1)}
 
     def test_coproduct_is_deconcatenation(self):
-        B = reduced_bar(one_generator_dga(), 4, -1, 2)
+        B = reduced_bar(one_generator_dga(), 4, 2)
         H = h0_hopf(B)
         out = H.coproduct({("x", "x"): Fraction(1)})
         assert out == {((), ("x", "x")): Fraction(1),
@@ -113,7 +113,7 @@ class TestHopf:
                        (("x", "x"), ()): Fraction(1)}
 
     def test_product_is_commutative(self):
-        B = reduced_bar(square_generator_dga(), 4, -1, 4)
+        B = reduced_bar(square_generator_dga(), 4, 4)
         H = h0_hopf(B)
         for x in H.basis:
             for y in H.basis:
@@ -123,18 +123,18 @@ class TestHopf:
 class TestCoLie:
     @pytest.mark.parametrize("make", FIXTURES)
     def test_co_jacobi(self, make):
-        B = reduced_bar(make(), 4, -1, 4)
+        B = reduced_bar(make(), 4, 4)
         L = indecomposables(h0_hopf(B))
         rep = L.verify_co_jacobi()
         assert rep["passed"], rep["failures"][:3]
 
     def test_one_generator_has_one_indecomposable(self):
-        B = reduced_bar(one_generator_dga(), 4, -1, 2)
+        B = reduced_bar(one_generator_dga(), 4, 2)
         L = indecomposables(h0_hopf(B))
         assert len(L.basis) == 1
 
     def test_cobracket_is_antisymmetric(self):
-        B = reduced_bar(square_generator_dga(), 4, -1, 4)
+        B = reduced_bar(square_generator_dga(), 4, 4)
         L = indecomposables(h0_hopf(B))
         for x in L.basis:
             br = L.cobracket(x)
@@ -149,6 +149,6 @@ class TestCoLie:
         basis = {"1": (0, 0), "a": (1, 1), "b": (1, 1)}
         mult = {(u, v): {} for u in "ab" for v in "ab"}
         A = AugmentedDGA("two", basis, "1", mult=mult)
-        L = indecomposables(h0_hopf(reduced_bar(A, length, -1, 4)))
+        L = indecomposables(h0_hopf(reduced_bar(A, length, 4)))
         assert len(L.basis) == lyndon
         assert L.verify_co_jacobi()["passed"]

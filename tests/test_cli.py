@@ -332,18 +332,37 @@ class TestOptionRanges:
         assert main(argv + [option, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        least = 1 if option == "--arity-cap" else 0
+        least = {"--arity-cap": 1, "--amax": 2, "--cap": 1,
+                 "--count": 1}.get(option, 0)
+        assert captured.err == \
+            f"chainops: {option} must be at least {least}, got {value}\n"
+
+    # a value that leaves the request nothing to compare is refused too,
+    # not reported as a pass with nothing checked
+    @pytest.mark.parametrize("argv, option, value, least", [
+        (["adem-check", "--space", "bz3", "--dim", "3"], "--amax", "0", 2),
+        (["adem-check", "--space", "bz3", "--dim", "3"], "--amax", "1", 2),
+        (["w-resolution"], "--cap", "0", 1),
+        (["dold-kan-roundtrip"], "--count", "0", 1),
+        (["steenrod", "--space", "bz2", "--dim", "2"], "--degree-cap", "0",
+         1),
+    ])
+    def test_request_comparing_nothing_is_a_usage_error(self, capsys, argv,
+                                                        option, value, least):
+        assert main(argv + [option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err == \
             f"chainops: {option} must be at least {least}, got {value}\n"
 
     @pytest.mark.parametrize("argv", [
         ["operad-check", "--arity-cap", "1", "--degree-cap", "0"],
-        ["steenrod", "--space", "bz2", "--dim", "2", "--degree-cap", "0"],
+        ["steenrod", "--space", "bz2", "--dim", "2", "--degree-cap", "1"],
         ["cartan-check", "--space", "bz3", "--dim", "1", "--smax", "0",
          "--degree-cap", "0"],
-        ["adem-check", "--space", "bz3", "--dim", "1", "--amax", "0"],
-        ["w-resolution", "--cap", "0"],
-        ["dold-kan-roundtrip", "--count", "0", "--length", "0",
+        ["adem-check", "--space", "bz3", "--dim", "1", "--amax", "2"],
+        ["w-resolution", "--cap", "1"],
+        ["dold-kan-roundtrip", "--count", "1", "--length", "0",
          "--max-rank", "0"],
         ["bar", "--length-cap", "0", "--degree-cap", "0"],
         ["homology", "--space", "bz3", "--dim", "0"],

@@ -1,22 +1,9 @@
 import random
 
-import pytest
-
 from chainops.complexes import (
     ChainComplex,
-    ChainMap,
-    HOMOLOGICAL,
-    COHOMOLOGICAL,
     HomologyGroup,
-    Multicomplex,
     homology,
-    koszul_swap,
-    reindex,
-    shift,
-    tensor_as_multicomplex,
-    tensor_complexes,
-    tot,
-    unit_complex,
     verify_differential,
 )
 from chainops.freemod import FreeModule, FreeModuleMap
@@ -88,112 +75,6 @@ class TestHomology:
         # kernel of *2 on Z/6 is {0,3} = Z/2; cokernel is Z/2
         assert homology(C, 0) == HomologyGroup(Zmod(6), 0, (2,))
         assert homology(C, 1) == HomologyGroup(Zmod(6), 0, (2,))
-
-
-class TestTensor:
-    def test_unit(self):
-        C = circle_complex()
-        U = unit_complex(ZZ)
-        T = tensor_complexes(C, U)
-        assert verify_differential(T) == []
-        for n in (0, 1):
-            assert T.module(n).rank == C.module(n).rank
-            assert homology(T, n) == homology(C, n)
-
-    def test_two_multiplication_by_two(self):
-        # (Z -2-> Z) @ (Z -2-> Z): H0 = Z/2, H1 = Z/2, H2 = 0  (hand Kunneth)
-        C = two_term(ZZ, 2)
-        T = tensor_complexes(C, C)
-        assert verify_differential(T) == []
-        assert homology(T, 0) == HomologyGroup(ZZ, 0, (2,))
-        assert homology(T, 1) == HomologyGroup(ZZ, 0, (2,))
-        assert homology(T, 2) == HomologyGroup(ZZ, 0, ())
-
-    def test_koszul_swap_is_chain_iso(self):
-        rng = random.Random(3)
-        C = random_chain_complex(ZZ, 3, 2, rng)
-        D = random_chain_complex(ZZ, 3, 2, rng)
-        sw = koszul_swap(C, D)
-        assert sw.commutes_with_differential()
-        back = koszul_swap(D, C)
-        comp = back.compose(sw)
-        for n in comp.source.modules:
-            assert comp.component(n) == FreeModuleMap.identity(comp.source.module(n))
-
-
-class TestTot:
-    def test_arity_one_identity(self):
-        C = circle_complex()
-        M = Multicomplex(ZZ, 1, {(n,): C.module(n) for n in C.modules},
-                         [{(n,): d for n, d in C.differentials.items()}])
-        T = tot(M)
-        for n in C.modules:
-            assert T.module(n).rank == C.module(n).rank
-        assert verify_differential(T) == []
-        # differential agrees after unwrapping the multidegree labels
-        got = {(t[1], s[1]): c for (t, s), c in T.differential(1).entries.items()}
-        assert got == C.differential(1).entries
-
-    def test_single_module(self):
-        m = FreeModule(ZZ, ["a", "b"])
-        M = Multicomplex(ZZ, 2, {(1, 2): m}, [{}, {}])
-        T = tot(M)
-        assert T.module(3).rank == 2
-        assert T.differential(3).is_zero()
-
-    def test_arity_two_sign_rule_golden(self):
-        # tensor of two length-1 complexes, k = 2 sign rule expanded by hand:
-        # on bidegree (1,1): d = d1 + (-1)^{1+0}... the (1,1) component maps
-        # via d1 with +1 and via d2 with (-1)^{n1+n2} = +1
-        C = two_term(ZZ, 3)
-        D = two_term(ZZ, 5)
-        M = tensor_as_multicomplex(C, D)
-        T = tot(M)
-        assert verify_differential(T) == []
-        a1, a0 = ("e", 1), ("e", 0)
-        d2 = T.differential(2)
-        col = d2.column(((1, 1), (a1, a1)))
-        # d1 part: 3 * (e0 @ e1); d2 part: (-1)^{1+1} * 5 * (e1 @ e0)
-        assert col == {((0, 1), (a0, a1)): 3, ((1, 0), (a1, a0)): 5}
-        d1 = T.differential(1)
-        # out of (0,1): only axis 2 acts, sign (-1)^{0+1} = -1
-        assert d1.column(((0, 1), (a0, a1))) == {((0, 0), (a0, a0)): -5}
-
-    def test_tot_matches_tensor_homology(self):
-        rng = random.Random(11)
-        for _ in range(5):
-            C = random_chain_complex(ZZ, 3, 2, rng)
-            D = random_chain_complex(ZZ, 3, 2, rng)
-            T1 = tot(tensor_as_multicomplex(C, D))
-            T2 = tensor_complexes(C, D)
-            assert verify_differential(T1) == []
-            for n in range(0, 7):
-                assert homology(T1, n) == homology(T2, n)
-
-
-class TestReindexShift:
-    def test_involution(self):
-        C = circle_complex()
-        assert reindex(reindex(C)) == C
-
-    def test_support_flip(self):
-        rng = random.Random(5)
-        C = random_chain_complex(ZZ, 3, 2, rng)
-        R = reindex(C)
-        assert R.direction == COHOMOLOGICAL
-        assert sorted(R.modules) == sorted(-n for n in C.modules)
-        for n in C.modules:
-            assert homology(R, -n) == homology(C, n)
-
-    def test_shift(self):
-        rng = random.Random(6)
-        C = random_chain_complex(ZZ, 3, 2, rng)
-        assert shift(C, 0) == C
-        assert shift(shift(C, 2), -2) == C
-        S = shift(C, 2)
-        assert verify_differential(S) == []
-        for n in range(-3, 6):
-            assert homology(S, n) == homology(C, n + 2)
 
 
 class TestEulerCharacteristic:

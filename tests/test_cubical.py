@@ -1,32 +1,11 @@
 import math
 import random
 
-from chainops.complexes import (
-    ChainComplex,
-    tensor_complexes,
-    verify_differential,
-)
-from chainops.cubical import (
-    CubicalModule,
-    cross_product,
-    diagonal_tensor,
-    dnc,
-    dnc_inclusion,
-    dnc_projection,
-    multi_shuffle,
-    nc,
-    shuffle_chain_map,
-    shuffle_cubical,
-)
-from chainops.freemod import FreeModule, FreeModuleMap, tensor_map
+from chainops.complexes import ChainComplex, verify_differential
+from chainops.cubical import dnc, dnc_inclusion, dnc_projection, nc
+from chainops.freemod import FreeModule, FreeModuleMap
 from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
-
-
-def _swap(ring, A, B):
-    return FreeModuleMap(A.tensor(B), B.tensor(A),
-                         {((b, a), (a, b)): ring.one()
-                          for a in A.basis for b in B.basis})
 
 
 class TestDnc:
@@ -94,110 +73,3 @@ class TestSplitting:
         for n in range(4):
             assert N.module(n).rank == 1
             assert N.differential(n).is_zero()
-
-
-class TestCrossProduct:
-    def test_chain_map_over_several_rings(self):
-        rng = random.Random(8)
-        for ring in (ZZ, Zmod(2), Zmod(3)):
-            for _ in range(3):
-                L = random_chain_complex(ring, 3, 2, rng)
-                L2 = random_chain_complex(ring, 3, 2, rng)
-                assert cross_product(L, L2, 4).commutes_with_differential()
-
-    def test_single_term_per_source(self):
-        rng = random.Random(9)
-        L = random_chain_complex(ZZ, 2, 2, rng)
-        L2 = random_chain_complex(ZZ, 2, 2, rng)
-        cp = cross_product(L, L2, 4)
-        for n, f in cp.components.items():
-            cols = {}
-            for (t, s), c in f.entries.items():
-                cols.setdefault(s, []).append(c)
-            for s, vals in cols.items():
-                assert vals == [1]
-
-
-class TestShuffleFormula:
-    def _fixtures(self, ring=ZZ, seed=10):
-        rng = random.Random(seed)
-        L = random_chain_complex(ring, 2, 2, rng)
-        L2 = random_chain_complex(ring, 2, 2, rng)
-        return L, L2, dnc(L, 4), dnc(L2, 4)
-
-    def test_one_sided_bidegrees_single_term(self):
-        # (p, 0) and (0, q): one shuffle, sign +1
-        L, L2, K, K2 = self._fixtures()
-        for p in (1, 2):
-            f = shuffle_cubical(K, K2, p, 0)
-            for s in f.source.basis:
-                assert list(f.column(s).values()) in ([], [1])
-            g = shuffle_cubical(K, K2, 0, p)
-            for s in g.source.basis:
-                assert list(g.column(s).values()) in ([], [1])
-
-    def test_bidegree_one_one_signs(self):
-        # two (1,1)-shuffles with signs +1 and -1
-        L = ChainComplex(ZZ, {1: FreeModule(ZZ, ["x"])}, {})
-        L2 = ChainComplex(ZZ, {1: FreeModule(ZZ, ["y"])}, {})
-        K, K2 = dnc(L, 2), dnc(L2, 2)
-        f = shuffle_cubical(K, K2, 1, 1)
-        x, y = "x", "y"
-        col = f.column((x, y))
-        assert col == {
-            (("s", (2,), x), ("s", (1,), y)): 1,
-            (("s", (1,), x), ("s", (2,), y)): -1,
-        }
-
-    def test_symmetry_up_to_sign(self):
-        # swapping the factors conjugates sh_{p,q} into (-1)^{pq} sh_{q,p}
-        L, L2, K, K2 = self._fixtures()
-        ring = ZZ
-        for p in range(3):
-            for q in range(3):
-                if p not in L.modules or q not in L2.modules:
-                    continue
-                n = p + q
-                lhs = _swap(ring, K.module(n), K2.module(n)).compose(
-                    shuffle_cubical(K, K2, p, q))
-                rhs = shuffle_cubical(K2, K, q, p).compose(
-                    _swap(ring, K.module(p), K2.module(q)))
-                assert lhs == rhs.scale((-1) ** (p * q))
-
-    def test_threefold_factors_through_twofold(self):
-        L, L2, K, K2 = self._fixtures()
-        L3 = random_chain_complex(ZZ, 2, 2, random.Random(11))
-        K3 = dnc(L3, 4)
-        K12 = diagonal_tensor(K, K2)
-        for (p, q, r) in [(1, 1, 1), (1, 0, 2), (2, 1, 1), (0, 1, 1)]:
-            if r not in L3.modules:
-                continue
-            direct = multi_shuffle((K, K2, K3), (p, q, r))
-            step1 = tensor_map(shuffle_cubical(K, K2, p, q),
-                               FreeModuleMap.identity(K3.module(r)))
-            step2 = shuffle_cubical(K12, K3, p + q, r)
-            assert step2.compose(step1) == direct
-
-    def test_chain_map_in_one_sided_bidegrees(self):
-        rng = random.Random(12)
-        L = random_chain_complex(ZZ, 3, 2, rng)
-        U = random_chain_complex(ZZ, 0, 3, rng)
-        assert shuffle_chain_map(L, U, 3).commutes_with_differential()
-        assert shuffle_chain_map(U, L, 3).commutes_with_differential()
-
-    def test_mixed_bidegree_defect_is_doubling(self):
-        # the signed sum is NOT a chain map in mixed bidegrees: at (1,1)
-        # every boundary target collects both insertion slots with equal
-        # sign, so delta o sh = 2 (sh o d) on classes from bidegree (1,1)
-        ring = ZZ
-        m1 = FreeModule(ring, ["a1"])
-        m0 = FreeModule(ring, ["a0"])
-        L = ChainComplex(ring, {0: m0, 1: m1},
-                         {1: FreeModuleMap(m1, m0, {("a0", "a1"): 1})})
-        sh = shuffle_chain_map(L, L, 2)
-        src = tensor_complexes(L, L)
-        tgt = sh.target
-        lhs = tgt.differential(2).compose(sh.component(2))
-        rhs = sh.component(1).compose(src.differential(2))
-        assert lhs != rhs
-        assert lhs == rhs.scale(2)

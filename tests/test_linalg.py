@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainops.freemod import FreeModule, FreeModuleMap, tensor_map
+from chainops.freemod import FreeModule, FreeModuleMap
 from chainops.linalg import (
     EchelonBasis,
     det_unimodular,
@@ -22,14 +22,6 @@ from chainops.rings import QQ, ZZ, Zmod
 
 def mod(ring, basis):
     return FreeModule(ring, basis)
-
-
-def diag_map(ring, diag):
-    n = len(diag)
-    src = mod(ring, [("s", i) for i in range(n)])
-    tgt = mod(ring, [("t", i) for i in range(n)])
-    return FreeModuleMap(src, tgt, {(("t", i), ("s", i)): d
-                                    for i, d in enumerate(diag)})
 
 
 # -- independent oracle: gcd-based elementary reduction to diagonal ----------
@@ -226,40 +218,48 @@ class TestSolveLinear:
         assert solve_matrix([[3]], [1], ring) is None
 
 
-class TestTensorMap:
-    def test_identities(self):
-        id2 = FreeModuleMap.identity(mod(ZZ, ["a", "b"]))
-        id3 = FreeModuleMap.identity(mod(ZZ, ["x", "y", "z"]))
-        t = tensor_map(id2, id3)
-        assert t == FreeModuleMap.identity(id2.source.tensor(id3.source))
+def dense_map(source, target, rows):
+    return FreeModuleMap(source, target,
+                         {(t, s): rows[i][j]
+                          for i, t in enumerate(target.basis)
+                          for j, s in enumerate(source.basis)})
 
-    def test_zero(self):
-        z = FreeModuleMap.zero(mod(ZZ, ["a"]), mod(ZZ, ["b"]))
-        g = diag_map(ZZ, [5])
-        assert tensor_map(z, g).is_zero()
 
-    def test_diag_2_3(self):
-        f = diag_map(ZZ, [2])
-        g = diag_map(ZZ, [3])
-        t = tensor_map(f, g)
-        # expanded by hand: single pair basis element scaled by 6
-        assert t.entries == {((("t", 0), ("t", 0)), (("s", 0), ("s", 0))): 6}
+class TestCompose:
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(5), QQ])
+    def test_matches_dense_product(self, ring):
+        # g o f against the product of the dense matrices, summed here;
+        # small coefficients make some entries cancel to zero
+        rng = random.Random(5)
+        cancelled = 0
+        for _ in range(40):
+            a, b, c = (rng.randint(1, 4) for _ in range(3))
+            A = mod(ring, [("a", j) for j in range(a)])
+            B = mod(ring, [("b", k) for k in range(b)])
+            C = mod(ring, [("c", i) for i in range(c)])
+            F = [[ring.normalize(rng.randint(-2, 2)) for _ in range(a)]
+                 for _ in range(b)]
+            G = [[ring.normalize(rng.randint(-2, 2)) for _ in range(b)]
+                 for _ in range(c)]
+            want = [[ring.normalize(sum(G[i][k] * F[k][j]
+                                        for k in range(b)))
+                     for j in range(a)] for i in range(c)]
+            got = dense_map(B, C, G).compose(dense_map(A, B, F))
+            assert (got.source, got.target) == (A, C)
+            assert got.to_matrix() == want
+            cancelled += sum(
+                1 for i in range(c) for j in range(a)
+                if ring.is_zero(want[i][j])
+                and any(not ring.is_zero(ring.mul(G[i][k], F[k][j]))
+                        for k in range(b)))
+        assert cancelled > 0
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_functorial(self, data):
-        def rand_map(src, tgt):
-            return FreeModuleMap(src, tgt,
-                                 {(t, s): data.draw(st.integers(-2, 2))
-                                  for t in tgt.basis for s in src.basis})
-        a = mod(ZZ, ["a0", "a1"])
-        b = mod(ZZ, ["b0", "b1"])
-        c = mod(ZZ, ["c0"])
-        f, fp = rand_map(b, c), rand_map(a, b)
-        g, gp = rand_map(b, a), rand_map(c, b)
-        lhs = tensor_map(f.compose(fp), g.compose(gp))
-        rhs = tensor_map(f, g).compose(tensor_map(fp, gp))
-        assert lhs == rhs
+    def test_mismatched_modules_raise(self):
+        f = FreeModuleMap.identity(mod(ZZ, ["a"]))
+        with pytest.raises(ValueError):
+            FreeModuleMap.identity(mod(ZZ, ["b"])).compose(f)
+        with pytest.raises(ValueError):
+            FreeModuleMap.identity(mod(Zmod(5), ["a"])).compose(f)
 
 
 class TestKernelAndQuotient:
