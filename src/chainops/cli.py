@@ -322,10 +322,6 @@ def cmd_einfinity_check(args):
 def cmd_steenrod(args):
     if args.p != 2:
         raise ParseError("the operation-table command runs at p = 2")
-    if args.degree_cap < 1:
-        # no class of degree 0 is squared, so a cap of 0 compares nothing
-        raise ParseError(f"--degree-cap must be at least 1, got "
-                         f"{args.degree_cap}")
     ring = Zmod(2)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
@@ -527,12 +523,17 @@ def render(report, fmt):
     return "\n".join(lines) + "\n"
 
 
-# the least value each count or size option accepts; below it a request
-# compares nothing or is malformed (an Adem pair has a, b >= 1, so a
-# sum cap --amax below 2 admits no pair)
-LEAST_VALUE = {"arity_cap": 1, "dim": 0, "count": 1, "length": 0,
-               "max_rank": 0, "cap": 1, "degree_cap": 0, "length_cap": 0,
-               "smax": 0, "amax": 2}
+# the least value each count or size option accepts, for every command
+# (key None) and where a command's differs; below it a request compares
+# nothing or is malformed.  An Adem pair has a, b >= 1, so a sum cap
+# --amax below 2 admits no pair; steenrod squares no class of degree 0,
+# so its --degree-cap of 0 compares nothing.
+LEAST_VALUE = {
+    None: {"arity_cap": 1, "dim": 0, "count": 1, "length": 0,
+           "max_rank": 0, "cap": 1, "degree_cap": 0, "length_cap": 0,
+           "smax": 0, "amax": 2},
+    "steenrod": {"degree_cap": 1},
+}
 
 
 def main(argv=None):
@@ -543,7 +544,9 @@ def main(argv=None):
     try:
         if getattr(args, "p", None) is not None and not _is_prime(args.p):
             raise ParseError(f"--p must be a prime, got {args.p}")
-        for name, least in LEAST_VALUE.items():
+        least_values = dict(LEAST_VALUE[None],
+                            **LEAST_VALUE.get(args.command, {}))
+        for name, least in least_values.items():
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ParseError(f"--{name.replace('_', '-')} must be at "

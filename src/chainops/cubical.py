@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap, HOMOLOGICAL
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .rings import RingSpec
 
 
@@ -115,12 +115,7 @@ def nc(K: CubicalModule) -> ChainComplex:
         for i in range(1, n + 1):
             sign = ring.normalize((-1) ** i)
             for eps, c in ((0, sign), (1, ring.neg(sign))):
-                for k, v in K.face(n, i, eps).entries.items():
-                    val = ring.add(entries.get(k, ring.zero()), ring.mul(c, v))
-                    if ring.is_zero(val):
-                        entries.pop(k, None)
-                    else:
-                        entries[k] = val
+                add_scaled(entries, c, K.face(n, i, eps).entries, ring)
         diffs[n] = FreeModuleMap(K.module(n), K.module(n - 1), entries)
     return ChainComplex(ring, dict(K.modules), diffs, HOMOLOGICAL)
 

@@ -11,6 +11,31 @@ from __future__ import annotations
 from .rings import RingSpec
 
 
+def add_scaled(acc, c, vec, ring: RingSpec):
+    """acc += c * vec on sparse vectors (dicts label -> coefficient), in
+    place, dropping the entries that become zero; returns acc.
+
+    c and the entries of vec are ints (Z, Z/m) or ints and Fractions
+    (Q); the sums are reduced mod m over Z/m."""
+    if ring.kind == "Zmod":
+        m = ring.modulus
+        for k, x in vec.items():
+            t = (acc.get(k, 0) + c * x) % m
+            if t:
+                acc[k] = t
+            else:
+                acc.pop(k, None)
+    else:
+        zero = ring.zero()
+        for k, x in vec.items():
+            t = acc.get(k, zero) + c * x
+            if t:
+                acc[k] = t
+            else:
+                acc.pop(k, None)
+    return acc
+
+
 class FreeModule:
     """Free module over a RingSpec with an ordered basis of opaque labels."""
 
@@ -131,18 +156,14 @@ class FreeModuleMap:
         """self o first."""
         if first.target != self.source:
             raise ValueError("composition mismatch")
-        ring = self.ring
+        columns = {}
+        for (t, mid), c in self.entries.items():
+            columns.setdefault(mid, {})[t] = c
         entries = {}
         for (mid, s), c in first.entries.items():
-            for (t, mid2), c2 in self.entries.items():
-                if mid2 != mid:
-                    continue
-                key = (t, s)
-                val = ring.add(entries.get(key, ring.zero()), ring.mul(c2, c))
-                if ring.is_zero(val):
-                    entries.pop(key, None)
-                else:
-                    entries[key] = val
+            add_scaled(entries, c, {(t, s): c2 for t, c2
+                                    in columns.get(mid, {}).items()},
+                       self.ring)
         return FreeModuleMap(first.source, self.target, entries)
 
     def is_zero(self):

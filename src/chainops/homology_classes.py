@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex
+from .freemod import add_scaled
 from .linalg import (EchelonBasis, identity_matrix, kernel_matrix,
                      lattice_coordinates, rref, smith_normal_form_matrix,
                      sparse_rows)
@@ -145,13 +146,7 @@ class HomologySpace:
         """A cycle (dict) whose class has the given generator coordinates."""
         out = {}
         for c, gen in zip(coords, self.generators):
-            for i, v in enumerate(gen):
-                t = self.ring.add(out.get(self.basis[i], self.ring.zero()),
-                                  self.ring.mul(self.ring.normalize(c), v))
-                if self.ring.is_zero(t):
-                    out.pop(self.basis[i], None)
-                else:
-                    out[self.basis[i]] = t
+            add_scaled(out, c, dict(zip(self.basis, gen)), self.ring)
         return out
 
     def all_classes(self):

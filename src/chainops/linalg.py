@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .rings import QQ, RingSpec, ZZ
 
 
@@ -122,26 +122,6 @@ def sparse_rows(rows, ring: RingSpec):
     return out
 
 
-def _sub_scaled(dst, f, src, ring: RingSpec):
-    """dst -= f * src on sparse rows, in place, dropping zeros."""
-    if ring.kind == "Zmod":
-        m = ring.modulus
-        for k, x in src.items():
-            t = (dst.get(k, 0) - f * x) % m
-            if t:
-                dst[k] = t
-            else:
-                dst.pop(k, None)
-    else:
-        zero = ring.zero()
-        for k, x in src.items():
-            t = dst.get(k, zero) - f * x
-            if t:
-                dst[k] = t
-            else:
-                dst.pop(k, None)
-
-
 class EchelonBasis:
     """A subspace over a field, grown one vector at a time and kept in
     reduced row echelon form.
@@ -172,7 +152,7 @@ class EchelonBasis:
         v = dict(v)
         rows = self.rows
         for c in [c for c in v if c in rows]:
-            _sub_scaled(v, v[c], rows[c], self.ring)
+            add_scaled(v, -v[c], rows[c], self.ring)
         return v
 
     def add(self, v) -> bool:
@@ -187,7 +167,7 @@ class EchelonBasis:
         for other in self.rows.values():
             f = other.get(c0)
             if f is not None:
-                _sub_scaled(other, f, r, ring)
+                add_scaled(other, -f, r, ring)
         self.rows[c0] = r
         self.kept.append(v)
         self._inverse = None

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import ChainComplex, ChainMap, HOMOLOGICAL, homology
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .rings import RingSpec, SizeBoundError
 from .simplicial import FiniteSimplicialSet, cochains
 
@@ -410,25 +410,6 @@ def _d_of_basis(C: ChainComplex, label, degree):
     return d.column(label) if d is not None else {}
 
 
-def _scaled(ring, vec, c):
-    out = {}
-    for kk, v in vec.items():
-        t = ring.mul(ring.normalize(c), v)
-        if not ring.is_zero(t):
-            out[kk] = t
-    return out
-
-
-def _accumulate(ring, acc, vec, c=1):
-    for kk, v in vec.items():
-        t = ring.add(acc.get(kk, ring.zero()),
-                     ring.mul(ring.normalize(c), v))
-        if ring.is_zero(t):
-            acc.pop(kk, None)
-        else:
-            acc[kk] = t
-
-
 def _arity_tuples(total_max, k):
     return itertools.product(range(1, total_max + 1), repeat=k)
 
@@ -457,19 +438,19 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
         j = sum(js)
         lhs = {}
         for w, c in O.compose_basis(u, k, vs, js).items():
-            _accumulate(ring, lhs, _d_of_basis(O.level(j), w, du + sum(ds)),
-                        c)
+            add_scaled(lhs, c, _d_of_basis(O.level(j), w, du + sum(ds)),
+                       ring)
         rhs = {}
         for u2, c in _d_of_basis(O.level(k), u, du).items():
-            _accumulate(ring, rhs, O.compose_basis(u2, k, vs, js), c)
+            add_scaled(rhs, c, O.compose_basis(u2, k, vs, js), ring)
         sgn = (-1) ** du
         for s in range(k):
             for v2, c in _d_of_basis(O.level(js[s]), vs[s],
                                      ds[s]).items():
                 vs2 = list(vs)
                 vs2[s] = v2
-                _accumulate(ring, rhs, O.compose_basis(u, k, vs2, js),
-                            ring.mul(ring.normalize(sgn), c))
+                add_scaled(rhs, sgn * c, O.compose_basis(u, k, vs2, js),
+                           ring)
             sgn *= (-1) ** ds[s]
         return lhs == rhs
 
@@ -553,9 +534,8 @@ def _check_equivariance(O: Operad, arity_cap, degree_cap, failures):
                         lhs = {}
                         for u2, c in _act_on_label(O, k, perm, u,
                                                    du).items():
-                            _accumulate(ring, lhs,
-                                        O.compose_basis(u2, k, vs,
-                                                        list(js)), c)
+                            add_scaled(lhs, c, O.compose_basis(
+                                u2, k, vs, list(js)), ring)
                         # permuted inputs, then the block permutation of
                         # the output, with the Koszul sign of the input
                         # rearrangement
@@ -569,8 +549,7 @@ def _check_equivariance(O: Operad, arity_cap, degree_cap, failures):
                         for w, c in inner.items():
                             dd = du + sum(ds)
                             img = _act_on_label(O, j, block, w, dd)
-                            _accumulate(ring, rhs, img,
-                                        ring.mul(ring.normalize(sgn), c))
+                            add_scaled(rhs, sgn * c, img, ring)
                         if lhs != rhs:
                             failures.append(
                                 {"check": "outer-equivariance",
@@ -586,9 +565,8 @@ def _check_equivariance(O: Operad, arity_cap, degree_cap, failures):
                                     O, js[s], tau, vs[s], ds[s]).items():
                                 vs2 = list(vs)
                                 vs2[s] = v2
-                                _accumulate(ring, lhs,
-                                            O.compose_basis(u, k, vs2,
-                                                            list(js)), c)
+                                add_scaled(lhs, c, O.compose_basis(
+                                    u, k, vs2, list(js)), ring)
                             blocksum = _block_sum(js, s, tau)
                             inner = O.compose_basis(u, k, vs, list(js))
                             rhs = {}
@@ -596,7 +574,7 @@ def _check_equivariance(O: Operad, arity_cap, degree_cap, failures):
                             for w, c in inner.items():
                                 dd = du + sum(ds)
                                 img = _act_on_label(O, j, blocksum, w, dd)
-                                _accumulate(ring, rhs, img, c)
+                                add_scaled(rhs, c, img, ring)
                             if lhs != rhs:
                                 failures.append(
                                     {"check": "inner-equivariance",
@@ -667,8 +645,8 @@ def _check_associativity(O: Operad, arity_cap, degree_cap, failures):
 def _associativity_holds(O, ring, k, u, js, vs, dvs, ls, ws, dws, du):
     left = {}
     for m, c in O.compose_basis(u, k, vs, list(js)).items():
-        _accumulate(ring, left,
-                    O.compose_basis(m, sum(js), ws, list(ls)), c)
+        add_scaled(left, c, O.compose_basis(m, sum(js), ws, list(ls)),
+                   ring)
     prefix = [0]
     for x in js:
         prefix.append(prefix[-1] + x)
@@ -682,6 +660,7 @@ def _associativity_holds(O, ring, k, u, js, vs, dvs, ls, ws, dws, du):
         if (dblock * dlater) % 2:
             koszul = -koszul
         inner_results.append(O.compose_basis(vs[s], js[s], block, bls))
+    lens = [sum(ls[prefix[s]:prefix[s + 1]]) for s in range(k)]
     right = {}
     for combo in itertools.product(*[list(m.items())
                                      for m in inner_results]):
@@ -689,11 +668,7 @@ def _associativity_holds(O, ring, k, u, js, vs, dvs, ls, ws, dws, du):
         coeff = ring.normalize(koszul)
         for _, c in combo:
             coeff = ring.mul(coeff, c)
-        _accumulate(ring, right,
-                    O.compose_basis(u, k, newvs, [sum(ls[prefix[s]:
-                                                        prefix[s + 1]])
-                                                  for s in range(k)]),
-                    coeff)
+        add_scaled(right, coeff, O.compose_basis(u, k, newvs, lens), ring)
     return left == right
 
 
@@ -799,7 +774,8 @@ def _cut_sign(u, lens, tpts):
     return -1 if (inv + extra) % 2 else 1
 
 
-def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs):
+def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
+                        cells=None):
     """theta(u; x_1..x_k) on normalized cochains of X.
 
     xs: list of (cochain, degree) pairs, where a cochain is either a
@@ -809,6 +785,11 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs):
     ways of cutting 0..n into k+d intervals, assigned to the values of
     u in order, of the product of the x_s evaluated on the
     concatenations of their intervals.
+
+    cells, when given, is a function of the output degree n returning
+    the n-simplices to evaluate on; the result is then the cochain
+    restricted to them.  It selects outputs only: the inputs are read
+    wherever the cuts' faces land.
     """
     d = len(u) - k
     ns = [deg for _, deg in xs]
@@ -850,7 +831,7 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs):
         else:
             cuts.append([vertex_sets, lens, tpts, None])
     out = {}
-    for sigma in X.simplices(n):
+    for sigma in X.simplices(n) if cells is None else cells(n):
         sx = X.nondegenerate(sigma)
         faces = {}      # vertex set -> face of sx, shared by the cuts
         total = ring.zero()
@@ -927,7 +908,7 @@ def _theta_linear(alg: OperadAlgebra, u, k, xs_mixed):
         coeff = ring.one()
         for _, c in combo:
             coeff = ring.mul(coeff, ring.normalize(c))
-        _accumulate(ring, out, alg.theta(u, k, xs), coeff)
+        add_scaled(out, coeff, alg.theta(u, k, xs), ring)
     return out
 
 
@@ -964,17 +945,16 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                 n_out = sum(ns) - du
                 lhs = {}
                 for lab, c in theta(u, k, xs).items():
-                    _accumulate(ring, lhs, _d_of_basis(C, lab, n_out), c)
+                    add_scaled(lhs, c, _d_of_basis(C, lab, n_out), ring)
                 rhs = {}
                 for u2, c in _d_of_basis(O.level(k), u, du).items():
-                    _accumulate(ring, rhs, theta(u2, k, xs), c)
+                    add_scaled(rhs, c, theta(u2, k, xs), ring)
                 sgn = (-1) ** du
                 for s in range(k):
                     for lab2, c in _d_of_basis(C, xs[s][0], ns[s]).items():
                         xs2 = list(xs)
                         xs2[s] = (lab2, ns[s] + 1)
-                        _accumulate(ring, rhs, theta(u, k, xs2),
-                                    ring.mul(ring.normalize(sgn), c))
+                        add_scaled(rhs, sgn * c, theta(u, k, xs2), ring)
                     sgn *= (-1) ** ns[s]
                 if lhs != rhs:
                     failures.append({"check": "action-chain-map",
@@ -984,10 +964,10 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                         range(1, k + 1)))[1:]:
                     acted = {}
                     for u2, c in _act_on_label(O, k, perm, u, du).items():
-                        _accumulate(ring, acted, theta(u2, k, xs), c)
+                        add_scaled(acted, c, theta(u2, k, xs), ring)
                     xs_in = [xs[perm[s] - 1] for s in range(k)]
                     sgn = _koszul_permutation_sign(ns, perm)
-                    direct = _scaled(ring, theta(u, k, xs_in), sgn)
+                    direct = add_scaled({}, sgn, theta(u, k, xs_in), ring)
                     if acted != direct:
                         failures.append({"check": "commutativity",
                                          "witness": (k, u, tuple(xs),
@@ -1022,8 +1002,7 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                         lhs = {}
                         for w, c in O.compose_basis(u, k, vs,
                                                     list(js)).items():
-                            _accumulate(ring, lhs,
-                                        theta(w, sum(js), xs), c)
+                            add_scaled(lhs, c, theta(w, sum(js), xs), ring)
                         sgn = 1
                         inner = []
                         for s in range(k):
@@ -1034,9 +1013,9 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                             val = theta(vs[s], js[s], block)
                             m = sum(n for _, n in block) - dvs[s]
                             inner.append((val, m))
-                        rhs = _scaled(ring,
-                                      _theta_linear(alg, u, k, inner),
-                                      sgn)
+                        rhs = add_scaled({}, sgn,
+                                         _theta_linear(alg, u, k, inner),
+                                         ring)
                         if lhs != rhs:
                             failures.append(
                                 {"check": "composition-compatibility",

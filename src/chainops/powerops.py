@@ -16,11 +16,11 @@ import math
 import random
 
 from .complexes import ChainComplex
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
 from .operads import (interval_cut_action, rename_values,
                       surjection_boundary, surjection_words)
-from .rings import RingSpec, SizeBoundError, Zmod, _is_prime
+from .rings import ZZ, RingSpec, SizeBoundError, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains, cochains,
                          product_space, word_for_positions)
 
@@ -192,19 +192,10 @@ def _verify_psi(W: WResolution):
 # equivariant lift into the surjection operad level
 # ---------------------------------------------------------------------------
 
-def _apply_word_boundary(vector, k, ring=None):
+def _apply_word_boundary(vector, k, ring=ZZ):
     out = {}
     for w, c in vector.items():
-        for w2, c2 in surjection_boundary(w, k).items():
-            if ring is None:
-                t = out.get(w2, 0) + c * c2
-            else:
-                t = ring.add(out.get(w2, ring.zero()),
-                             ring.mul(c, ring.normalize(c2)))
-            if t:
-                out[w2] = t
-            else:
-                out.pop(w2, None)
+        add_scaled(out, c, surjection_boundary(w, k), ring)
     return out
 
 
@@ -223,14 +214,8 @@ def _contraction_solve(c, k, ring):
     for w, co in c.items():
         if w[0] != 1:
             hx[(1,) + w] = co
-    rem = dict(c)
-    for w, co in _apply_word_boundary(hx, k, ring).items():
-        t = ring.add(rem.get(w, ring.zero()), ring.neg(co))
-        if ring.is_zero(t):
-            rem.pop(w, None)
-        else:
-            rem[w] = t
-    rem = {w: co for w, co in rem.items() if not ring.is_zero(co)}
+    rem = add_scaled({w: co for w, co in c.items() if not ring.is_zero(co)},
+                     -1, _apply_word_boundary(hx, k, ring), ring)
     x.update(hx)
     if rem:
         if any(w[0] != 1 or 1 in w[1:] for w in rem) or k < 2:
@@ -297,12 +282,7 @@ class EquivariantLift:
             words_up = surjection_words(p, n + 1)
             picks = rng.sample(words_up, min(3, len(words_up)))
             pert = {w: rng.randrange(p) for w in picks}
-            for w, co in _apply_word_boundary(pert, p).items():
-                t = ring.add(x.get(w, ring.zero()), ring.normalize(co))
-                if ring.is_zero(t):
-                    x.pop(w, None)
-                else:
-                    x[w] = t
+            add_scaled(x, 1, _apply_word_boundary(pert, p), ring)
         check = _apply_word_boundary({w: int(c) for w, c in x.items()}, p)
         check = {w: co % p for w, co in check.items() if co % p}
         want = {w: int(c) % p for w, c in target.items() if int(c) % p}
@@ -331,16 +311,9 @@ class EquivariantLift:
 
     def apply_group_element(self, n, element):
         """Image of (sum_j c_j alpha^j) e_n."""
-        ring = self.ring
         out = {}
         for j, c in element.items():
-            for w, c2 in self.vector(n, j).items():
-                t = ring.add(out.get(w, ring.zero()),
-                             ring.mul(ring.normalize(c), c2))
-                if ring.is_zero(t):
-                    out.pop(w, None)
-                else:
-                    out[w] = t
+            add_scaled(out, c, self.vector(n, j), self.ring)
         return out
 
 
@@ -406,32 +379,23 @@ def nu(q, p):
 
 
 def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
-              lift: EquivariantLift, n: int, x: dict, q: int) -> dict:
+              lift: EquivariantLift, n: int, x: dict, q: int,
+              cells=None) -> dict:
     """Evaluate the lifted generator e_n on the p-th tensor power of
     the cochain x of degree q, growing the lift to degree n first if
-    it has not reached it."""
+    it has not reached it.  cells, when given, selects the output
+    simplices evaluated, as in interval_cut_action."""
     p = lift.p
     out = {}
     for w, c in lift.component(n).items():
-        term = interval_cut_action(X, ring, w, p, [(x, q)] * p)
-        for lab, c2 in term.items():
-            t = ring.add(out.get(lab, ring.zero()), ring.mul(c, c2))
-            if ring.is_zero(t):
-                out.pop(lab, None)
-            else:
-                out[lab] = t
+        add_scaled(out, c, interval_cut_action(X, ring, w, p, [(x, q)] * p,
+                                               cells), ring)
     return out
 
 
-def _scaled_cochain(ring, x, c):
-    c = ring.normalize(c)
-    if ring.is_zero(c):
-        return {}
-    return {lab: ring.mul(c, v) for lab, v in x.items()}
-
-
 def power_op(x: BigradedClass, s: int, alg, W: WResolution,
-             lift: EquivariantLift, bocksteined=False) -> BigradedClass:
+             lift: EquivariantLift, bocksteined=False,
+             cells=None) -> BigradedClass:
     """P^{s} of a cocycle class (or beta-P^s when bocksteined).
 
     The generator index is (2s - q)(p - 1), minus one for the Bockstein
@@ -441,7 +405,10 @@ def power_op(x: BigradedClass, s: int, alg, W: WResolution,
     (-1)^s nu(-q).  The zero class goes to the zero class without
     touching the lift; otherwise the lift grows to the index if needed,
     which stays within W = build_w(p, p * maxdim) because the index is
-    at most p*q whenever the output degree is nonnegative.
+    at most p*q whenever the output degree is nonnegative.  cells, when
+    given, selects the output simplices evaluated (see
+    interval_cut_action); the representative is then the operation's
+    value restricted to them, which need not be a cocycle.
     """
     p = W.p
     ring = alg.ring
@@ -452,10 +419,10 @@ def power_op(x: BigradedClass, s: int, alg, W: WResolution,
     out_degree = p * q - idx
     if idx < 0 or out_degree < 0 or not x.rep:
         return BigradedClass(out_degree, out_weight, {})
-    rep = theta_bar(X, ring, lift, idx, x.rep, q)
+    rep = theta_bar(X, ring, lift, idx, x.rep, q, cells)
     if p > 2:
         scale = ((-1) ** (s % 2)) * nu(-q, p)
-        rep = _scaled_cochain(ring, rep, scale)
+        rep = add_scaled({}, scale, rep, ring)
     return BigradedClass(out_degree, out_weight, rep)
 
 
@@ -478,7 +445,7 @@ def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
         return BigradedClass(out_degree, out_weight, {})
     rep = theta_bar(alg.space, ring, lift, idx, x.rep, q)
     if p > 2:
-        rep = _scaled_cochain(ring, rep, _classical_scale(q, s, p))
+        rep = add_scaled({}, _classical_scale(q, s, p), rep, ring)
     return BigradedClass(out_degree, out_weight, rep)
 
 
@@ -590,21 +557,26 @@ class CochainSystem:
 def cochain_cross(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
                   ring: RingSpec, x: dict, q: int, y: dict, qq: int,
                   product: FiniteSimplicialSet) -> dict:
-    """The cochain cross product on a materialized product space:
-    evaluate x on the front q-face of the first factor and y on the
-    back face of the second (the dual of the Alexander-Whitney map)."""
+    """The cochain cross product on the product space X x Y: evaluate x
+    on the front q-face of the first factor and y on the back face of
+    the second (the dual of the Alexander-Whitney map).  Each factor's
+    face is taken once per component simplex, not once per cell."""
     n = q + qq
     out = {}
     if q < 0 or qq < 0 or not x or not y or n not in product.dims():
         return out
-    for (a, b) in product.simplices(n):
-        front = X.vertex_face(a, range(q + 1))
-        back = Y.vertex_face(b, range(q, n + 1))
-        if front.is_degenerate or back.is_degenerate:
-            continue
-        cx = x.get(front.base, ring.zero())
-        cy = y.get(back.base, ring.zero())
-        c = ring.mul(cx, cy)
+
+    def value(S, cochain, sx, vertices):
+        face = S.vertex_face(sx, vertices)
+        if face.is_degenerate:
+            return ring.zero()
+        return cochain.get(face.base, ring.zero())
+
+    cells = product.simplices(n)
+    front = {a: value(X, x, a, range(q + 1)) for a in {a for a, _ in cells}}
+    back = {b: value(Y, y, b, range(q, n + 1)) for b in {b for _, b in cells}}
+    for (a, b) in cells:
+        c = ring.mul(front[a], back[b])
         if not ring.is_zero(c):
             out[(a, b)] = c
     return out
@@ -625,7 +597,9 @@ class ProductClassifier:
     the order of the coordinates.  A row holds the merged (product
     simplex, coefficient) entries of its cycle's shuffle image, with
     zero entries dropped, so coordinates(z, n) costs one lookup and one
-    multiply-add per entry and one normalize per row.
+    multiply-add per entry and one normalize per row.  The simplices
+    the rows name are the table's support: coordinates(z, n) reads z
+    there and nowhere else.
     """
 
     def __init__(self, X, Y, ring):
@@ -643,12 +617,9 @@ class ProductClassifier:
 
     def coordinates(self, z: dict, n: int):
         """Pair the degree-n cocycle z against every product cycle."""
-        table = self._tables.get(n)
-        if table is None:
-            table = self._tables[n] = self._pairing_table(n)
         get = z.get
         vals = []
-        for row in table:
+        for row in self._table(n)[0]:
             total = 0
             for lab, c in row:
                 v = get(lab)
@@ -656,6 +627,21 @@ class ProductClassifier:
                     total += c * v
             vals.append(self.ring.normalize(total))
         return tuple(vals)
+
+    def support(self, n):
+        """The degree-n product simplices the pairing table reads, in
+        order of first appearance."""
+        return self._table(n)[1]
+
+    def _table(self, n):
+        """(pairing table, support) in degree n, built on first use."""
+        table = self._tables.get(n)
+        if table is None:
+            rows = self._pairing_table(n)
+            support = list(dict.fromkeys(lab for row in rows
+                                         for lab, _ in row))
+            table = self._tables[n] = (rows, support)
+        return table
 
     def _pairing_table(self, n):
         ring = self.ring
@@ -705,16 +691,6 @@ def _shuffles(i, j, ring):
 # relation verifiers
 # ---------------------------------------------------------------------------
 
-def _class_add(ring, acc, term, scale=1):
-    scale = ring.normalize(scale)
-    for lab, c in term.items():
-        t = ring.add(acc.get(lab, ring.zero()), ring.mul(scale, c))
-        if ring.is_zero(t):
-            acc.pop(lab, None)
-        else:
-            acc[lab] = t
-
-
 def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                   with_bockstein: bool = True, lift_cap: int = None) -> dict:
     """Check P^s(x cross y) = sum_{i+j=s} P^i(x) cross P^j(y) for all
@@ -728,6 +704,12 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
 
     the sign being the Koszul sign beta picks up as a degree-one
     derivation passing P^i(x).
+
+    Both sides are compared by their classifier coordinates, which read
+    a product cochain only on the pairing table's support.  The left
+    side is therefore evaluated on the support cells alone; its input,
+    the cross product x cross y, is built on every cell, since the cuts
+    of a support cell read it on faces outside the support.
 
     The lift grows to whatever index the sweep asks for, and the
     resolution is built to p times the dimension of the product space,
@@ -774,7 +756,8 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                      else (False,)):
                             checked += 1
                             lhs = power_op(z, s, palg, W, lift,
-                                           bocksteined=bock)
+                                           bocksteined=bock,
+                                           cells=classifier.support)
                             terms = []
                             for i in range(s + 1):
                                 j = s - i
@@ -788,9 +771,9 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                                   (-1) ** (a2.degree % 2)))
                             rhs = {}
                             for a, b, sign in terms:
-                                _class_add(ring, rhs, cochain_cross(
+                                add_scaled(rhs, sign, cochain_cross(
                                     X, X, ring, a.rep, a.degree,
-                                    b.rep, b.degree, P), sign)
+                                    b.rep, b.degree, P), ring)
                             n_out = lhs.degree
                             if n_out < 0 or n_out not in P.dims():
                                 if lhs.rep or rhs:
@@ -888,7 +871,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
                             failures.append({"check": "adem-degree",
                                              "witness": (q, a, b, eps, i)})
                             continue
-                        _class_add(ring, rhs, t2.rep, c)
+                        add_scaled(rhs, c, t2.rep, ring)
                     if deg >= 0 and class_coords(lhs.rep, deg) != \
                             class_coords(rhs, deg):
                         failures.append({
@@ -907,13 +890,13 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
                             if c % p:
                                 t1 = op(x, i, False)
                                 t2 = op(t1, a + b - i, True)
-                                _class_add(ring, rhs, t2.rep, c)
+                                add_scaled(rhs, c, t2.rep, ring)
                         c2 = (-1) ** ((a + i) % 2) * checked_coefficient(
                             a - p * i - 1, (p - 1) * b - a + i)
                         if c2 % p:
                             t1 = op(x, i, True)
                             t2 = op(t1, a + b - i, eps == 1)
-                            _class_add(ring, rhs, t2.rep, -c2)
+                            add_scaled(rhs, -c2, t2.rep, ring)
                     if deg >= 0 and class_coords(lhs.rep, deg) != \
                             class_coords(rhs, deg):
                         failures.append({

@@ -4,7 +4,8 @@ A (possibly degenerate) simplex is a pair (word, base): a canonical word of
 degeneracy indices applied to a nondegenerate base simplex.  Words are kept
 strictly decreasing via s_i s_j = s_{j+1} s_i (i <= j), so simplex equality
 is structural.  Face maps rewrite through the word with the simplicial
-identities and bottom out in the space's face table.
+identities and bottom out in the space's face table; a product space
+has none, and takes its faces in the two factors.
 """
 
 from __future__ import annotations
@@ -248,47 +249,72 @@ def _bar_simplex(tup) -> Simplex:
 
 
 def product_space(X: FiniteSimplicialSet, Y: FiniteSimplicialSet,
-                  name=None) -> FiniteSimplicialSet:
-    """Materialized product simplicial set, up to dimension
-    dim X + dim Y, where its nondegenerate simplices end.
+                  name=None) -> ProductSpace:
+    """The product simplicial set X x Y."""
+    return ProductSpace(X, Y, name or f"{X.name}x{Y.name}")
+
+
+class ProductSpace(FiniteSimplicialSet):
+    """X x Y, with no face table: each degree's cells are listed on first
+    read, and faces are taken in the factors.
 
     Nondegenerate n-simplices are pairs (s_I x, s_J y) with x, y
-    nondegenerate and disjoint degeneracy position sets I, J.
+    nondegenerate and disjoint degeneracy position sets I, J; they run
+    up to dimension dim X + dim Y.  A simplex (word, (a, b)) stands for
+    the pair (s_word a, s_word b); a face operator acts on both
+    components, and pair_simplex brings the result back to canonical
+    form.
     """
-    cap = max(X.dims()) + max(Y.dims())
-    simplices = {}
-    for n in range(cap + 1):
+
+    def __init__(self, X, Y, name):
+        self.name = name
+        self.X = X
+        self.Y = Y
+        self._degrees = sorted({n for px in X.dims() for py in Y.dims()
+                                for n in range(max(px, py), px + py + 1)})
+        self._simplices = {}
+
+    def dims(self):
+        return list(self._degrees)
+
+    def simplices(self, n):
+        cells = self._simplices.get(n)
+        if cells is None:
+            cells = self._simplices[n] = self._cells(n)
+        return cells
+
+    def _cells(self, n):
+        X, Y = self.X, self.Y
         cells = []
         for px in X.dims():
-            if px > n:
-                continue
             for py in Y.dims():
-                if py > n or (n - px) + (n - py) > n:
+                if px > n or py > n or (n - px) + (n - py) > n:
                     continue
                 for a_id in X.simplices(px):
                     for b_id in Y.simplices(py):
-                        positions = range(n)
-                        for I in itertools.combinations(positions, n - px):
-                            rest = [t for t in positions if t not in I]
+                        for I in itertools.combinations(range(n), n - px):
+                            rest = [t for t in range(n) if t not in I]
                             for J in itertools.combinations(rest, n - py):
-                                a = Simplex(word_for_positions(I), a_id, px)
-                                b = Simplex(word_for_positions(J), b_id, py)
-                                cells.append((a, b))
-        if cells:
-            simplices[n] = sorted(cells)
-    faces = {}
-    for n in sorted(simplices):
-        if n == 0:
-            continue
-        for (a, b) in simplices[n]:
-            for i in range(n + 1):
-                faces[(n, (a, b), i)] = pair_simplex(X, Y, X.face(a, i),
-                                                     Y.face(b, i))
-    return FiniteSimplicialSet(name or f"{X.name}x{Y.name}", simplices,
-                               faces)
+                                cells.append((
+                                    Simplex(word_for_positions(I), a_id, px),
+                                    Simplex(word_for_positions(J), b_id, py)))
+        return sorted(cells)
+
+    def nondegenerate(self, base) -> Simplex:
+        return Simplex((), base, base[0].dim)
+
+    def face(self, sx: Simplex, i: int) -> Simplex:
+        return self.vertex_face(sx, [v for v in range(sx.dim + 1) if v != i])
+
+    def vertex_face(self, sx: Simplex, vertices) -> Simplex:
+        a, b = sx.base
+        for t in reversed(sx.word):
+            a, b = self.X.degeneracy(a, t), self.Y.degeneracy(b, t)
+        return pair_simplex(self.X.vertex_face(a, vertices),
+                            self.Y.vertex_face(b, vertices))
 
 
-def pair_simplex(X, Y, a: Simplex, b: Simplex) -> Simplex:
+def pair_simplex(a: Simplex, b: Simplex) -> Simplex:
     """Canonical (word, (a', b')) form of a pair of component simplices.
 
     A canonical word lists its collapse positions in decreasing order, so

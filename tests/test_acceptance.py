@@ -382,6 +382,9 @@ class TestCriterion10Determinism:
          "--degree-cap", "3"],
         ["cartan-check", "--space", "bz3", "--dim", "2", "--degree-cap",
          "1", "--smax", "2"],
+        # the product's first factor is itself a product
+        ["cartan-check", "--space", "torus", "--degree-cap", "1", "--smax",
+         "1"],
         ["adem-check", "--space", "bz3", "--dim", "3", "--degree-cap", "2",
          "--amax", "3"],
         ["bar", "--fixture", "square-generator"],

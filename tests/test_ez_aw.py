@@ -2,9 +2,10 @@
 
 The shuffle map sends x (x) y, for a p-simplex x and a q-simplex y, to the
 signed sum over (p, q)-shuffles (mu, nu) of the pairs (s_nu x, s_mu y).  The
-tests write it out by hand for p + q <= 2 and check, on the product
-simplicial set that `product_space` builds, that the shuffles of the
-circle's generating cycles generate the torus's homology.
+tests write it out by hand for p + q <= 2 and check, on
+`product_space(circle, circle)` (cells listed from the factors, faces
+taken in them), that the shuffles of the circle's generating cycles
+generate the torus's homology.
 """
 
 from chainops.homology_classes import HomologySpace

@@ -10,6 +10,7 @@ from chainops.homology_classes import HomologySpace
 from chainops.operads import cochain_algebra, cup_product, surjection_words
 from chainops.powerops import (
     BigradedClass,
+    CochainSystem,
     ProductClassifier,
     adem_coefficient,
     bockstein,
@@ -474,6 +475,49 @@ class TestProductClassifier:
             assert len(set(coords)) == len(coords), n
             assert all(any(not ring.is_zero(v) for v in c) for c in coords)
 
+
+
+class TestCartanSupportRestriction:
+    """verify_cartan evaluates its left side only on the cells the
+    classifier reads.  On BZ/3 to dimension 3 that must give the same
+    coordinates as the full evaluation for every class pair of degree
+    <= 2, every s <= 2 and both variants, s = q1 + q2 included, where
+    the output degree is the degree of the cross product itself."""
+
+    def test_support_evaluation_keeps_the_coordinates(self):
+        ring = Zmod(3)
+        X = classifying_space(3, 3)
+        alg = CochainSystem(X, ring)
+        P = product_space(X, X)
+        palg = CochainSystem(P, ring)
+        W = build_w(3, 3 * max(P.dims()))
+        lift = equivariant_lift_j(W, None, 0)
+        classifier = ProductClassifier(X, X, ring)
+        nonzero = set()
+        for q1, q2 in itertools.product(range(3), repeat=2):
+            for _, x in alg.homology_space(q1).all_classes():
+                for _, y in alg.homology_space(q2).all_classes():
+                    z = BigradedClass(q1 + q2, 0, cochain_cross(
+                        X, X, ring, x, q1, y, q2, P))
+                    for s, bock in itertools.product(range(3),
+                                                     (False, True)):
+                        full = power_op(z, s, palg, W, lift, bock)
+                        part = power_op(z, s, palg, W, lift, bock,
+                                        classifier.support)
+                        n = full.degree
+                        assert part.degree == n
+                        if n not in P.dims():
+                            assert not full.rep and not part.rep
+                            continue
+                        assert set(part.rep) <= set(classifier.support(n))
+                        coords = classifier.coordinates(full.rep, n)
+                        assert classifier.coordinates(part.rep, n) == \
+                            coords, (q1, q2, s, bock)
+                        if any(coords):
+                            nonzero.add((s == q1 + q2, n - (q1 + q2)))
+        # nonzero classes were compared at s = q1 + q2, where the output
+        # degree is the input degree (plain) or one above it (Bockstein)
+        assert {(True, 0), (True, 1)} <= nonzero
 
 
 class TestHomologySpacesPerDegree:

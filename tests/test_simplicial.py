@@ -135,7 +135,7 @@ class TestProductSpace:
         X = Y = circle_space()
         a = X.degeneracy(X.nondegenerate("e01"), 0)
         b = Y.degeneracy(Y.nondegenerate("e12"), 0)
-        out = pair_simplex(X, Y, a, b)
+        out = pair_simplex(a, b)
         assert out.word == (0,)
         assert out.base == (X.nondegenerate("e01"), Y.nondegenerate("e12"))
 
@@ -151,3 +151,81 @@ class TestProductSpace:
         C = chains(X, ZZ)
         assert homology(C, 0).free_rank == 1
         assert homology(C, 1).free_rank == 1
+
+
+def _reference_product(X, Y):
+    """X x Y with a face table built the eager way: every nondegenerate
+    pair of every degree, and each of its faces taken in the factors."""
+    simplices = {}
+    for n in range(max(X.dims()) + max(Y.dims()) + 1):
+        cells = []
+        for px in X.dims():
+            for py in Y.dims():
+                if px > n or py > n or (n - px) + (n - py) > n:
+                    continue
+                for a_id in X.simplices(px):
+                    for b_id in Y.simplices(py):
+                        for I in itertools.combinations(range(n), n - px):
+                            rest = [t for t in range(n) if t not in I]
+                            for J in itertools.combinations(rest, n - py):
+                                cells.append((
+                                    Simplex(word_for_positions(I), a_id, px),
+                                    Simplex(word_for_positions(J), b_id, py)))
+        if cells:
+            simplices[n] = sorted(cells)
+    faces = {}
+    for n, cells in simplices.items():
+        for (a, b) in cells if n else ():
+            for i in range(n + 1):
+                faces[(n, (a, b), i)] = pair_simplex(X.face(a, i),
+                                                     Y.face(b, i))
+    return FiniteSimplicialSet(f"{X.name}x{Y.name}", simplices, faces)
+
+
+class TestProductFaces:
+    """The product's cells and faces, taken in the factors on demand,
+    against an eagerly built face table; torus x circle has a product
+    as its first factor, and its reference is built on the reference
+    torus."""
+
+    @pytest.fixture(params=["bz3xbz3", "circlexpoint", "torus",
+                            "torusxcircle"])
+    def spaces(self, request):
+        circle = circle_space()
+        if request.param == "bz3xbz3":
+            X = classifying_space(3, 2)
+            return product_space(X, X), _reference_product(X, X)
+        if request.param == "circlexpoint":
+            return (product_space(circle, point_space()),
+                    _reference_product(circle, point_space()))
+        torus = _reference_product(circle, circle)
+        if request.param == "torus":
+            return torus_space(), torus
+        return (product_space(torus_space(), circle),
+                _reference_product(torus, circle))
+
+    def test_cells(self, spaces):
+        P, R = spaces
+        assert P.dims() == R.dims()
+        for n in R.dims():
+            assert P.simplices(n) == R.simplices(n), n
+
+    def test_faces_and_vertex_faces(self, spaces):
+        P, R = spaces
+        compared = 0
+        for n in R.dims():
+            for base in R.simplices(n):
+                sx = R.nondegenerate(base)
+                assert P.nondegenerate(base) == sx
+                for i in range(n + 1 if n else 0):
+                    assert P.face(sx, i) == R.face(sx, i), (base, i)
+                for k in range(1, n + 2):
+                    for verts in itertools.combinations(range(n + 1), k):
+                        assert P.vertex_face(sx, verts) == \
+                            R.vertex_face(sx, verts), (base, verts)
+                        compared += 1
+        assert compared > 0
+
+    def test_simplicial_identities(self, spaces):
+        P, _ = spaces
+        assert P.check_simplicial_identities() == []
