@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .complexes import COHOMOLOGICAL, ChainComplex, verify_differential
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
 from .linalg import EchelonBasis, sparse_rows
 from .rings import QQ
@@ -57,9 +57,8 @@ class AugmentedDGA:
     def d(self, vec):
         out = {}
         for a, c in vec.items():
-            for b, c2 in self.diff.get(a, {}).items():
-                out[b] = out.get(b, Fraction(0)) + c * c2
-        return {b: c for b, c in out.items() if c}
+            add_scaled(out, c, self.diff.get(a, {}), QQ)
+        return out
 
     def product(self, vec1, vec2):
         out = {}
@@ -71,9 +70,8 @@ class AugmentedDGA:
                     term = {a: Fraction(1)}
                 else:
                     term = self.mult.get((a, b), {})
-                for e, c3 in term.items():
-                    out[e] = out.get(e, Fraction(0)) + c * c2 * c3
-        return {e: c for e, c in out.items() if c}
+                add_scaled(out, c * c2, term, QQ)
+        return out
 
     def augment(self, vec):
         return vec.get(self.unit, Fraction(0))
@@ -102,15 +100,11 @@ class AugmentedDGA:
                     failures.append({"check": "commutativity",
                                      "witness": (a, b)})
                 lhs = self.d(ab)
-                rhs = {}
-                for e, c in self.product(self.d({a: Fraction(1)}),
-                                          {b: Fraction(1)}).items():
-                    rhs[e] = rhs.get(e, Fraction(0)) + c
-                s = Fraction((-1) ** self.degree(a))
-                for e, c in self.product({a: Fraction(1)},
-                                         self.d({b: Fraction(1)})).items():
-                    rhs[e] = rhs.get(e, Fraction(0)) + s * c
-                rhs = {e: c for e, c in rhs.items() if c}
+                rhs = self.product(self.d({a: Fraction(1)}),
+                                   {b: Fraction(1)})
+                add_scaled(rhs, -1 if self.degree(a) % 2 else 1,
+                           self.product({a: Fraction(1)},
+                                        self.d({b: Fraction(1)})), QQ)
                 if lhs != rhs:
                     failures.append({"check": "leibniz", "witness": (a, b)})
                 got = self.augment(ab)
@@ -348,21 +342,17 @@ class HopfData:
     def antipode(self, x):
         """S with m(S (x) id)Delta = unit . counit, built by recursion
         on word length."""
-        out = {(): self.counit(x)}
+        out = add_scaled({}, self.counit(x), self.unit_element(), QQ)
         pending = {w: c for w, c in x.items() if w}
         for length in range(1, self.bar.length_cap + 1):
             for w in sorted(k for k in pending if len(k) == length):
                 c = pending[w]
-                acc = {}
                 for i in range(1, len(w)):
                     left = self.antipode({w[:i]: Fraction(1)})
-                    for w2, c2 in self.product(
-                            left, {w[i:]: Fraction(1)}).items():
-                        acc[w2] = acc.get(w2, Fraction(0)) + c2
-                for w2, c2 in acc.items():
-                    out[w2] = out.get(w2, Fraction(0)) - c * c2
-                out[w] = out.get(w, Fraction(0)) - c
-        return {w: c for w, c in out.items() if c}
+                    add_scaled(out, -c, self.product(
+                        left, {w[i:]: Fraction(1)}), QQ)
+                add_scaled(out, -c, {w: 1}, QQ)
+        return out
 
     def verify(self):
         """Bialgebra, commutativity, counit, and antipode axioms on the
@@ -379,14 +369,9 @@ class HopfData:
             # antipode axiom: m(S (x) id) Delta = unit . counit
             acc = {}
             for (w1, w2), c in self.coproduct(x).items():
-                for w, c2 in self.product(
-                        self.antipode({w1: Fraction(1)}),
-                        {w2: Fraction(1)}).items():
-                    acc[w] = acc.get(w, Fraction(0)) + c * c2
-            acc = {w: c for w, c in acc.items() if c}
-            want = {w: c * self.counit(x)
-                    for w, c in self.unit_element().items() if c}
-            want = {w: c for w, c in want.items() if c}
+                add_scaled(acc, c, self.product(
+                    self.antipode({w1: Fraction(1)}), {w2: Fraction(1)}), QQ)
+            want = add_scaled({}, self.counit(x), self.unit_element(), QQ)
             if acc != want:
                 failures.append({"check": "antipode", "witness": repr(x)})
         for x in self.basis:

@@ -251,6 +251,17 @@ def _w(x):
     return repr(x)
 
 
+def _failures(report):
+    return [{"check": f["check"], "witness": _w(f["witness"])}
+            for f in report["failures"]]
+
+
+def _checked_body(report):
+    """Body of a verifier's report: its comparison count and failures."""
+    return {"results": [{"checked": report["checked"]}],
+            "failures": _failures(report)}
+
+
 def _space_from_args(args):
     if getattr(args, "input", None):
         X = parse_inputs(args.input)
@@ -304,19 +315,15 @@ def cmd_dold_kan_roundtrip(args):
 def cmd_operad_check(args):
     ring = parse_ring(args.ring)
     O = surjection_operad(args.arity_cap, ring, args.degree_cap)
-    report = check_operad_axioms(O, args.arity_cap, args.degree_cap)
-    return {"results": [{"checked": report.get("checked", 0)}],
-            "failures": [{"check": f["check"], "witness": _w(f["witness"])}
-                         for f in report["failures"]]}
+    return _checked_body(check_operad_axioms(O, args.arity_cap,
+                                             args.degree_cap))
 
 
 def cmd_einfinity_check(args):
     ring = parse_ring(args.ring)
     O = surjection_operad(args.arity_cap, ring, args.degree_cap)
-    report = check_einfinity(O, args.arity_cap, args.degree_cap)
-    return {"results": [{"checked": report.get("checked", 0)}],
-            "failures": [{"check": f["check"], "witness": _w(f["witness"])}
-                         for f in report["failures"]]}
+    return _checked_body(check_einfinity(O, args.arity_cap,
+                                         args.degree_cap))
 
 
 def cmd_steenrod(args):
@@ -357,20 +364,16 @@ def cmd_cartan_check(args):
     ring = Zmod(args.p)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
-    report = verify_cartan(alg, args.degree_cap, args.p, smax=args.smax)
-    return {"results": [{"checked": report["checked"]}],
-            "failures": [{"check": f["check"], "witness": _w(f["witness"])}
-                         for f in report["failures"]]}
+    return _checked_body(verify_cartan(alg, args.degree_cap, args.p,
+                                       smax=args.smax))
 
 
 def cmd_adem_check(args):
     ring = Zmod(args.p)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
-    report = verify_adem(alg, args.p, args.amax, args.degree_cap)
-    return {"results": [{"checked": report["checked"]}],
-            "failures": [{"check": f["check"], "witness": _w(f["witness"])}
-                         for f in report["failures"]]}
+    return _checked_body(verify_adem(alg, args.p, args.amax,
+                                     args.degree_cap))
 
 
 def cmd_w_resolution(args):
@@ -405,10 +408,7 @@ def cmd_bar(args):
     A = _dga_from_args(args)
     if not isinstance(A, AugmentedDGA):
         raise ParseError("bar command needs a DGA input")
-    failures = []
-    conn = check_connected(A)
-    failures.extend({"check": f["check"], "witness": _w(f["witness"])}
-                    for f in conn["failures"])
+    failures = _failures(check_connected(A))
     B = reduced_bar(A, args.length_cap, args.degree_cap)
     rep = B.verify()
     for w in rep["square_failures"]:
@@ -425,11 +425,9 @@ def cmd_hopf_check(args):
         raise ParseError("hopf-check needs a DGA input")
     B = reduced_bar(A, args.length_cap, args.degree_cap)
     H = h0_hopf(B)
-    failures = [{"check": f["check"], "witness": _w(f["witness"])}
-                for f in H.verify()["failures"]]
+    failures = _failures(H.verify())
     L = indecomposables(H)
-    failures.extend({"check": f["check"], "witness": _w(f["witness"])}
-                    for f in L.verify_co_jacobi()["failures"])
+    failures += _failures(L.verify_co_jacobi())
     return {"results": [{"h0_rank": H.h0.rank,
                          "indecomposables": len(L.basis)}],
             "failures": failures}

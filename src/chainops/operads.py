@@ -3,9 +3,11 @@
 The concrete instance is the surjection operad: the degree-d piece of
 arity k is spanned by the nondegenerate surjections {1..k+d} ->> {1..k}
 (no adjacent repeats).  Its differential deletes letters, its composition
-substitutes words with overlapping splittings, and it acts on normalized
-simplicial cochains by interval cuts; the arity-2 part reproduces the cup
-and cup-i products.
+substitutes words with overlapping splittings, the symmetric groups act
+by renaming values, and it acts on normalized simplicial cochains by
+interval cuts; the arity-2 part reproduces the cup and cup-i products.
+The structure maps are read on basis labels, and the axiom checks sweep
+the composable tuples of basis labels within an arity and a degree cap.
 
 Sign conventions follow the orientation formalism: a word u carries the
 orientation sign or(u), the number of inversions among its caesura
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap, HOMOLOGICAL, homology
+from .complexes import ChainComplex, HOMOLOGICAL, homology
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .rings import RingSpec, SizeBoundError
 from .simplicial import FiniteSimplicialSet, cochains
@@ -210,24 +212,25 @@ def rename_values(u, perm):
 
 
 # ---------------------------------------------------------------------------
-# symmetric sequences and operads
+# operads
 # ---------------------------------------------------------------------------
 
-class SymmetricSequence:
-    """Arity-indexed complexes with symmetric group actions.
+class Operad:
+    """Arity-indexed complexes with symmetric actions, composition and unit.
 
-    The action is stored on the adjacent transpositions (i, i+1) as chain
-    maps; arbitrary permutations act through a deterministic bubble-sort
-    factorization.
+    levels maps arity -> ChainComplex.  The structure maps are read on
+    basis labels and return {result label: coefficient}:
+    act(k, perm, label) is the action of the permutation sending v to
+    perm[v-1], and compose_basis(u, k, vs, arities) evaluates gamma.
+    unit is the basis label of the arity-1 identity in degree 0.
     """
 
-    def __init__(self, ring: RingSpec, levels: dict,
-                 transpositions: dict):
-        """levels: arity -> ChainComplex; transpositions:
-        arity -> list of ChainMap for (1 2), (2 3), ..., (k-1 k)."""
+    def __init__(self, ring, levels, act, compose_basis, unit):
         self.ring = ring
         self.levels = dict(levels)
-        self.transpositions = dict(transpositions)
+        self.act = act
+        self.compose_basis = compose_basis
+        self.unit = unit
 
     def arities(self):
         return sorted(self.levels)
@@ -235,74 +238,47 @@ class SymmetricSequence:
     def level(self, k) -> ChainComplex:
         return self.levels[k]
 
-    def permutation_action(self, k: int, perm) -> ChainMap:
-        """Chain map for the permutation sending v to perm[v-1]."""
-        C = self.level(k)
-        comps = {n: FreeModuleMap.identity(C.module(n)) for n in C.modules}
-        result = ChainMap(C, C, comps)
-        for i in reversed(_adjacent_factorization(perm)):
-            result = self.transpositions[k][i - 1].compose(result)
-        return result
-
     def group_relation_failures(self):
-        """Generator relations of the symmetric groups as map equalities."""
+        """Coxeter relations of the adjacent transpositions (i i+1),
+        checked by acting on every basis label of every level."""
         bad = []
         for k in self.arities():
-            gens = self.transpositions.get(k, [])
-            ident = self.permutation_action(k, tuple(range(1, k + 1)))
-            for i, g in enumerate(gens, start=1):
-                if g.compose(g) != ident:
+            C = self.level(k)
+            labels = [lab for n in sorted(C.modules)
+                      for lab in C.module(n).basis]
+
+            def act_word(word, lab):
+                # the transpositions of word, applied right to left
+                vec = {lab: self.ring.one()}
+                for i in reversed(word):
+                    perm = list(range(1, k + 1))
+                    perm[i - 1], perm[i] = i + 1, i
+                    vec = _act_vector(self, k, tuple(perm), vec)
+                return vec
+
+            def holds(left, right):
+                return all(act_word(left, lab) == act_word(right, lab)
+                           for lab in labels)
+
+            for i in range(1, k):
+                if not holds((i, i), ()):
                     bad.append((k, "square", i))
-            for i in range(1, len(gens)):
-                lhs = gens[i - 1].compose(gens[i]).compose(gens[i - 1])
-                rhs = gens[i].compose(gens[i - 1]).compose(gens[i])
-                if lhs != rhs:
+            for i in range(1, k - 1):
+                if not holds((i, i + 1, i), (i + 1, i, i + 1)):
                     bad.append((k, "braid", i))
-            for i in range(1, len(gens) + 1):
-                for j in range(i + 2, len(gens) + 1):
-                    lhs = gens[i - 1].compose(gens[j - 1])
-                    rhs = gens[j - 1].compose(gens[i - 1])
-                    if lhs != rhs:
+            for i in range(1, k):
+                for j in range(i + 2, k):
+                    if not holds((i, j), (j, i)):
                         bad.append((k, "commute", i, j))
         return bad
 
 
-def _adjacent_factorization(perm):
-    """Adjacent transposition word for the permutation v -> perm[v-1],
-    by bubble sort (deterministic; indices are 1-based generators)."""
-    arr = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i + 1)
-                changed = True
-    word.reverse()
-    return word
-
-
-class Operad(SymmetricSequence):
-    """Symmetric sequence with composition and unit.
-
-    compose_basis(u, k, vs, arities) evaluates gamma on basis elements
-    and returns a dict {result label: coefficient}; unit is the basis
-    label of the arity-1 identity in degree 0.
-    """
-
-    def __init__(self, ring, levels, transpositions, compose_basis, unit):
-        super().__init__(ring, levels, transpositions)
-        self.compose_basis = compose_basis
-        self.unit = unit
-
-    def basis_degree(self, k, label):
-        C = self.level(k)
-        for n in C.modules:
-            if label in C.module(n).index:
-                return n
-        raise KeyError(label)
+def _act_vector(O: Operad, k, perm, vec):
+    """The action of perm on a sparse vector of level k."""
+    out = {}
+    for lab, c in vec.items():
+        add_scaled(out, c, O.act(k, perm, lab), O.ring)
+    return out
 
 
 class OperadAlgebra:
@@ -337,7 +313,6 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     if degree_cap > 10:
         raise SizeBoundError("degree cap too large for exhaustive levels")
     levels = {}
-    transpositions = {}
     stored = degree_cap + 1
     for k in range(1, arity + 1):
         top = stored if k > 1 else 0
@@ -351,56 +326,36 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
                     entries[(w, u)] = ring.normalize(c)
             diffs[d] = FreeModuleMap(modules[d], modules[d - 1], entries)
         levels[k] = ChainComplex(ring, modules, diffs, HOMOLOGICAL)
-        gens = []
-        for i in range(1, k):
-            perm = list(range(1, k + 1))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            comps = {}
-            for d in range(top + 1):
-                entries = {(rename_values(u, perm), u): ring.one()
-                           for u in modules[d].basis}
-                comps[d] = FreeModuleMap(modules[d], modules[d], entries)
-            gens.append(ChainMap(levels[k], levels[k], comps))
-        transpositions[k] = gens
 
-    def compose(u, k, vs, arities):
-        return surjection_composition(u, k, vs, arities)
+    def act(k, perm, u):
+        return {rename_values(u, perm): 1}
 
-    return Operad(ring, levels, transpositions, compose, (1,))
+    return Operad(ring, levels, act, surjection_composition, (1,))
 
 
 def one_point_operad(ring: RingSpec, arity: int) -> Operad:
     """O(k) = the unit complex for every k, trivial action and gamma.
 
     Acyclic but not free: the basis point is fixed by everything."""
-    levels = {}
-    transpositions = {}
-    for k in range(1, arity + 1):
-        modules = {0: FreeModule(ring, [("pt", k)])}
-        levels[k] = ChainComplex(ring, modules, {}, HOMOLOGICAL)
-        gens = []
-        for _ in range(1, k):
-            comps = {0: FreeModuleMap.identity(modules[0])}
-            gens.append(ChainMap(levels[k], levels[k], comps))
-        transpositions[k] = gens
+    levels = {k: ChainComplex(ring, {0: FreeModule(ring, [("pt", k)])}, {},
+                              HOMOLOGICAL)
+              for k in range(1, arity + 1)}
+
+    def act(k, perm, label):
+        return {label: 1}
 
     def compose(u, k, vs, arities):
         return {("pt", sum(arities)): 1}
 
-    return Operad(ring, levels, transpositions, compose, ("pt", 1))
+    return Operad(ring, levels, act, compose, ("pt", 1))
 
 # ---------------------------------------------------------------------------
 # axiom checks
 # ---------------------------------------------------------------------------
 
 def _basis_with_degrees(C: ChainComplex, degree_cap):
-    out = []
-    for n in sorted(C.modules):
-        if n > degree_cap:
-            continue
-        for lab in C.module(n).basis:
-            out.append((lab, n))
-    return out
+    return [(lab, n) for n in sorted(C.modules) if n <= degree_cap
+            for lab in C.module(n).basis]
 
 
 def _d_of_basis(C: ChainComplex, label, degree):
@@ -410,8 +365,38 @@ def _d_of_basis(C: ChainComplex, label, degree):
     return d.column(label) if d is not None else {}
 
 
-def _arity_tuples(total_max, k):
-    return itertools.product(range(1, total_max + 1), repeat=k)
+def _bases(O: Operad, arity_cap, degree_cap):
+    """arity -> [(label, degree)] for the levels within the caps."""
+    return {k: _basis_with_degrees(O.level(k), degree_cap)
+            for k in O.arities() if k <= arity_cap}
+
+
+def _inputs(bases, count, arity_cap, degree_budget):
+    """Every tuple of count basis elements (js, vs, ds): arities js with
+    sum(js) <= arity_cap, labels vs, degrees ds with sum(ds) <=
+    degree_budget."""
+    for js in itertools.product(range(1, arity_cap - count + 2),
+                                repeat=count):
+        if sum(js) > arity_cap or any(j not in bases for j in js):
+            continue
+        for chosen in itertools.product(*(bases[j] for j in js)):
+            ds = tuple(d for _, d in chosen)
+            if sum(ds) <= degree_budget:
+                yield js, tuple(lab for lab, _ in chosen), ds
+
+
+def _composable(O: Operad, arity_cap, degree_cap):
+    """Every composable (k, u, du, js, vs, ds): u of arity k and degree du,
+    inputs vs of arities js and degrees ds, within both caps."""
+    bases = _bases(O, arity_cap, degree_cap)
+    for k in sorted(bases):
+        for u, du in bases[k]:
+            for js, vs, ds in _inputs(bases, k, arity_cap, degree_cap - du):
+                yield k, u, du, js, vs, ds
+
+
+def _nontrivial_permutations(k):
+    return list(itertools.permutations(range(1, k + 1)))[1:]
 
 
 def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
@@ -423,30 +408,21 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
     Returns {"passed", "checked", "failures"} with named witnesses.
     """
     ring = O.ring
-    failures = []
+    failures = [{"check": "group-relations", "witness": rel}
+                for rel in O.group_relation_failures()]
     checked = 0
 
-    for rel in O.group_relation_failures():
-        failures.append({"check": "group-relations", "witness": rel})
-
-    def deg_of(k, lab):
-        return O.basis_degree(k, lab)
-
-    def gamma_boundary_defect(k, u, js, vs):
-        ds = [deg_of(js[s], vs[s]) for s in range(k)]
-        du = deg_of(k, u)
-        j = sum(js)
+    def gamma_commutes_with_d(k, u, du, js, vs, ds):
         lhs = {}
         for w, c in O.compose_basis(u, k, vs, js).items():
-            add_scaled(lhs, c, _d_of_basis(O.level(j), w, du + sum(ds)),
-                       ring)
+            add_scaled(lhs, c, _d_of_basis(O.level(sum(js)), w,
+                                           du + sum(ds)), ring)
         rhs = {}
         for u2, c in _d_of_basis(O.level(k), u, du).items():
             add_scaled(rhs, c, O.compose_basis(u2, k, vs, js), ring)
         sgn = (-1) ** du
         for s in range(k):
-            for v2, c in _d_of_basis(O.level(js[s]), vs[s],
-                                     ds[s]).items():
+            for v2, c in _d_of_basis(O.level(js[s]), vs[s], ds[s]).items():
                 vs2 = list(vs)
                 vs2[s] = v2
                 add_scaled(rhs, sgn * c, O.compose_basis(u, k, vs2, js),
@@ -454,50 +430,32 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
             sgn *= (-1) ** ds[s]
         return lhs == rhs
 
-    arities = [k for k in O.arities() if k <= arity_cap]
-    for k in arities:
-        outer = _basis_with_degrees(O.level(k), degree_cap)
-        for js in _arity_tuples(arity_cap, k):
-            if sum(js) > arity_cap or any(j not in O.levels for j in js):
-                continue
-            pools = [_basis_with_degrees(O.level(j), degree_cap) for j in js]
-            for (u, du) in outer:
-                for chosen in itertools.product(*pools):
-                    vs = [lab for lab, _ in chosen]
-                    total = du + sum(d for _, d in chosen)
-                    if total > degree_cap:
-                        continue
-                    checked += 1
-                    if not gamma_boundary_defect(k, u, list(js), vs):
-                        failures.append({"check": "composition-chain-map",
-                                         "witness": (k, u, tuple(vs))})
-                    # unit diagram: gamma(u; units)
-                    units = [O.unit] * k
-                    if O.compose_basis(u, k, units, [1] * k) != {u: 1}:
-                        failures.append({"check": "right-unit",
-                                         "witness": (k, u)})
+    bases = _bases(O, arity_cap, degree_cap)
+    for k, u, du, js, vs, ds in _composable(O, arity_cap, degree_cap):
+        checked += 1
+        if not gamma_commutes_with_d(k, u, du, js, vs, ds):
+            failures.append({"check": "composition-chain-map",
+                             "witness": (k, u, vs)})
+        # unit diagram: gamma(u; units)
+        if O.compose_basis(u, k, [O.unit] * k, [1] * k) != {u: 1}:
+            failures.append({"check": "right-unit", "witness": (k, u)})
+        if k >= 2:
+            failures.extend(_equivariance_failures(O, k, u, js, vs, ds))
+        for ls, ws, dws in _inputs(bases, sum(js), arity_cap,
+                                   degree_cap - du - sum(ds)):
+            if not _associativity_holds(O, k, u, js, vs, ds, ls, ws, dws):
+                failures.append({"check": "associativity",
+                                 "witness": (k, u, vs, ws)})
 
-    # left unit and equivariance / associativity sweeps
-    for j in arities:
-        for (v, dv) in _basis_with_degrees(O.level(j), degree_cap):
+    for j, basis in bases.items():
+        for v, _ in basis:
             checked += 1
             if O.compose_basis(O.unit, 1, [v], [j]) != {v: 1}:
                 failures.append({"check": "left-unit", "witness": (j, v)})
 
-    _check_equivariance(O, arity_cap, degree_cap, failures)
-    _check_associativity(O, arity_cap, degree_cap, failures)
-
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}
-
-
-def _act_on_label(O: Operad, k, perm, label, degree):
-    """Image of a basis element under a permutation, as a dict."""
-    vec = {label: O.ring.one()}
-    for i in reversed(_adjacent_factorization(perm)):
-        vec = O.transpositions[k][i - 1].component(degree).apply(vec)
-    return vec
 
 
 def _koszul_permutation_sign(degrees, perm):
@@ -513,73 +471,41 @@ def _koszul_permutation_sign(degrees, perm):
     return sign
 
 
-def _check_equivariance(O: Operad, arity_cap, degree_cap, failures):
+def _equivariance_failures(O: Operad, k, u, js, vs, ds):
+    """The outer (block permutation) and inner (block sum) equivariance
+    diagrams of gamma(u; vs)."""
     ring = O.ring
-    arities = [k for k in O.arities() if 2 <= k <= arity_cap]
-    for k in arities:
-        outer = _basis_with_degrees(O.level(k), degree_cap)
-        perms = list(itertools.permutations(range(1, k + 1)))[1:]
-        for js in _arity_tuples(arity_cap, k):
-            if sum(js) > arity_cap or any(j not in O.levels for j in js):
-                continue
-            pools = [_basis_with_degrees(O.level(j), degree_cap) for j in js]
-            for (u, du) in outer:
-                for chosen in itertools.product(*pools):
-                    if du + sum(d for _, d in chosen) > degree_cap:
-                        continue
-                    vs = [lab for lab, _ in chosen]
-                    ds = [d for _, d in chosen]
-                    for perm in perms:
-                        # outer action on u, same inputs
-                        lhs = {}
-                        for u2, c in _act_on_label(O, k, perm, u,
-                                                   du).items():
-                            add_scaled(lhs, c, O.compose_basis(
-                                u2, k, vs, list(js)), ring)
-                        # permuted inputs, then the block permutation of
-                        # the output, with the Koszul sign of the input
-                        # rearrangement
-                        vs_in = [vs[perm[s] - 1] for s in range(k)]
-                        js_in = [js[perm[s] - 1] for s in range(k)]
-                        sgn = _koszul_permutation_sign(ds, perm)
-                        inner = O.compose_basis(u, k, vs_in, js_in)
-                        block = _block_permutation(js, perm)
-                        j = sum(js)
-                        rhs = {}
-                        for w, c in inner.items():
-                            dd = du + sum(ds)
-                            img = _act_on_label(O, j, block, w, dd)
-                            add_scaled(rhs, sgn * c, img, ring)
-                        if lhs != rhs:
-                            failures.append(
-                                {"check": "outer-equivariance",
-                                 "witness": (k, u, tuple(vs), perm)})
-                    # inner block-sum equivariance
-                    for s in range(k):
-                        if js[s] < 2:
-                            continue
-                        for tau in list(itertools.permutations(
-                                range(1, js[s] + 1)))[1:]:
-                            lhs = {}
-                            for v2, c in _act_on_label(
-                                    O, js[s], tau, vs[s], ds[s]).items():
-                                vs2 = list(vs)
-                                vs2[s] = v2
-                                add_scaled(lhs, c, O.compose_basis(
-                                    u, k, vs2, list(js)), ring)
-                            blocksum = _block_sum(js, s, tau)
-                            inner = O.compose_basis(u, k, vs, list(js))
-                            rhs = {}
-                            j = sum(js)
-                            for w, c in inner.items():
-                                dd = du + sum(ds)
-                                img = _act_on_label(O, j, blocksum, w, dd)
-                                add_scaled(rhs, c, img, ring)
-                            if lhs != rhs:
-                                failures.append(
-                                    {"check": "inner-equivariance",
-                                     "witness": (k, u, tuple(vs), s + 1,
-                                                 tau)})
+    j = sum(js)
+    failures = []
+    for perm in _nontrivial_permutations(k):
+        # outer action on u, same inputs
+        lhs = {}
+        for u2, c in O.act(k, perm, u).items():
+            add_scaled(lhs, c, O.compose_basis(u2, k, vs, js), ring)
+        # permuted inputs, then the block permutation of the output, with
+        # the Koszul sign of the input rearrangement
+        vs_in = [vs[perm[s] - 1] for s in range(k)]
+        js_in = [js[perm[s] - 1] for s in range(k)]
+        sgn = _koszul_permutation_sign(ds, perm)
+        rhs = add_scaled({}, sgn, _act_vector(
+            O, j, _block_permutation(js, perm),
+            O.compose_basis(u, k, vs_in, js_in)), ring)
+        if lhs != rhs:
+            failures.append({"check": "outer-equivariance",
+                             "witness": (k, u, vs, perm)})
+    for s in range(k):
+        for tau in _nontrivial_permutations(js[s]):
+            lhs = {}
+            for v2, c in O.act(js[s], tau, vs[s]).items():
+                vs2 = list(vs)
+                vs2[s] = v2
+                add_scaled(lhs, c, O.compose_basis(u, k, vs2, js), ring)
+            rhs = _act_vector(O, j, _block_sum(js, s, tau),
+                              O.compose_basis(u, k, vs, js))
+            if lhs != rhs:
+                failures.append({"check": "inner-equivariance",
+                                 "witness": (k, u, vs, s + 1, tau)})
+    return failures
 
 
 def _block_permutation(js, perm):
@@ -609,44 +535,11 @@ def _block_sum(js, s, tau):
     return tuple(out)
 
 
-def _check_associativity(O: Operad, arity_cap, degree_cap, failures):
+def _associativity_holds(O, k, u, js, vs, dvs, ls, ws, dws):
     ring = O.ring
-    arities = [k for k in O.arities() if k <= arity_cap]
-    for k in arities:
-        outer = _basis_with_degrees(O.level(k), degree_cap)
-        for js in _arity_tuples(arity_cap, k):
-            if sum(js) > arity_cap or any(j not in O.levels for j in js):
-                continue
-            j = sum(js)
-            pools = [_basis_with_degrees(O.level(x), degree_cap) for x in js]
-            for ls in _arity_tuples(arity_cap, j):
-                if sum(ls) > arity_cap or any(l not in O.levels for l in ls):
-                    continue
-                wpools = [_basis_with_degrees(O.level(x), degree_cap)
-                          for x in ls]
-                for (u, du) in outer:
-                    for chosen in itertools.product(*pools):
-                        vs = [lab for lab, _ in chosen]
-                        dvs = [d for _, d in chosen]
-                        for wchosen in itertools.product(*wpools):
-                            ws = [lab for lab, _ in wchosen]
-                            dws = [d for _, d in wchosen]
-                            if du + sum(dvs) + sum(dws) > degree_cap:
-                                continue
-                            if not _associativity_holds(
-                                    O, ring, k, u, js, vs, dvs, ls, ws,
-                                    dws, du):
-                                failures.append(
-                                    {"check": "associativity",
-                                     "witness": (k, u, tuple(vs),
-                                                 tuple(ws))})
-
-
-def _associativity_holds(O, ring, k, u, js, vs, dvs, ls, ws, dws, du):
     left = {}
-    for m, c in O.compose_basis(u, k, vs, list(js)).items():
-        add_scaled(left, c, O.compose_basis(m, sum(js), ws, list(ls)),
-                   ring)
+    for m, c in O.compose_basis(u, k, vs, js).items():
+        add_scaled(left, c, O.compose_basis(m, sum(js), ws, ls), ring)
     prefix = [0]
     for x in js:
         prefix.append(prefix[-1] + x)
@@ -654,7 +547,7 @@ def _associativity_holds(O, ring, k, u, js, vs, dvs, ls, ws, dws, du):
     inner_results = []
     for s in range(k):
         block = ws[prefix[s]:prefix[s + 1]]
-        bls = list(ls[prefix[s]:prefix[s + 1]])
+        bls = ls[prefix[s]:prefix[s + 1]]
         dblock = sum(dws[prefix[s]:prefix[s + 1]])
         dlater = sum(dvs[s + 1:])
         if (dblock * dlater) % 2:
@@ -675,40 +568,29 @@ def _associativity_holds(O, ring, k, u, js, vs, dvs, ls, ws, dws, du):
 def check_einfinity(O: Operad, arity_cap: int, degree_cap: int) -> dict:
     """Freeness of the symmetric group actions and acyclicity per level.
 
-    Freeness: every non-identity permutation must permute the basis in
-    each degree with no fixed basis vector.  Acyclicity: homology is
-    rank 1 in degree 0 and vanishes in degrees 1..cap.
+    Freeness: every non-identity permutation must send each basis label
+    to one other basis label with a nonzero coefficient.  Acyclicity:
+    through the cap, each level has the homology of the ring's rank-one
+    unit complex (the ring in degree 0, zero above).
     """
     failures = []
     checked = 0
     ring = O.ring
-    for k in [k for k in O.arities() if k <= arity_cap]:
-        C = O.level(k)
-        for perm in list(itertools.permutations(range(1, k + 1)))[1:]:
-            act = O.permutation_action(k, perm)
-            for n in sorted(C.modules):
-                if n > degree_cap:
-                    continue
-                f = act.component(n)
-                cols = {}
-                for (t, s), c in f.entries.items():
-                    cols.setdefault(s, []).append((t, c))
-                for s in C.module(n).basis:
-                    checked += 1
-                    col = cols.get(s, [])
-                    if len(col) != 1:
-                        failures.append({"check": "freeness",
-                                         "witness": (k, perm, n, s)})
-                        continue
-                    t, c = col[0]
-                    if t == s or ring.is_zero(c):
-                        failures.append({"check": "freeness",
-                                         "witness": (k, perm, n, s)})
+    unit = ChainComplex(ring, {0: FreeModule(ring, [()])}, {}, HOMOLOGICAL)
+    want = [homology(unit, n) for n in range(degree_cap + 1)]
+    for k, basis in _bases(O, arity_cap, degree_cap).items():
+        for perm in _nontrivial_permutations(k):
+            for s, n in basis:
+                checked += 1
+                img = O.act(k, perm, s)
+                if len(img) != 1 or s in img or any(
+                        ring.is_zero(c) for c in img.values()):
+                    failures.append({"check": "freeness",
+                                     "witness": (k, perm, n, s)})
         for n in range(degree_cap + 1):
             checked += 1
-            H = homology(C, n)
-            want_rank = 1 if n == 0 else 0
-            if H.free_rank != want_rank or tuple(H.divisors) != ():
+            H = homology(O.level(k), n)
+            if H != want[n]:
                 failures.append({"check": "acyclicity",
                                  "witness": (k, n, H.free_rank,
                                              tuple(H.divisors))})
@@ -926,16 +808,13 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
     ring = C.ring
     failures = []
     checked = 0
-    adeg = [(lab, n) for n in sorted(C.modules) if n <= degree_cap
-            for lab in C.module(n).basis]
+    adeg = _basis_with_degrees(C, degree_cap)
 
     def theta(u, k, xs):
         return alg.theta(u, k, list(xs))
 
-    arities = [k for k in O.arities() if k <= arity_cap]
-    for k in arities:
-        ops = _basis_with_degrees(O.level(k), degree_cap)
-        for (u, du) in ops:
+    for k, ops in _bases(O, arity_cap, degree_cap).items():
+        for u, du in ops:
             for xs in itertools.product(adeg, repeat=k):
                 ns = [n for _, n in xs]
                 if sum(ns) > degree_cap:
@@ -960,10 +839,9 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                     failures.append({"check": "action-chain-map",
                                      "witness": (k, u, tuple(xs))})
                 # commutativity diagram
-                for perm in list(itertools.permutations(
-                        range(1, k + 1)))[1:]:
+                for perm in _nontrivial_permutations(k):
                     acted = {}
-                    for u2, c in _act_on_label(O, k, perm, u, du).items():
+                    for u2, c in O.act(k, perm, u).items():
                         add_scaled(acted, c, theta(u2, k, xs), ring)
                     xs_in = [xs[perm[s] - 1] for s in range(k)]
                     sgn = _koszul_permutation_sign(ns, perm)
@@ -980,46 +858,32 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
             failures.append({"check": "unit-action", "witness": (lab, n)})
 
     # composition compatibility
-    for k in arities:
-        ops = _basis_with_degrees(O.level(k), degree_cap)
-        for js in _arity_tuples(arity_cap, k):
-            if sum(js) > arity_cap or any(j not in O.levels for j in js):
+    for k, u, du, js, vs, dvs in _composable(O, arity_cap, degree_cap):
+        prefix = [0]
+        for x in js:
+            prefix.append(prefix[-1] + x)
+        for xs in itertools.product(adeg, repeat=sum(js)):
+            ns = [n for _, n in xs]
+            if du + sum(dvs) + sum(ns) > degree_cap:
                 continue
-            pools = [_basis_with_degrees(O.level(j), degree_cap)
-                     for j in js]
-            prefix = [0]
-            for x in js:
-                prefix.append(prefix[-1] + x)
-            for (u, du) in ops:
-                for chosen in itertools.product(*pools):
-                    vs = [lab for lab, _ in chosen]
-                    dvs = [d for _, d in chosen]
-                    for xs in itertools.product(adeg, repeat=sum(js)):
-                        ns = [n for _, n in xs]
-                        if du + sum(dvs) + sum(ns) > degree_cap:
-                            continue
-                        checked += 1
-                        lhs = {}
-                        for w, c in O.compose_basis(u, k, vs,
-                                                    list(js)).items():
-                            add_scaled(lhs, c, theta(w, sum(js), xs), ring)
-                        sgn = 1
-                        inner = []
-                        for s in range(k):
-                            block = xs[prefix[s]:prefix[s + 1]]
-                            before = sum(ns[:prefix[s]])
-                            if (dvs[s] * before) % 2:
-                                sgn = -sgn
-                            val = theta(vs[s], js[s], block)
-                            m = sum(n for _, n in block) - dvs[s]
-                            inner.append((val, m))
-                        rhs = add_scaled({}, sgn,
-                                         _theta_linear(alg, u, k, inner),
-                                         ring)
-                        if lhs != rhs:
-                            failures.append(
-                                {"check": "composition-compatibility",
-                                 "witness": (k, u, tuple(vs), tuple(xs))})
+            checked += 1
+            lhs = {}
+            for w, c in O.compose_basis(u, k, vs, js).items():
+                add_scaled(lhs, c, theta(w, sum(js), xs), ring)
+            sgn = 1
+            inner = []
+            for s in range(k):
+                block = xs[prefix[s]:prefix[s + 1]]
+                before = sum(ns[:prefix[s]])
+                if (dvs[s] * before) % 2:
+                    sgn = -sgn
+                val = theta(vs[s], js[s], block)
+                m = sum(n for _, n in block) - dvs[s]
+                inner.append((val, m))
+            rhs = add_scaled({}, sgn, _theta_linear(alg, u, k, inner), ring)
+            if lhs != rhs:
+                failures.append({"check": "composition-compatibility",
+                                 "witness": (k, u, vs, tuple(xs))})
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}

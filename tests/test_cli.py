@@ -244,6 +244,14 @@ class TestVerifierCommands:
         report = json.loads(out)
         assert report["results"][0]["checked"] == 6
 
+    @pytest.mark.parametrize("ring", ["Z/4", "Z/6"])
+    def test_einfinity_check_over_composite_modulus(self, capsys, ring):
+        # H_0 of each level is Z/m, as for the unit complex
+        code, out = run(capsys, ["einfinity-check", "--arity-cap", "3",
+                                 "--degree-cap", "2", "--ring", ring])
+        assert code == 0
+        assert json.loads(out)["failures"] == []
+
     def test_hopf_check_fixture(self, capsys):
         code, out = run(capsys, ["hopf-check", "--fixture",
                                  "square-generator"])

@@ -1,9 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from chainops.complexes import ChainComplex
 from chainops.operads import (
     Operad,
+    _composable,
     check_einfinity,
     check_operad_axioms,
     is_surjection_word,
@@ -203,3 +206,99 @@ class TestOperadAxioms:
         assert not report["passed"]
         assert any("(1, 2)" in repr(f["witness"])
                    for f in report["failures"])
+
+
+class TestComposableSweep:
+    @staticmethod
+    def _brute_force(O, arity_cap, degree_cap):
+        def basis(j):
+            C = O.level(j)
+            return [(lab, n) for n in C.modules
+                    for lab in C.module(n).basis]
+
+        out = set()
+        for k in O.arities():
+            for js in itertools.product(O.arities(), repeat=k):
+                if k > arity_cap or sum(js) > arity_cap:
+                    continue
+                for u, du in basis(k):
+                    for chosen in itertools.product(*(basis(j) for j in js)):
+                        ds = tuple(d for _, d in chosen)
+                        if du + sum(ds) <= degree_cap:
+                            out.add((k, u, du, js,
+                                     tuple(v for v, _ in chosen), ds))
+        return out
+
+    @pytest.mark.parametrize("arity_cap,degree_cap", [(3, 2), (4, 1)])
+    def test_yields_every_composable_tuple_once(self, arity_cap,
+                                                degree_cap):
+        O = surjection_operad(arity_cap, Zmod(2), degree_cap)
+        seen = Counter(_composable(O, arity_cap, degree_cap))
+        assert set(seen.values()) == {1}
+        assert set(seen) == self._brute_force(O, arity_cap, degree_cap)
+
+    @pytest.mark.parametrize("arity_cap,degree_cap,axioms,einfinity", [
+        (2, 2, 20, 12),
+        (3, 1, 110, 130),
+        (3, 2, 266, 345),
+        (3, 3, 574, 800),
+        (4, 1, 946, 3996),
+    ])
+    def test_checked_counts(self, arity_cap, degree_cap, axioms, einfinity):
+        O = surjection_operad(arity_cap, Zmod(2), degree_cap)
+        report = check_operad_axioms(O, arity_cap, degree_cap)
+        assert report["passed"], report["failures"][:3]
+        assert report["checked"] == axioms
+        report = check_einfinity(O, arity_cap, degree_cap)
+        assert report["passed"], report["failures"][:3]
+        assert report["checked"] == einfinity
+
+
+class TestActionControls:
+    FIXED = (1, 2, 1)
+
+    def _fixing_operad(self, arity):
+        # the transposition of arity 2 fixes one degree-1 word
+        O = surjection_operad(arity, Zmod(3), 2)
+        original = O.act
+
+        def act(k, perm, label):
+            if k == 2 and tuple(perm) == (2, 1) and label == self.FIXED:
+                return {label: 1}
+            return original(k, perm, label)
+
+        O.act = act
+        return O
+
+    def test_freeness_names_the_fixed_word(self):
+        report = check_einfinity(self._fixing_operad(2), 2, 2)
+        assert {f["check"] for f in report["failures"]} == {"freeness"}
+        assert [f["witness"] for f in report["failures"]] \
+            == [(2, (2, 1), 1, self.FIXED)]
+
+    def test_operad_axioms_catch_the_fixed_word(self):
+        report = check_operad_axioms(self._fixing_operad(3), 3, 2)
+        assert not report["passed"]
+        checks = {f["check"] for f in report["failures"]}
+        assert {"check": "group-relations", "witness": (2, "square", 1)} \
+            in report["failures"]
+        assert checks & {"outer-equivariance", "inner-equivariance"}
+
+
+class TestCompositeModulus:
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_levels_have_the_homology_of_the_unit(self, m):
+        O = surjection_operad(3, Zmod(m), 2)
+        report = check_einfinity(O, 3, 2)
+        assert report["passed"], report["failures"]
+
+    def test_dropped_differential_is_not_acyclic(self):
+        ring = Zmod(4)
+        O = surjection_operad(2, ring, 2)
+        C = O.level(2)
+        O.levels[2] = ChainComplex(ring, C.modules, {
+            n: d for n, d in C.differentials.items() if n != 1})
+        report = check_einfinity(O, 2, 2)
+        assert not report["passed"]
+        assert {f["check"] for f in report["failures"]} == {"acyclicity"}
+        assert all(f["witness"][0] == 2 for f in report["failures"])
