@@ -11,6 +11,7 @@ or size option below its least value), 3 a request past a size bound
 """
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -57,12 +58,24 @@ def parse_ring(text: str) -> RingSpec:
     raise ParseError(f"unknown ring {text!r} (want Z, Q, or Z/<m>)")
 
 
+@contextlib.contextmanager
+def _reading(where):
+    """A ValueError or IndexError raised while reading `where` (a path, or
+    path:line) becomes a ParseError that names it."""
+    try:
+        yield
+    except IndexError:
+        raise ParseError(f"{where}: too few fields") from None
+    except ValueError as e:
+        raise ParseError(f"{where}: {e}") from None
+
+
 def _content_lines(path):
     try:
         with open(path) as fh:
             raw = fh.readlines()
-    except OSError as e:
-        raise ParseError(str(e))
+    except (OSError, ValueError) as e:
+        raise ParseError(f"{path}: {e}")
     out = []
     for lineno, line in enumerate(raw, 1):
         line = line.split("#", 1)[0].strip()
@@ -104,11 +117,9 @@ def parse_simplicial_file(path) -> FiniteSimplicialSet:
         for i, spec in enumerate(tail):
             if "." in spec:
                 word_text, base = spec.split(".", 1)
-                word = []
-                for piece in word_text.split("s"):
-                    if piece:
-                        word.append(int(piece))
-                word = tuple(word)
+                with _reading(f"{path}:{lineno}"):
+                    word = tuple(int(piece) for piece
+                                 in word_text.split("s") if piece)
             else:
                 word, base = (), spec
             if base not in dims:
@@ -118,8 +129,9 @@ def parse_simplicial_file(path) -> FiniteSimplicialSet:
                 raise ParseError(f"{path}:{lineno}: face {spec!r} of "
                                  f"{sid!r} has the wrong dimension")
             faces[(dim, sid, i)] = Simplex(word, base, dims[base])
-    X = FiniteSimplicialSet(path, simplices, faces)
-    bad = X.check_simplicial_identities()
+    with _reading(path):
+        X = FiniteSimplicialSet(path, simplices, faces)
+        bad = X.check_simplicial_identities()
     if bad:
         raise ParseError(f"{path}: simplicial identities fail at {bad[0]!r}")
     return X
@@ -135,36 +147,39 @@ def parse_complex_file(path) -> ChainComplex:
     for lineno, line in _content_lines(path):
         parts = line.split()
         key = parts[0]
-        if key == "ring":
-            ring = parse_ring(parts[1])
-        elif key == "direction":
-            if parts[1] not in (HOMOLOGICAL, COHOMOLOGICAL):
-                raise ParseError(f"{path}:{lineno}: bad direction")
-            direction = parts[1]
-        elif key == "module":
-            n = int(parts[1])
-            modules.setdefault(n, []).extend(parts[2:])
-        elif key == "d":
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected "
-                                 "'d <n> <target> <source> <coeff>'")
-            n = int(parts[1])
-            entries.setdefault(n, {})[(parts[2], parts[3])] = int(parts[4])
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown keyword {key!r}")
+        with _reading(f"{path}:{lineno}"):
+            if key == "ring":
+                ring = parse_ring(parts[1])
+            elif key == "direction":
+                if parts[1] not in (HOMOLOGICAL, COHOMOLOGICAL):
+                    raise ParseError(f"{path}:{lineno}: bad direction")
+                direction = parts[1]
+            elif key == "module":
+                n = int(parts[1])
+                modules.setdefault(n, []).extend(parts[2:])
+            elif key == "d":
+                if len(parts) != 5:
+                    raise ParseError(f"{path}:{lineno}: expected "
+                                     "'d <n> <target> <source> <coeff>'")
+                n = int(parts[1])
+                entries.setdefault(n, {})[(parts[2], parts[3])] = \
+                    int(parts[4])
+            else:
+                raise ParseError(f"{path}:{lineno}: unknown keyword {key!r}")
     if ring is None:
         raise ParseError(f"{path}: missing 'ring' line")
-    mods = {n: FreeModule(ring, labs) for n, labs in modules.items()}
     step = -1 if direction == HOMOLOGICAL else 1
     diffs = {}
-    for n, ent in entries.items():
-        src = mods.get(n, FreeModule(ring, ()))
-        tgt = mods.get(n + step, FreeModule(ring, ()))
-        try:
-            diffs[n] = FreeModuleMap(src, tgt, ent)
-        except KeyError as e:
-            raise ParseError(f"{path}: differential at degree {n}: {e}")
-    C = ChainComplex(ring, mods, diffs, direction=direction)
+    with _reading(path):
+        mods = {n: FreeModule(ring, labs) for n, labs in modules.items()}
+        for n, ent in entries.items():
+            src = mods.get(n, FreeModule(ring, ()))
+            tgt = mods.get(n + step, FreeModule(ring, ()))
+            try:
+                diffs[n] = FreeModuleMap(src, tgt, ent)
+            except KeyError as e:
+                raise ParseError(f"{path}: differential at degree {n}: {e}")
+        C = ChainComplex(ring, mods, diffs, direction=direction)
     bad = verify_differential(C)
     if bad:
         raise ParseError(f"{path}: d squared is nonzero at degree {bad[0]}")
@@ -194,20 +209,22 @@ def parse_dga_file(path) -> AugmentedDGA:
         key = parts[0]
         if key == "dga":
             continue
-        if key == "generator":
-            basis[parts[1]] = (int(parts[2]), int(parts[3]))
-        elif key == "unit":
-            unit = parts[1]
-        elif key == "d":
-            diff[parts[1]] = vector(parts[3:], lineno)
-        elif key == "mul":
-            mult[(parts[1], parts[2])] = vector(parts[4:], lineno)
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown keyword {key!r}")
+        with _reading(f"{path}:{lineno}"):
+            if key == "generator":
+                basis[parts[1]] = (int(parts[2]), int(parts[3]))
+            elif key == "unit":
+                unit = parts[1]
+            elif key == "d":
+                diff[parts[1]] = vector(parts[3:], lineno)
+            elif key == "mul":
+                mult[(parts[1], parts[2])] = vector(parts[4:], lineno)
+            else:
+                raise ParseError(f"{path}:{lineno}: unknown keyword {key!r}")
     if unit is None or unit not in basis:
         raise ParseError(f"{path}: missing or undeclared unit")
-    A = AugmentedDGA(path, basis, unit, diff=diff, mult=mult)
-    report = A.verify()
+    with _reading(path):
+        A = AugmentedDGA(path, basis, unit, diff=diff, mult=mult)
+        report = A.verify()
     if not report["passed"]:
         w = report["failures"][0]
         raise ParseError(f"{path}: {w['check']} fails on {w['witness']!r}")
@@ -275,6 +292,9 @@ def cmd_homology(args):
     ring = parse_ring(args.ring)
     if getattr(args, "input", None):
         obj = parse_inputs(args.input)
+        if isinstance(obj, AugmentedDGA):
+            raise ParseError(f"{args.input}: homology needs a simplicial "
+                             "set or a complex input")
         C = chains(obj, ring) if isinstance(obj, FiniteSimplicialSet) else obj
     else:
         C = chains(builtin_space(args.space, args.dim), ring)
@@ -299,14 +319,14 @@ def cmd_dold_kan_roundtrip(args):
             if N.modules != L.modules or N.differentials != L.differentials:
                 failures.append({"check": "simplicial-roundtrip",
                                  "witness": _w((str(ring), trial))})
-            K = dnc(L, top + 1)
-            comp = dnc_projection(L, K).compose(dnc_inclusion(L, K))
+            C = nc(dnc(L, top + 1))
+            comp = dnc_projection(L, C).compose(dnc_inclusion(L, C))
             for n in comp.source.modules:
                 if comp.component(n) != \
                         FreeModuleMap.identity(comp.source.module(n)):
                     failures.append({"check": "cubical-roundtrip",
                                      "witness": _w((str(ring), trial, n))})
-            if verify_differential(nc(K)):
+            if verify_differential(C):
                 failures.append({"check": "cubical-differential",
                                  "witness": _w((str(ring), trial))})
     return {"results": [{"checked": checked}], "failures": failures}

@@ -1,4 +1,6 @@
-"""Bounded chain/cochain complexes, chain maps and homology.
+"""Bounded chain/cochain complexes, chain maps and homology, and the
+graded modules whose structure maps are built on first read (the base of
+the simplicial and cubical modules).
 
 Complexes are stored degree-sparsely: degrees absent from the module table
 are zero.  Each complex carries its direction: homological complexes have
@@ -76,6 +78,39 @@ class ChainComplex:
     def __repr__(self):
         ranks = {n: self.modules[n].rank for n in sorted(self.modules)}
         return f"ChainComplex({self.ring}, {self.direction}, ranks {ranks})"
+
+
+class OperatorModule:
+    """Graded free modules with structure maps built on first read.
+
+    A key ("d", n, ...) names a map M_n -> M_{n-1}, a key ("s", n, ...) a
+    map M_n -> M_{n+1}.  rule(key, source, target) builds the map a key
+    names; a map whose source or target module is zero is the zero map
+    and never reaches the rule.  `maps` memoises every map read.
+    """
+
+    def __init__(self, ring: RingSpec, modules, rule):
+        self.ring = ring
+        self.modules = {n: m for n, m in modules.items() if m.rank > 0}
+        self.maps = {}
+        self._rule = rule
+
+    def module(self, n) -> FreeModule:
+        return self.modules.get(n, FreeModule(self.ring, []))
+
+    def top_degree(self):
+        return max(self.modules, default=-1)
+
+    def structure_map(self, key) -> FreeModuleMap:
+        f = self.maps.get(key)
+        if f is None:
+            n = key[1]
+            src = self.module(n)
+            tgt = self.module(n - 1 if key[0] == "d" else n + 1)
+            f = (self._rule(key, src, tgt) if src.rank and tgt.rank
+                 else FreeModuleMap.zero(src, tgt))
+            self.maps[key] = f
+        return f
 
 
 def verify_differential(C: ChainComplex):

@@ -4,56 +4,27 @@ nc collapses a cubical module to a complex with differential
 sum_i (-1)^i (d_i^0 - d_i^1); dnc rebuilds a cubical module from a complex
 by adjoining one formal degenerate copy of L_r for every subset of dropped
 coordinates, with face actions derived by rewriting faces past degeneracies
-through the cube-category relations.
+through the cube-category relations.  A cubical module builds each face and
+degeneracy on first read, so nc builds faces only.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, ChainMap, HOMOLOGICAL
+from .complexes import ChainComplex, ChainMap, HOMOLOGICAL, OperatorModule
 from .freemod import FreeModule, FreeModuleMap, add_scaled
-from .rings import RingSpec
 
 
-class CubicalModule:
+class CubicalModule(OperatorModule):
     """Graded free modules with faces d_i^c (1 <= i <= n, c in {0,1}) and
-    degeneracies s_i (1 <= i <= n+1)."""
-
-    def __init__(self, ring: RingSpec, modules, faces, degeneracies):
-        """faces[(n, i, c)]: M_n -> M_{n-1}; degeneracies[(n, i)]: M_n -> M_{n+1}."""
-        self.ring = ring
-        self.modules = {n: m for n, m in modules.items() if m.rank > 0}
-        self.faces = {}
-        self.degeneracies = {}
-        for (n, i, c), f in faces.items():
-            if f.source != self.module(n) or f.target != self.module(n - 1):
-                raise ValueError(f"face ({n},{i},{c}) does not match modules")
-            if not f.is_zero():
-                self.faces[(n, i, c)] = f
-        for (n, i), f in degeneracies.items():
-            if f.source != self.module(n) or f.target != self.module(n + 1):
-                raise ValueError(f"degeneracy ({n},{i}) does not match modules")
-            if not f.is_zero():
-                self.degeneracies[(n, i)] = f
-
-    def module(self, n) -> FreeModule:
-        return self.modules.get(n, FreeModule(self.ring, []))
+    degeneracies s_i (1 <= i <= n+1), keyed ("d", n, i, c) and ("s", n, i)."""
 
     def face(self, n, i, c) -> FreeModuleMap:
-        f = self.faces.get((n, i, c))
-        if f is None:
-            return FreeModuleMap.zero(self.module(n), self.module(n - 1))
-        return f
+        return self.structure_map(("d", n, i, c))
 
     def degeneracy(self, n, i) -> FreeModuleMap:
-        f = self.degeneracies.get((n, i))
-        if f is None:
-            return FreeModuleMap.zero(self.module(n), self.module(n + 1))
-        return f
-
-    def top_degree(self):
-        return max(self.modules, default=-1)
+        return self.structure_map(("s", n, i))
 
     def check_identities(self):
         """Cubical identity families, truncation-aware; returns violations."""
@@ -130,7 +101,8 @@ def dnc(L: ChainComplex, nmax: int) -> CubicalModule:
     The only nonzero face on a copy of L_r is d_r^0 acting as (-1)^r times
     the differential (the sign makes nc(dnc(L)) restrict to L on the nose on
     the canonical inclusion); faces at dropped coordinates cancel the
-    matching degeneracy.
+    matching degeneracy.  Each face and degeneracy is built by `rule` on
+    first read.
     """
     if L.direction != HOMOLOGICAL:
         raise ValueError("homological input required")
@@ -153,48 +125,32 @@ def dnc(L: ChainComplex, nmax: int) -> CubicalModule:
         summands[n] = Ds
         if basis:
             modules[n] = FreeModule(ring, basis)
-    faces = {}
-    degens = {}
-    for n in range(nmax + 1):
-        if n not in modules:
-            continue
-        src = modules[n]
-        for i in range(1, n + 1):
-            for c in (0, 1):
-                entries = {}
-                for D in summands[n]:
-                    r = n - len(D)
-                    if i in D:
-                        D2 = tuple(j if j < i else j - 1 for j in D if j != i)
-                        for x in L.module(r).basis:
-                            entries[(_dnc_label(D2, x), _dnc_label(D, x))] = \
-                                ring.one()
-                    else:
-                        pos = i - sum(1 for j in D if j < i)
-                        if pos != r or c != 0:
-                            continue
-                        D2 = tuple(j if j < i else j - 1 for j in D)
-                        sign = ring.normalize((-1) ** r)
-                        for (t, s), v in L.differential(r).entries.items():
-                            key = (_dnc_label(D2, t), _dnc_label(D, s))
-                            entries[key] = ring.add(
-                                entries.get(key, ring.zero()),
-                                ring.mul(sign, v))
-                tgt = modules.get(n - 1, FreeModule(ring, []))
-                faces[(n, i, c)] = FreeModuleMap(src, tgt, entries)
-        if n + 1 <= nmax:
-            for i in range(1, n + 2):
-                entries = {}
-                for D in summands[n]:
-                    r = n - len(D)
-                    D2 = tuple(sorted((i,) + tuple(j if j < i else j + 1
-                                                   for j in D)))
-                    for x in L.module(r).basis:
-                        entries[(_dnc_label(D2, x), _dnc_label(D, x))] = \
-                            ring.one()
-                tgt = modules.get(n + 1, FreeModule(ring, []))
-                degens[(n, i)] = FreeModuleMap(src, tgt, entries)
-    return CubicalModule(ring, modules, faces, degens)
+
+    def rule(key, src, tgt):
+        n, i = key[1], key[2]
+        entries = {}
+        for D in summands[n]:
+            r = n - len(D)
+            if key[0] == "s":
+                D2 = tuple(sorted((i,) + tuple(j if j < i else j + 1
+                                               for j in D)))
+            elif i in D:
+                D2 = tuple(j if j < i else j - 1 for j in D if j != i)
+            else:
+                pos = i - sum(1 for j in D if j < i)
+                if pos == r and key[3] == 0:
+                    D2 = tuple(j if j < i else j - 1 for j in D)
+                    sign = ring.normalize((-1) ** r)
+                    for (t, s), v in L.differential(r).entries.items():
+                        k = (_dnc_label(D2, t), _dnc_label(D, s))
+                        entries[k] = ring.add(entries.get(k, ring.zero()),
+                                              ring.mul(sign, v))
+                continue
+            for x in L.module(r).basis:
+                entries[(_dnc_label(D2, x), _dnc_label(D, x))] = ring.one()
+        return FreeModuleMap(src, tgt, entries)
+
+    return CubicalModule(ring, modules, rule)
 
 
 def _truncate(L: ChainComplex, nmax: int) -> ChainComplex:
@@ -205,33 +161,34 @@ def _truncate(L: ChainComplex, nmax: int) -> ChainComplex:
                         HOMOLOGICAL)
 
 
-def dnc_inclusion(L: ChainComplex, K: CubicalModule) -> ChainMap:
-    """The canonical chain map L -> nc(dnc(L)) onto the undegenerate copies.
+def dnc_inclusion(L: ChainComplex, N: ChainComplex) -> ChainMap:
+    """The canonical chain map L -> N = nc(dnc(L)) onto the undegenerate
+    copies.
 
     Together with dnc_projection it splits L off nc(dnc(L)) as a direct
     summand subcomplex: the degenerate copies form the complement (their
     two face flavours cancel in the alternating sum, so they never map
     back into the undegenerate part).
     """
-    N = nc(K)
+    top = max(N.modules, default=-1)
     comps = {}
     for n in L.modules:
-        if n > K.top_degree():
+        if n > top:
             continue
         entries = {x: {x: L.ring.one()} for x in L.module(n).basis}
         comps[n] = FreeModuleMap.from_columns(L.module(n), N.module(n),
                                               entries)
-    return ChainMap(_truncate(L, K.top_degree()), N, comps)
+    return ChainMap(_truncate(L, top), N, comps)
 
 
-def dnc_projection(L: ChainComplex, K: CubicalModule) -> ChainMap:
-    """nc(dnc(L)) -> L, collapsing all degenerate copies; a chain map with
-    dnc_projection o dnc_inclusion = id."""
-    N = nc(K)
+def dnc_projection(L: ChainComplex, N: ChainComplex) -> ChainMap:
+    """N = nc(dnc(L)) -> L, collapsing all degenerate copies; a chain map
+    with dnc_projection o dnc_inclusion = id."""
+    top = max(N.modules, default=-1)
     comps = {}
     for n in L.modules:
-        if n > K.top_degree():
+        if n > top:
             continue
         entries = {(x, x): L.ring.one() for x in L.module(n).basis}
         comps[n] = FreeModuleMap(N.module(n), L.module(n), entries)
-    return ChainMap(N, _truncate(L, K.top_degree()), comps)
+    return ChainMap(N, _truncate(L, top), comps)

@@ -6,55 +6,28 @@ module from a complex by placing one copy of L_r for every monotone
 surjection [n] ->> [r], with operators acting through the epi-mono
 factorization of the composed surjection.  The two are exact mutual
 inverses on the nose (N o DN = id), which the tests exercise heavily.
+A simplicial module builds each face and degeneracy on first read, so
+the roundtrip builds faces only.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainComplex, HOMOLOGICAL
+from .complexes import ChainComplex, HOMOLOGICAL, OperatorModule
 from .freemod import FreeModule, FreeModuleMap
 from .linalg import solve_matrix, sparse_kernel
-from .rings import RingSpec
 
 
-class SimplicialModule:
-    """Graded free modules with faces d_0..d_n and degeneracies s_0..s_n."""
-
-    def __init__(self, ring: RingSpec, modules, faces, degeneracies):
-        """faces[(n, i)]: M_n -> M_{n-1}; degeneracies[(n, i)]: M_n -> M_{n+1}."""
-        self.ring = ring
-        self.modules = {n: m for n, m in modules.items() if m.rank > 0}
-        self.faces = {}
-        self.degeneracies = {}
-        for (n, i), f in faces.items():
-            if f.source != self.module(n) or f.target != self.module(n - 1):
-                raise ValueError(f"face ({n},{i}) does not match modules")
-            if not f.is_zero():
-                self.faces[(n, i)] = f
-        for (n, i), f in degeneracies.items():
-            if f.source != self.module(n) or f.target != self.module(n + 1):
-                raise ValueError(f"degeneracy ({n},{i}) does not match modules")
-            if not f.is_zero():
-                self.degeneracies[(n, i)] = f
-
-    def module(self, n) -> FreeModule:
-        return self.modules.get(n, FreeModule(self.ring, []))
+class SimplicialModule(OperatorModule):
+    """Graded free modules with faces d_0..d_n and degeneracies s_0..s_n,
+    keyed ("d", n, i) and ("s", n, i)."""
 
     def face(self, n, i) -> FreeModuleMap:
-        f = self.faces.get((n, i))
-        if f is None:
-            return FreeModuleMap.zero(self.module(n), self.module(n - 1))
-        return f
+        return self.structure_map(("d", n, i))
 
     def degeneracy(self, n, i) -> FreeModuleMap:
-        f = self.degeneracies.get((n, i))
-        if f is None:
-            return FreeModuleMap.zero(self.module(n), self.module(n + 1))
-        return f
-
-    def top_degree(self):
-        return max(self.modules, default=-1)
+        return self.structure_map(("s", n, i))
 
     def check_identities(self):
         """All five simplicial identity families; returns violation tags.
@@ -198,7 +171,9 @@ def _summand_label(eta, r, n, x):
 
 
 def denormalize(L: ChainComplex, nmax: int) -> SimplicialModule:
-    """Inverse of normalize: one copy of L_r per surjection [n] ->> [r]."""
+    """Inverse of normalize: one copy of L_r per surjection [n] ->> [r].
+
+    Each face and degeneracy is built by _operator_map on first read."""
     if L.direction != HOMOLOGICAL:
         raise ValueError("homological input required")
     if any(n < 0 for n in L.modules):
@@ -221,35 +196,29 @@ def denormalize(L: ChainComplex, nmax: int) -> SimplicialModule:
         summands[n] = pieces
         if basis:
             modules[n] = FreeModule(ring, basis)
-    mods = {n: m for n, m in modules.items()}
-    faces = {}
-    degens = {}
-    for n in range(nmax + 1):
-        if n not in modules:
-            continue
-        for i in range(n + 1):
-            if n >= 1:
-                phi = tuple(t if t < i else t + 1 for t in range(n))
-                faces[(n, i)] = _operator_map(L, ring, modules, summands,
-                                              n, n - 1, phi)
-            if n + 1 <= nmax:
-                phi = tuple(t if t <= i else t - 1 for t in range(n + 2))
-                degens[(n, i)] = _operator_map(L, ring, modules, summands,
-                                               n, n + 1, phi)
-    return SimplicialModule(ring, mods, faces, degens)
+
+    def rule(key, src, tgt):
+        kind, n, i = key
+        if kind == "d":
+            m, phi = n - 1, tuple(t if t < i else t + 1 for t in range(n))
+        else:
+            m, phi = n + 1, tuple(t if t <= i else t - 1
+                                  for t in range(n + 2))
+        return _operator_map(L, summands[n], src, tgt, n, m, phi)
+
+    return SimplicialModule(ring, modules, rule)
 
 
-def _operator_map(L, ring, modules, summands, n, m, phi):
+def _operator_map(L, pieces, src, tgt, n, m, phi):
     """Action of a monotone phi: [m] -> [n] on the surjection-indexed sum.
 
     eta o phi factors as delta o eta'; the identity injection acts as the
     identity, the injection missing 0 acts through the differential, every
     other injection acts as zero.
     """
-    src = modules.get(n, FreeModule(ring, []))
-    tgt = modules.get(m, FreeModule(ring, []))
+    ring = L.ring
     entries = {}
-    for eta, r in summands.get(n, []):
+    for eta, r in pieces:
         psi = tuple(eta[phi[t]] for t in range(m + 1))
         vals = set(psi)
         if vals == set(range(r + 1)):

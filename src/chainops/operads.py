@@ -660,13 +660,12 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
                         cells=None):
     """theta(u; x_1..x_k) on normalized cochains of X.
 
-    xs: list of (cochain, degree) pairs, where a cochain is either a
-    basis simplex label or a dict mapping labels to coefficients.  A
-    surjection of degree d lowers the total degree by d: the result is
-    the cochain whose value on an n-simplex is the signed sum over all
-    ways of cutting 0..n into k+d intervals, assigned to the values of
-    u in order, of the product of the x_s evaluated on the
-    concatenations of their intervals.
+    xs: list of (cochain, degree) pairs, where a cochain is a dict
+    mapping simplex labels to coefficients.  A surjection of degree d
+    lowers the total degree by d: the result is the cochain whose value
+    on an n-simplex is the signed sum over all ways of cutting 0..n into
+    k+d intervals, assigned to the values of u in order, of the product
+    of the x_s evaluated on the concatenations of their intervals.
 
     cells, when given, is a function of the output degree n returning
     the n-simplices to evaluate on; the result is then the cochain
@@ -726,15 +725,11 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
                 if face.is_degenerate:
                     coeff = ring.zero()
                     break
-                if isinstance(entry, dict):
-                    c = entry.get(face.base, ring.zero())
-                    if ring.is_zero(c):
-                        coeff = ring.zero()
-                        break
-                    coeff = ring.mul(coeff, ring.normalize(c))
-                elif face.base != entry:
+                c = entry.get(face.base, ring.zero())
+                if ring.is_zero(c):
                     coeff = ring.zero()
                     break
+                coeff = ring.mul(coeff, ring.normalize(c))
             if ring.is_zero(coeff):
                 continue
             if cut[3] is None:
@@ -758,7 +753,8 @@ def cochain_algebra(X: FiniteSimplicialSet, ring: RingSpec,
     A = cochains(X, ring)
 
     def theta(u, k, xs):
-        return interval_cut_action(X, ring, u, k, xs)
+        return interval_cut_action(X, ring, u, k,
+                                   [({lab: 1}, deg) for lab, deg in xs])
 
     alg = OperadAlgebra(O, A, theta)
     alg.space = X
@@ -767,7 +763,8 @@ def cochain_algebra(X: FiniteSimplicialSet, ring: RingSpec,
 
 def cup_product(X: FiniteSimplicialSet, ring: RingSpec, x, p, y, q):
     """x cup y on cochain basis elements, via the arity-2 action."""
-    return interval_cut_action(X, ring, (1, 2), 2, [(x, p), (y, q)])
+    return interval_cut_action(X, ring, (1, 2), 2,
+                               [({x: 1}, p), ({y: 1}, q)])
 
 
 # ---------------------------------------------------------------------------

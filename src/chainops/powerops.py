@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, homology, verify_differential
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
 from .operads import (interval_cut_action, rename_values,
@@ -126,39 +126,19 @@ def build_w(p: int, cap: int) -> WResolution:
     if not _is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
     W = WResolution(p, cap)
-    ring = W.ring
-    for n in range(2, cap + 1):
-        comp = W.complex.differential(n - 1).compose(
-            W.complex.differential(n))
-        if not comp.is_zero():
-            raise ValueError("boundary does not square to zero at %d" % n)
-    _verify_w_exactness(W)
+    bad = verify_differential(W.complex)
+    if bad:
+        raise ValueError("boundary does not square to zero at %d" % bad[0])
+    # the augmented complex is exact: H_0 is the augmentation's Z/p and
+    # every higher homology below the cap vanishes
+    for n in range(cap):
+        if homology(W.complex, n).free_rank != (1 if n == 0 else 0):
+            raise ValueError("resolution is not exact at degree %d" % n)
     _verify_psi(W)
     return W
 
 
-def _verify_w_exactness(W: WResolution):
-    """The augmented complex is exact: kernel of each boundary equals
-    the image of the next (ranks suffice over a field)."""
-    from .linalg import kernel_matrix, rref
-    ring = W.ring
-    p = W.p
-    for n in range(W.cap):
-        if n == 0:
-            # kernel of the augmentation has rank p - 1
-            ker_rank = p - 1
-        else:
-            mat = W.complex.differential(n).to_matrix()
-            ker_rank = len(kernel_matrix(mat, ring))
-        mat_in = W.complex.differential(n + 1).to_matrix()
-        rows = [[mat_in[i][j] for i in range(p)] for j in range(p)]
-        _, piv = rref(rows, ring)
-        if len(piv) != ker_rank:
-            raise ValueError("resolution is not exact at degree %d" % n)
-
-
 def _verify_psi(W: WResolution):
-    ring = W.ring
     p = W.p
     for n in range(W.cap + 1):
         # counit on both sides

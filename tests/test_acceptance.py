@@ -94,12 +94,12 @@ class TestCriterion1DoldKan:
                 N = normalize(denormalize(L, top + 1))
                 assert N.modules == L.modules
                 assert N.differentials == L.differentials
-                K = dnc(L, top + 1)
-                comp = dnc_projection(L, K).compose(dnc_inclusion(L, K))
+                C = nc(dnc(L, top + 1))
+                comp = dnc_projection(L, C).compose(dnc_inclusion(L, C))
                 for n in comp.source.modules:
                     assert comp.component(n) == \
                         FreeModuleMap.identity(comp.source.module(n))
-                assert verify_differential(nc(K)) == []
+                assert verify_differential(C) == []
                 count += 1
         assert count >= 100
         assert time.monotonic() - start < 5.0

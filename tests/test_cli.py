@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainops.cli import (
     ParseError,
@@ -404,3 +406,95 @@ class TestSizeBounds:
         monkeypatch.setattr("chainops.cli.cmd_homology", fail)
         with pytest.raises(ValueError, match="within the cap"):
             main(["homology", "--space", "circle"])
+
+
+COMPLEX = "ring Z\nmodule 0 a b\nmodule 1 c\nd 1 a c 1\n"
+DGA = "dga\ngenerator 1 0 0\nunit 1\ngenerator a 1 1\n"
+SSET = "simplex 0 v :\nsimplex 1 e : faces v v\n"
+
+
+class TestMalformedInputs:
+    """A malformed input file exits 2 with one `chainops:` line naming the
+    file, and the line when the fault sits on one."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("ring\nmodule 0 a\n", 1),
+        (COMPLEX + "module\n", 5),
+        (COMPLEX + "module x a\n", 5),
+        (COMPLEX + "d y a c 1\n", 5),
+        (COMPLEX + "d 1 a c x\n", 5),
+        ("ring Q\nmodule 0 a\nmodule 1 b\nd 1 a b 1/2\n", 4),
+        ("ring Z\nmodule 0 a a\n", None),
+        (DGA + "generator x\n", 5),
+        (DGA + "generator x a 1\n", 5),
+        ("dga\ngenerator 1 0 0\nunit\n", 3),
+        ("dga\ngenerator 1 0 0\ngenerator x 1 1\nunit x\n", None),
+        (DGA + "mul 1\n", 5),
+        (DGA + "generator b 2 1\nd a : b q\n", 6),
+        ("simplex 0 v :\nsimplex 1 e : faces v.x.y v\n", 2),
+        ("simplex 0 v :\nsimplex 1 e : faces sx.v v\n", 2),
+    ])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text, line):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        command = "bar" if text.startswith("dga") else "homology"
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = str(path) if line is None else f"{path}:{line}"
+        assert captured.err.startswith(f"chainops: {where}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_well_formed_bases_parse(self, tmp_path, capsys):
+        for text, command in ((COMPLEX, "homology"), (DGA, "bar"),
+                              (SSET, "homology")):
+            path = tmp_path / "in.txt"
+            path.write_text(text)
+            assert main([command, "--input", str(path)]) == 0
+
+    def test_homology_refuses_a_dga(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_text(DGA)
+        assert main(["homology", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"chainops: {path}: homology needs a simplicial set or a "
+            "complex input\n")
+
+
+_TOKENS = {
+    "complex": (["ring", "direction", "module", "d"],
+                ["Z", "Q", "Z/2", "Z/4", "Z/0", "0", "1", "2", "-1", "x",
+                 "a", "b", "1/2", "homological", "cohomological"]),
+    "dga": (["dga", "generator", "unit", "d", "mul"],
+            ["1", "0", "2", "-1", "a", "b", ":", "q", "1/2"]),
+    "sset": (["simplex"],
+             ["0", "1", "2", ":", "faces", "v", "w", "e", "s0.v", "s1.e",
+              "s0s1.v", "v.x.y", "sx.v", "s9.v", "s-1.v"]),
+}
+
+
+@st.composite
+def _input_file(draw):
+    fmt = draw(st.sampled_from(sorted(_TOKENS)))
+    keywords, tokens = _TOKENS[fmt]
+    lines = [[keywords[0]] + draw(st.lists(st.sampled_from(tokens),
+                                           max_size=5))]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append([draw(st.sampled_from(keywords))]
+                     + draw(st.lists(st.sampled_from(tokens), max_size=5)))
+    return fmt, "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestMalformedInputsFuzzed:
+    @settings(max_examples=300, deadline=None)
+    @given(_input_file())
+    def test_main_never_raises(self, drawn):
+        fmt, text = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            argv = (["bar", "--input", path, "--length-cap", "2",
+                     "--degree-cap", "2"] if fmt == "dga"
+                    else ["homology", "--input", path])
+            assert main(argv) in (0, 1, 2, 3)

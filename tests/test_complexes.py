@@ -3,6 +3,7 @@ import random
 from chainops.complexes import (
     ChainComplex,
     HomologyGroup,
+    OperatorModule,
     homology,
     verify_differential,
 )
@@ -88,3 +89,30 @@ class TestEulerCharacteristic:
                 chi_hom = sum((-1) ** n * homology(C, n).free_rank
                               for n in C.degrees())
                 assert chi_ranks == chi_hom
+
+
+class TestOperatorModule:
+    def test_zero_module_maps_never_reach_the_rule(self):
+        def rule(key, src, tgt):
+            raise AssertionError(f"rule reached for {key!r}")
+
+        M = FreeModule(ZZ, ["x"])
+        K = OperatorModule(ZZ, {0: M, 2: M}, rule)
+        for key in (("d", 0, 0), ("s", 0, 0), ("d", 2, 1), ("s", 2, 0)):
+            f = K.structure_map(key)
+            assert f.is_zero() and f.source == M
+        assert K.top_degree() == 2
+
+    def test_each_map_is_built_once_under_its_own_key(self):
+        built = []
+
+        def rule(key, src, tgt):
+            built.append(key)
+            return FreeModuleMap(src, tgt, {("y", "x"): key[2]})
+
+        K = OperatorModule(ZZ, {0: FreeModule(ZZ, ["y"]),
+                                1: FreeModule(ZZ, ["x"])}, rule)
+        for _ in range(2):
+            assert [K.structure_map(("d", 1, i)).entries for i in (1, 2)] \
+                == [{("y", "x"): 1}, {("y", "x"): 2}]
+        assert built == [("d", 1, 1), ("d", 1, 2)]

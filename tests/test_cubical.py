@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -39,17 +40,17 @@ class TestSplitting:
         rng = random.Random(4)
         for ring in (ZZ, Zmod(2), Zmod(5)):
             L = random_chain_complex(ring, 4, 3, rng)
-            K = dnc(L, 5)
-            inc = dnc_inclusion(L, K)
-            proj = dnc_projection(L, K)
+            N = nc(dnc(L, 5))
+            inc = dnc_inclusion(L, N)
+            proj = dnc_projection(L, N)
             assert inc.commutes_with_differential()
             assert proj.commutes_with_differential()
 
     def test_projection_retracts_inclusion(self):
         rng = random.Random(5)
         L = random_chain_complex(ZZ, 4, 3, rng)
-        K = dnc(L, 5)
-        comp = dnc_projection(L, K).compose(dnc_inclusion(L, K))
+        N = nc(dnc(L, 5))
+        comp = dnc_projection(L, N).compose(dnc_inclusion(L, N))
         for n in comp.source.modules:
             assert comp.component(n) == \
                 FreeModuleMap.identity(comp.source.module(n))
@@ -73,3 +74,77 @@ class TestSplitting:
         for n in range(4):
             assert N.module(n).rank == 1
             assert N.differential(n).is_zero()
+
+
+def eager_maps(L, K, nmax):
+    """Every face and degeneracy of K = dnc(L, nmax), built up front by the
+    eager loops, independently of the module's own rule."""
+    def label(D, x):
+        return x if not D else ("s", D, x)
+
+    def summands(n):
+        return sorted((D for k in range(n + 1) if n - k in L.modules
+                       for D in itertools.combinations(range(1, n + 1), k)),
+                      key=len)
+
+    ring = L.ring
+    faces, degens = {}, {}
+    for n in range(nmax + 1):
+        if not K.module(n).rank:
+            continue
+        for i in range(1, n + 1):
+            for c in (0, 1):
+                entries = {}
+                for D in summands(n):
+                    r = n - len(D)
+                    if i in D:
+                        D2 = tuple(j if j < i else j - 1 for j in D if j != i)
+                        for x in L.module(r).basis:
+                            entries[(label(D2, x), label(D, x))] = 1
+                    elif i - sum(1 for j in D if j < i) == r and c == 0:
+                        D2 = tuple(j if j < i else j - 1 for j in D)
+                        for (t, s), v in L.differential(r).entries.items():
+                            key = (label(D2, t), label(D, s))
+                            entries[key] = entries.get(key, 0) + (-1) ** r * v
+                faces[(n, i, c)] = FreeModuleMap(K.module(n),
+                                                 K.module(n - 1), entries)
+        if n + 1 <= nmax:
+            for i in range(1, n + 2):
+                entries = {}
+                for D in summands(n):
+                    D2 = tuple(sorted((i,) + tuple(j if j < i else j + 1
+                                                   for j in D)))
+                    for x in L.module(n - len(D)).basis:
+                        entries[(label(D2, x), label(D, x))] = 1
+                degens[(n, i)] = FreeModuleMap(K.module(n), K.module(n + 1),
+                                               entries)
+    return faces, degens
+
+
+class TestLazyStructureMaps:
+    def test_maps_match_the_eager_construction(self):
+        rng = random.Random(7)
+        for ring in (ZZ, Zmod(2), Zmod(3), Zmod(4)):
+            for nmax in range(6):
+                L = random_chain_complex(ring, rng.randint(1, 4), 2, rng)
+                K = dnc(L, nmax)
+                faces, degens = eager_maps(L, K, nmax)
+                for n in range(nmax + 1):
+                    for i, c in itertools.product(range(1, n + 1), (0, 1)):
+                        assert K.face(n, i, c) == faces.get(
+                            (n, i, c), FreeModuleMap.zero(K.module(n),
+                                                          K.module(n - 1)))
+                    for i in range(1, n + 2):
+                        assert K.degeneracy(n, i) == degens.get(
+                            (n, i), FreeModuleMap.zero(K.module(n),
+                                                       K.module(n + 1)))
+                assert K.check_identities() == []
+
+    def test_nc_reads_no_degeneracy(self):
+        rng = random.Random(8)
+        for ring in (ZZ, Zmod(2), Zmod(3), Zmod(4)):
+            L = random_chain_complex(ring, 4, 3, rng)
+            K = dnc(L, max(L.modules, default=0) + 1)
+            nc(K)
+            assert K.maps
+            assert not [key for key in K.maps if key[0] == "s"]

@@ -1,8 +1,10 @@
 import math
 import random
 
-from chainops.complexes import homology, verify_differential
+from chainops.cli import main
+from chainops.complexes import OperatorModule, homology, verify_differential
 from chainops.dold_kan import denormalize, normalize, surjections
+from chainops.freemod import FreeModuleMap
 from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 
@@ -62,3 +64,87 @@ class TestRoundTrip:
         N = normalize(denormalize(L, 5))
         for n in range(5):
             assert homology(N, n) == homology(L, n)
+
+
+def eager_maps(L, K, nmax):
+    """Every face and degeneracy of K = denormalize(L, nmax), built up front
+    by the eager loops, independently of the module's own rule."""
+    def label(eta, r, n, x):
+        return x if r == n else ("s", eta, x)
+
+    def pieces(n):
+        out = [(tuple(range(n + 1)), n)] if n in L.modules else []
+        for r in sorted(L.modules, reverse=True):
+            if r < n:
+                out.extend((eta, r) for eta in surjections(n, r))
+        return out
+
+    def act(n, m, phi):
+        entries = {}
+        for eta, r in pieces(n):
+            psi = tuple(eta[phi[t]] for t in range(m + 1))
+            if set(psi) == set(range(r + 1)):
+                for x in L.module(r).basis:
+                    entries[(label(psi, r, m, x), label(eta, r, n, x))] = 1
+            elif set(psi) == set(range(1, r + 1)):
+                eta2 = tuple(v - 1 for v in psi)
+                for (t, s), c in L.differential(r).entries.items():
+                    key = (label(eta2, r - 1, m, t), label(eta, r, n, s))
+                    entries[key] = entries.get(key, 0) + c
+        return FreeModuleMap(K.module(n), K.module(m), entries)
+
+    faces, degens = {}, {}
+    for n in range(nmax + 1):
+        if not K.module(n).rank:
+            continue
+        for i in range(n + 1):
+            if n >= 1:
+                faces[(n, i)] = act(
+                    n, n - 1, tuple(t if t < i else t + 1 for t in range(n)))
+            if n + 1 <= nmax:
+                degens[(n, i)] = act(
+                    n, n + 1, tuple(t if t <= i else t - 1
+                                    for t in range(n + 2)))
+    return faces, degens
+
+
+class TestLazyStructureMaps:
+    def test_maps_match_the_eager_construction(self):
+        rng = random.Random(7)
+        for ring in (ZZ, Zmod(2), Zmod(3), Zmod(4)):
+            for nmax in range(6):
+                L = random_chain_complex(ring, rng.randint(1, 4), 2, rng)
+                K = denormalize(L, nmax)
+                faces, degens = eager_maps(L, K, nmax)
+                for n in range(nmax + 1):
+                    for i in range(n + 1):
+                        assert K.face(n, i) == faces.get(
+                            (n, i), FreeModuleMap.zero(K.module(n),
+                                                       K.module(n - 1)))
+                        assert K.degeneracy(n, i) == degens.get(
+                            (n, i), FreeModuleMap.zero(K.module(n),
+                                                       K.module(n + 1)))
+                assert K.check_identities() == []
+
+    def test_roundtrip_reads_no_degeneracy(self):
+        rng = random.Random(8)
+        for ring in (ZZ, Zmod(2), Zmod(3), Zmod(4)):
+            L = random_chain_complex(ring, 4, 3, rng)
+            K = denormalize(L, max(L.modules, default=0) + 1)
+            normalize(K)
+            assert K.maps
+            assert not [key for key in K.maps if key[0] == "s"]
+
+    def test_cli_roundtrip_builds_no_degeneracy(self, monkeypatch, capsys):
+        read = []
+        structure_map = OperatorModule.structure_map
+
+        def recording(self, key):
+            read.append(key)
+            return structure_map(self, key)
+
+        monkeypatch.setattr(OperatorModule, "structure_map", recording)
+        for ring in ("Z", "Z/2", "Q"):
+            assert main(["dold-kan-roundtrip", "--count", "3",
+                         "--ring", ring]) == 0
+        assert {key[0] for key in read} == {"d"}
