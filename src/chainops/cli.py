@@ -149,7 +149,10 @@ def parse_complex_file(path) -> ChainComplex:
         key = parts[0]
         with _reading(f"{path}:{lineno}"):
             if key == "ring":
-                ring = parse_ring(parts[1])
+                try:
+                    ring = parse_ring(parts[1])
+                except ParseError as e:
+                    raise ParseError(f"{path}:{lineno}: {e}") from None
             elif key == "direction":
                 if parts[1] not in (HOMOLOGICAL, COHOMOLOGICAL):
                     raise ParseError(f"{path}:{lineno}: bad direction")
@@ -215,8 +218,14 @@ def parse_dga_file(path) -> AugmentedDGA:
             elif key == "unit":
                 unit = parts[1]
             elif key == "d":
+                if parts[2] != ":":
+                    raise ParseError(f"{path}:{lineno}: expected "
+                                     "'d <label> : <label> <coeff>...'")
                 diff[parts[1]] = vector(parts[3:], lineno)
             elif key == "mul":
+                if parts[3] != ":":
+                    raise ParseError(f"{path}:{lineno}: expected "
+                                     "'mul <a> <b> : <label> <coeff>...'")
                 mult[(parts[1], parts[2])] = vector(parts[4:], lineno)
             else:
                 raise ParseError(f"{path}:{lineno}: unknown keyword {key!r}")

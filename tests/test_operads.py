@@ -3,12 +3,15 @@ from collections import Counter
 
 import pytest
 
+import chainops.operads as operads_module
 from chainops.complexes import ChainComplex
 from chainops.operads import (
     Operad,
     _composable,
+    check_algebra_axioms,
     check_einfinity,
     check_operad_axioms,
+    cochain_algebra,
     is_surjection_word,
     one_point_operad,
     orientation,
@@ -19,6 +22,7 @@ from chainops.operads import (
     surjection_words,
 )
 from chainops.rings import ZZ, Zmod
+from chainops.simplicial import classifying_space
 
 
 def _degree(u, k):
@@ -206,6 +210,58 @@ class TestOperadAxioms:
         assert not report["passed"]
         assert any("(1, 2)" in repr(f["witness"])
                    for f in report["failures"])
+
+
+class TestCompositionMemo:
+    """The surjection operad computes each composition once and hands out
+    the stored result; the memo must key on everything gamma reads."""
+
+    @pytest.mark.parametrize("arity_cap,degree_cap,ring", [
+        (3, 2, Zmod(3)),
+        (4, 1, ZZ),
+    ])
+    def test_memoised_composition_equals_the_reference(self, arity_cap,
+                                                       degree_cap, ring):
+        O = surjection_operad(arity_cap, ring, degree_cap)
+        # the sweep fills the memo in order, so a key that confuses two
+        # tuples hands the later one the earlier one's result
+        for k, u, _, js, vs, _ in _composable(O, arity_cap, degree_cap):
+            assert O.compose_basis(u, k, list(vs), list(js)) \
+                == surjection_composition(u, k, vs, js), (u, vs, js)
+
+    def test_each_distinct_composition_is_computed_once(self, monkeypatch):
+        computed = []
+
+        def counting(u, k, vs, arities):
+            computed.append((u, k, tuple(vs), tuple(arities)))
+            return surjection_composition(u, k, vs, arities)
+
+        monkeypatch.setattr(operads_module, "surjection_composition",
+                            counting)
+        O = surjection_operad(3, Zmod(3), 2)
+        memoised = O.compose_basis
+        requested = []
+
+        def recording(u, k, vs, arities):
+            requested.append((u, k, tuple(vs), tuple(arities)))
+            return memoised(u, k, vs, arities)
+
+        O.compose_basis = recording
+        assert check_operad_axioms(O, 3, 2)["passed"]
+        assert len(requested) == 3477
+        assert len(set(requested)) == 193
+        assert sorted(computed) == sorted(set(requested))
+
+    def test_shared_results_are_not_mutated(self):
+        ring = Zmod(3)
+        X = classifying_space(3, 2)
+        alg = cochain_algebra(X, ring, 3, 2)
+        first = check_operad_axioms(alg.operad, 3, 2)
+        assert first["passed"]
+        assert check_operad_axioms(alg.operad, 3, 2) == first
+        fresh = check_algebra_axioms(cochain_algebra(X, ring, 3, 2), 2, 2)
+        assert fresh["passed"]
+        assert check_algebra_axioms(alg, 2, 2) == fresh
 
 
 class TestComposableSweep:
