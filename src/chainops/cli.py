@@ -12,6 +12,7 @@ or size option below its least value), 3 a request past a size bound
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
@@ -466,7 +467,11 @@ def cmd_hopf_check(args):
 # plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process.
+    Each subcommand runs the cmd_ function named after it, looked up when
+    it runs."""
     parser = argparse.ArgumentParser(
         prog="chainops",
         description="exact-arithmetic chain-level computations and checks")
@@ -483,7 +488,6 @@ def build_parser():
     p = sub.add_parser("homology")
     space_opts(p)
     p.add_argument("--ring", default="Z")
-    p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("dold-kan-roundtrip")
     p.add_argument("--count", type=int, default=20)
@@ -491,48 +495,40 @@ def build_parser():
     p.add_argument("--length", type=int, default=5)
     p.add_argument("--max-rank", type=int, default=3)
     p.add_argument("--ring", default="default")
-    p.set_defaults(fn=cmd_dold_kan_roundtrip)
 
-    for name, fn in (("operad-check", cmd_operad_check),
-                     ("einfinity-check", cmd_einfinity_check)):
+    for name in ("operad-check", "einfinity-check"):
         p = sub.add_parser(name)
         p.add_argument("--arity-cap", type=int, default=3)
         p.add_argument("--degree-cap", type=int, default=4)
         p.add_argument("--ring", default="Z/2")
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("steenrod")
     space_opts(p)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--degree-cap", type=int, default=6)
-    p.set_defaults(fn=cmd_steenrod)
 
     p = sub.add_parser("cartan-check")
     space_opts(p, dim=4)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--smax", type=int, default=2)
     p.add_argument("--degree-cap", type=int, default=2)
-    p.set_defaults(fn=cmd_cartan_check)
 
     p = sub.add_parser("adem-check")
     space_opts(p, dim=8)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--amax", type=int, default=3)
     p.add_argument("--degree-cap", type=int, default=4)
-    p.set_defaults(fn=cmd_adem_check)
 
     p = sub.add_parser("w-resolution")
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--cap", type=int, default=20)
-    p.set_defaults(fn=cmd_w_resolution)
 
-    for name, fn in (("bar", cmd_bar), ("hopf-check", cmd_hopf_check)):
+    for name in ("bar", "hopf-check"):
         p = sub.add_parser(name)
         p.add_argument("--fixture", default="one-generator")
         p.add_argument("--input", default=None)
         p.add_argument("--length-cap", type=int, default=4)
         p.add_argument("--degree-cap", type=int, default=4)
-        p.set_defaults(fn=fn)
 
     return parser
 
@@ -564,10 +560,9 @@ LEAST_VALUE = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("fn", "out", "format") and v is not None}
+              if k not in ("out", "format") and v is not None}
     try:
         if getattr(args, "p", None) is not None and not _is_prime(args.p):
             raise ParseError(f"--p must be a prime, got {args.p}")
@@ -578,7 +573,7 @@ def main(argv=None):
             if value is not None and value < least:
                 raise ParseError(f"--{name.replace('_', '-')} must be at "
                                  f"least {least}, got {value}")
-        body = args.fn(args)
+        body = globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as e:
         print(f"chainops: {e}", file=sys.stderr)
         return 2

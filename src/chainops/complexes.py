@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freemod import FreeModule, FreeModuleMap
-from .linalg import (hnf_rows, identity_matrix, integer_quotient,
-                     kernel_matrix, rref)
-from .rings import RingSpec, ZZ
+from .linalg import identity_matrix, integer_quotient, kernel_matrix, rref
+from .rings import RingSpec
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -162,24 +161,18 @@ def homology(C: ChainComplex, n: int) -> HomologyGroup:
         ker_dim = dim_n if zero_out else len(kernel_matrix(d_out, ring))
         rank_im = len(rref([list(c) for c in zip(*im_cols)], ring)[1]) if im_cols else 0
         return HomologyGroup(ring, ker_dim - rank_im, ())
-    if ring.kind == "Z":
-        ker_cols = (identity_matrix(dim_n) if zero_out
-                    else kernel_matrix(d_out, ring))
-        free, div = integer_quotient(ker_cols, im_cols)
-        return HomologyGroup(ring, free, tuple(div))
-    # Z/m with m composite: work with integer lattices containing m Z^dim
-    m = ring.modulus
-    lifted_out = [[int(x) for x in row] for row in d_out]
-    R = len(lifted_out)
-    aug = [row + [m if j == i else 0 for j in range(R)]
-           for i, row in enumerate(lifted_out)]
-    if R and not zero_out:
-        ker_cols = hnf_rows([v[:dim_n] for v in kernel_matrix(aug, ZZ)])
-    else:
-        ker_cols = identity_matrix(dim_n)
-    im_lifted = [[int(x) for x in col] for col in im_cols]
-    im_lifted += [[m * x for x in e] for e in identity_matrix(dim_n)]
-    free, div = integer_quotient(ker_cols, im_lifted)
+    ker_cols = (identity_matrix(dim_n) if zero_out
+                else kernel_matrix(d_out, ring))
+    if ring.kind == "Zmod":
+        # m composite: the quotient of integer lattices containing m Z^dim.
+        # The kernel lattice's Hermite basis is the Howell form of the
+        # kernel mod m, with m * e_c at each column c where it has no pivot
+        m = ring.modulus
+        m_e = [[m * x for x in e] for e in identity_matrix(dim_n)]
+        lead = {next(c for c, x in enumerate(v) if x): v for v in ker_cols}
+        ker_cols = [lead.get(c, m_e[c]) for c in range(dim_n)]
+        im_cols = im_cols + m_e
+    free, div = integer_quotient(ker_cols, im_cols)
     return HomologyGroup(ring, free, tuple(div))
 
 

@@ -3,14 +3,19 @@
 The public functions take and return dense row-major lists of exact ring
 elements.  Echelon forms and kernels are computed on sparse rows (dicts
 column -> nonzero entry), since the structure maps this engine meets
-are mostly zero; their outputs are canonical (reduced row echelon form,
-Hermite normal form), so they do not depend on the elimination order.
+are mostly zero; their outputs are canonical (reduced row echelon form
+over a field, Hermite normal form over Z, Howell form over Z/m), so they
+do not depend on the elimination order.
 Over a field there is one elimination loop, EchelonBasis: a reduced
 row echelon basis grown one vector at a time, which says whether each
 vector raised the rank, reduces a vector to its canonical coset
 representative, and reads coordinates in the vectors it kept.  rref,
 the field kernels, the rational echelon form behind the Z kernels and
 the field homology quotients are all built on it.
+Over Z/m with m composite, kernels are computed mod m by one sparse
+Howell-form elimination (Howell 1986; Storjohann and Mulders 1998):
+unimodular xgcd merges, pivots scaled to divisors of m and saturation
+rows, with no lift to Z.
 Smith normal form runs one pivot loop: the smallest nonzero |entry| of
 the trailing block, with (row, column) tie-break, becomes the pivot, and
 floor division leaves remainders smaller than it, so all outputs are
@@ -21,6 +26,7 @@ with no Smith form.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .freemod import FreeModule, FreeModuleMap, add_scaled
@@ -262,7 +268,9 @@ def kernel_matrix(rows, ring: RingSpec):
     Over a field: RREF null space.  Over Z: the kernel lattice, put in
     HNF; it is read off the rational RREF null space when that is
     integral (always so for 0/1 face matrices), else off the Smith form.
-    Over Z/m (m composite): integer kernel of [A | mI], reduced mod m.
+    Over Z/m (m composite): the Howell form of the kernel, computed mod m;
+    its rows are the rows of the Hermite basis of {u in Z^n : Au = 0 mod
+    m} whose pivot is not m.
     """
     R = len(rows)
     C = len(rows[0]) if R else 0
@@ -304,27 +312,87 @@ def sparse_kernel(rows, ncols: int, ring: RingSpec):
             return []
         return [{j: x for j, x in enumerate(row) if x}
                 for row in hnf_rows(basis)]
-    # Z/m, m composite: integer kernel of [A | mI] projected to the A-part
+    return _howell_kernel(rows, ncols, ring)
+
+
+def _howell_kernel(rows, ncols, ring: RingSpec):
+    """The Howell form of the kernel of sparse rows over Z/m, m composite.
+
+    The Howell form of a submodule of (Z/m)^n is its canonical echelon
+    basis: each pivot d divides m, the entries above a pivot d lie in
+    [0, d), and the rows leading at column c or later span every vector
+    of the submodule that is zero before c.  Here it is computed for the
+    row span of [column j of A | e_j], one row per column j, whose
+    vectors are (Au, u); the rows that lead in the e-part then span, and
+    are the Howell form of, {u : Au = 0}.
+
+    Columns are processed left to right on a pool of rows keyed by
+    leading column.  The rows leading at c are merged into one by
+    unimodular xgcd steps, the survivor is scaled by a unit so its pivot
+    d is gcd(pivot, m), and its multiple (m/d) * row, zero at c, goes
+    back to the pool: that saturation row keeps the spanning property.
+    As each pivot of the e-part is fixed, the entries above it in the
+    e-part rows are reduced into [0, d).
+    """
     m = ring.modulus
     R = len(rows)
-    lifted = [dict(row) for row in rows]
-    for i, row in enumerate(lifted):
-        row[ncols + i] = m
-    cand = []
-    for vec in sparse_kernel(lifted, ncols + R, ZZ):
-        v = [ring.normalize(vec.get(j, 0)) for j in range(ncols)]
-        if any(not ring.is_zero(x) for x in v):
-            cand.append(v)
-    # deduplicate, then order by leading column and value, so a
-    # kernel of unit vectors comes back in column order
-    seen = []
-    for v in cand:
-        if v not in seen:
-            seen.append(v)
-    seen.sort(key=lambda v: (next(j for j, x in enumerate(v)
-                                  if not ring.is_zero(x)), v))
-    return [{j: x for j, x in enumerate(v) if not ring.is_zero(x)}
-            for v in seen]
+    stacked = [{R + j: 1} for j in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            stacked[j][i] = x
+    pool = {}
+
+    def push(v):
+        if v:
+            pool.setdefault(min(v), []).append(v)
+
+    for v in stacked:
+        push(v)
+    pivots = []
+    for c in range(R + ncols):
+        leading = pool.pop(c, None)
+        if leading is None:
+            continue
+        p = leading.pop()
+        for r in leading:
+            a, b = p[c], r[c]
+            g, s, t = _xgcd(a, b)
+            p, r = (add_scaled(add_scaled({}, s, p, ring), t, r, ring),
+                    add_scaled(add_scaled({}, -b // g, p, ring), a // g, r,
+                               ring))
+            push(r)
+        d, u = _unit_to_gcd(p[c], m)
+        if u != 1:
+            p = add_scaled({}, u, p, ring)
+        push(add_scaled({}, m // d, p, ring))
+        if c >= R:
+            for _, q in pivots:
+                f = q.get(c, 0) // d
+                if f:
+                    add_scaled(q, -f, p, ring)
+            pivots.append((c, p))
+    return [{j - R: x for j, x in sorted(p.items())} for _, p in pivots]
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _unit_to_gcd(a, m):
+    """(d, u) with d = gcd(a, m) and u a unit mod m with u*a = d mod m,
+    for 0 < a < m."""
+    d = math.gcd(a, m)
+    n = m // d
+    u = pow(a // d, -1, n)
+    while math.gcd(u, m) != 1:
+        u += n
+    return d, u
 
 
 def _integral_null_space(rows, ncols):

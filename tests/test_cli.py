@@ -137,8 +137,9 @@ class TestFileInputs:
         assert groups[0] == "Z/2"
 
     def test_z4_complex_answers_in_time(self, tmp_path):
-        # d_1 = A over Z/4 lifts to [A | 4I], whose Smith form once grew
-        # without bound; run in a child so a stall fails, not hangs
+        # the Z/4 kernel of d_1 = A was once read off the Smith form of
+        # [A | 4I], which grew without bound; it is now computed mod 4.
+        # Run in a child so a stall fails, not hangs
         A = [[0, 0, 0, 0, 0, 3, 0, 2], [0, 3, 0, 2, 3, 3, 0, 0],
              [3, 1, 0, 3, 2, 1, 1, 1], [0, 0, 0, 3, 0, 3, 0, 0],
              [0, 3, 0, 3, 0, 3, 3, 0], [0, 3, 0, 3, 0, 3, 3, 0],
@@ -411,6 +412,45 @@ class TestSizeBounds:
             main(["homology", "--space", "circle"])
 
 
+class TestOneParserPerProcess:
+    """The parser is built once per process; every request after the
+    first, an argparse error among them, answers as in a fresh process."""
+
+    def test_interleaved_requests_match_fresh_processes(self, tmp_path,
+                                                         capsys):
+        report = tmp_path / "report.json"
+        requests = [
+            ["homology", "--space", "circle", "--ring", "Z/6"],
+            ["homology", "--no-such-option"],
+            ["--out", str(report), "homology", "--space", "torus"],
+            ["--format", "tsv", "dold-kan-roundtrip", "--ring", "Z/4",
+             "--count", "1"],
+            ["steenrod", "--p", "4"],
+            ["homology", "--space", "circle", "--ring", "Z/6"],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        codes = []
+        for argv in requests:
+            report.unlink(missing_ok=True)
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            here = (code, captured.out, captured.err,
+                    report.read_text() if report.exists() else None)
+            report.unlink(missing_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "chainops.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            fresh = (proc.returncode, proc.stdout, proc.stderr,
+                     report.read_text() if report.exists() else None)
+            assert here == fresh, argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 2, 0]
+
+
 COMPLEX = "ring Z\nmodule 0 a b\nmodule 1 c\nd 1 a c 1\n"
 DGA = "dga\ngenerator 1 0 0\nunit 1\ngenerator a 1 1\n"
 SSET = "simplex 0 v :\nsimplex 1 e : faces v v\n"
@@ -569,7 +609,7 @@ class TestRequestsFuzzed:
         for command, options in _OPTIONS.items():
             defaults = vars(build_parser().parse_args([command]))
             assert set(options) == set(defaults) - {
-                "command", "fn", "out", "format", "input"}, command
+                "command", "out", "format", "input"}, command
 
     # some requests the strategy can draw run for minutes, since the
     # verifiers sweep every class of a degree (cartan-check on the torus

@@ -4,6 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chainops.complexes
+from chainops.complexes import ChainComplex, homology
+from chainops.dold_kan import _face_rows, denormalize
 from chainops.freemod import FreeModule, FreeModuleMap
 from chainops.linalg import (
     EchelonBasis,
@@ -16,7 +19,9 @@ from chainops.linalg import (
     rref,
     smith_normal_form_matrix,
     solve_matrix,
+    sparse_kernel,
 )
+from chainops.randomgen import random_chain_complex
 from chainops.rings import QQ, ZZ, Zmod
 
 
@@ -110,7 +115,7 @@ class TestSmithNormalForm:
         rows = [[data.draw(st.integers(-3, 3)) for _ in range(c)]
                 for _ in range(r)]
         if m is not None:
-            # [B | mI], the matrix a Z/m kernel is lifted to
+            # [B | mI], the matrix a Z/m solve is lifted to
             rows = [[x % m for x in row] + [m if j == i else 0
                                             for j in range(r)]
                     for i, row in enumerate(rows)]
@@ -445,3 +450,117 @@ class TestEchelonBasis:
                 else:
                     inside += 1
         assert inside > 100 and outside > 100
+
+
+# -- Z/m kernels against the integer lift [A | mI] ---------------------------
+
+COMPOSITE = (4, 6, 8, 9, 12, 18, 30, 36)
+
+
+def lift_kernel_oracle(rows, ncols, ring):
+    """The kernel over Z/m of sparse rows, read off the integer kernel of
+    [A | mI]: each vector projected to the A-part and reduced mod m, the
+    nonzero ones deduplicated and ordered by leading column and value."""
+    m = ring.modulus
+    lifted = [dict(row) for row in rows]
+    for i, row in enumerate(lifted):
+        row[ncols + i] = m
+    found = []
+    for vec in sparse_kernel(lifted, ncols + len(rows), ZZ):
+        v = [vec.get(j, 0) % m for j in range(ncols)]
+        if any(v) and v not in found:
+            found.append(v)
+    found.sort(key=lambda v: (next(j for j, x in enumerate(v) if x), v))
+    return [{j: x for j, x in enumerate(v) if x} for v in found]
+
+
+def lift_lattice_oracle(d_out, m):
+    """The Hermite basis of {u in Z^n : A u = 0 mod m}: the integer kernel
+    of [A | mI] projected to the A-part, put in HNF."""
+    n = len(d_out[0])
+    aug = [list(row) + [m if j == i else 0 for j in range(len(d_out))]
+           for i, row in enumerate(d_out)]
+    return hnf_rows([v[:n] for v in kernel_matrix(aug, ZZ)])
+
+
+def _random_zmod_rows(m, rng):
+    """Up to 6 sparse rows over Z/m on up to 6 columns, with zero and
+    repeated rows among them."""
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        draw = rng.random()
+        if draw < 0.15:
+            rows.append({})
+        elif draw < 0.3 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            rows.append({j: rng.randrange(1, m) for j in range(ncols)
+                         if rng.random() < 0.5})
+    return rows, ncols
+
+
+class TestCompositeKernel:
+    """The Howell-form kernel over Z/m, m composite, equals the kernel
+    read off the integer lift [A | mI] it replaced."""
+
+    @pytest.mark.parametrize("m", COMPOSITE)
+    def test_random_rows_match_the_lift(self, m):
+        ring = Zmod(m)
+        rng = random.Random(m)
+        non_unit_pivots = 0
+        for _ in range(250):
+            rows, ncols = _random_zmod_rows(m, rng)
+            got = sparse_kernel(rows, ncols, ring)
+            assert got == lift_kernel_oracle(rows, ncols, ring), (rows, ncols)
+            non_unit_pivots += sum(v[min(v)] != 1 for v in got)
+        assert non_unit_pivots > 20
+
+    @pytest.mark.parametrize("m", (4, 6))
+    def test_dold_kan_face_rows_match_the_lift(self, m):
+        ring = Zmod(m)
+        rng = random.Random(m)
+        compared = 0
+        for _ in range(4):
+            L = random_chain_complex(ring, 4, 3, rng)
+            K = denormalize(L, max(L.modules, default=0) + 1)
+            for n in sorted(K.modules):
+                if n and K.module(n - 1).rank:
+                    rows = _face_rows(K, n)
+                    ncols = K.module(n).rank
+                    assert sparse_kernel(rows, ncols, ring) == \
+                        lift_kernel_oracle(rows, ncols, ring)
+                    compared += 1
+        assert compared > 10
+
+    @pytest.mark.parametrize("m", (4, 6, 8, 9, 12, 18, 30))
+    def test_homology_kernel_lattice_matches_the_lift(self, m, monkeypatch):
+        # the kernel lattice homology hands to integer_quotient
+        ring = Zmod(m)
+        rng = random.Random(100 + m)
+        lattices = []
+        real = chainops.complexes.integer_quotient
+        monkeypatch.setattr(chainops.complexes, "integer_quotient",
+                            lambda ker, im: (lattices.append(ker),
+                                             real(ker, im))[1])
+        for _ in range(150):
+            rows, ncols = _random_zmod_rows(m, rng)
+            if not rows:
+                continue
+            d_out = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+            src = FreeModule(ring, [("u", j) for j in range(ncols)])
+            tgt = FreeModule(ring, [("w", i) for i in range(len(rows))])
+            d = FreeModuleMap(src, tgt, {(("w", i), ("u", j)): x
+                                         for i, row in enumerate(rows)
+                                         for j, x in row.items()})
+            C = ChainComplex(ring, {1: src, 0: tgt}, {1: d})
+            lattices.clear()
+            H = homology(C, 1)
+            want = (lift_lattice_oracle(d_out, m) if not d.is_zero()
+                    else [[int(i == j) for j in range(ncols)]
+                          for i in range(ncols)])
+            assert lattices == [want], d_out
+            m_e = [[m * int(i == j) for j in range(ncols)]
+                   for i in range(ncols)]
+            free, div = real(want, m_e)
+            assert (H.free_rank, H.divisors) == (free, tuple(div))
