@@ -20,6 +20,7 @@ equivariance come out exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .complexes import ChainComplex, HOMOLOGICAL, homology
@@ -670,40 +671,29 @@ def _cut_sign(u, lens, tpts):
     return -1 if (inv + extra) % 2 else 1
 
 
-def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
-                        cells=None):
-    """theta(u; x_1..x_k) on normalized cochains of X.
+@functools.cache
+def _cut_table(u, k, degrees):
+    """The interval cuts of 0..n for u acting on cochains of the given
+    degrees, as (vertex_sets, lens, tpts) triples: vertex_sets[s - 1]
+    lists the vertices the cut hands to value s, lens the length of each
+    of u's intervals and tpts their endpoints.  Cuts that repeat a
+    vertex are left out (their faces are degenerate everywhere).
 
-    xs: list of (cochain, degree) pairs, where a cochain is a dict
-    mapping simplex labels to coefficients.  A surjection of degree d
-    lowers the total degree by d: the result is the cochain whose value
-    on an n-simplex is the signed sum over all ways of cutting 0..n into
-    k+d intervals, assigned to the values of u in order, of the product
-    of the x_s evaluated on the concatenations of their intervals.
-
-    cells, when given, is a function of the output degree n returning
-    the n-simplices to evaluate on; the result is then the cochain
-    restricted to them.  It selects outputs only: the inputs are read
-    wherever the cuts' faces land.
+    The cuts depend on u, k and the degrees only, so the table is built
+    once per process and shared by every call on every space.  It holds
+    no signs: interval_cut_action computes each through _cut_sign when
+    its cut first contributes to a call.
     """
-    d = len(u) - k
-    ns = [deg for _, deg in xs]
-    n = sum(ns) - d
-    if n < 0 or n not in X.dims():
-        return {}
     occ = occurrence_counts(u)
     poss = {}
     for i, v in enumerate(u):
         poss.setdefault(v, []).append(i)
     per_value = []
     for s in range(1, k + 1):
-        free = ns[s - 1] - occ[s] + 1
+        free = degrees[s - 1] - occ[s] + 1
         if free < 0:
-            return {}
+            return ()
         per_value.append(list(_compositions(free, occ[s])))
-    # the cuts depend on u and the degrees only: list them once, dropping
-    # those that repeat a vertex (their faces are degenerate everywhere);
-    # each sign is computed the first time its cut contributes
     cuts = []
     for combo in itertools.product(*per_value):
         lens = [0] * len(u)
@@ -724,31 +714,60 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
                 break
             vertex_sets.append(tuple(verts))
         else:
-            cuts.append([vertex_sets, lens, tpts, None])
+            cuts.append((tuple(vertex_sets), tuple(lens), tuple(tpts)))
+    return tuple(cuts)
+
+
+def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
+                        cells=None):
+    """theta(u; x_1..x_k) on normalized cochains of X.
+
+    xs: list of (cochain, degree) pairs, where a cochain is a dict
+    mapping simplex labels to coefficients.  A surjection of degree d
+    lowers the total degree by d: the result is the cochain whose value
+    on an n-simplex is the signed sum over all ways of cutting 0..n into
+    k+d intervals, assigned to the values of u in order, of the product
+    of the x_s evaluated on the concatenations of their intervals.
+
+    The cuts come from the shared _cut_table and their faces from the
+    space's vertex_face memo.  Each term is the product of the raw
+    coefficients and the sign, and each output cell's sum is reduced
+    into the ring once: every ring here is Z, Q or a quotient of Z, so
+    that equals reducing each factor.
+
+    cells, when given, is a function of the output degree n returning
+    the n-simplices to evaluate on; the result is then the cochain
+    restricted to them.  It selects outputs only: the inputs are read
+    wherever the cuts' faces land.
+    """
+    ns = tuple(deg for _, deg in xs)
+    n = sum(ns) - (len(u) - k)
+    if n < 0 or n not in X.dims():
+        return {}
+    cuts = _cut_table(u, k, ns)
+    if not cuts:
+        return {}
+    entries = [entry for entry, _ in xs]
+    signs = [None] * len(cuts)      # filled as the cuts contribute
+    vertex_face = X.vertex_face
     out = {}
     for sigma in X.simplices(n) if cells is None else cells(n):
         sx = X.nondegenerate(sigma)
-        faces = {}      # vertex set -> face of sx, shared by the cuts
-        total = ring.zero()
-        for cut in cuts:
-            coeff = ring.one()
-            for (entry, _), verts in zip(xs, cut[0]):
-                face = faces.get(verts)
-                if face is None:
-                    face = faces[verts] = X.vertex_face(sx, verts)
-                if face.is_degenerate:
-                    coeff = ring.zero()
+        total = 0
+        for j, (vertex_sets, lens, tpts) in enumerate(cuts):
+            term = 1
+            for entry, verts in zip(entries, vertex_sets):
+                face = vertex_face(sx, verts)
+                c = 0 if face.word else entry.get(face.base, 0)
+                if not c:
                     break
-                c = entry.get(face.base, ring.zero())
-                if ring.is_zero(c):
-                    coeff = ring.zero()
-                    break
-                coeff = ring.mul(coeff, ring.normalize(c))
-            if ring.is_zero(coeff):
-                continue
-            if cut[3] is None:
-                cut[3] = ring.normalize(_cut_sign(u, cut[1], cut[2]))
-            total = ring.add(total, ring.mul(cut[3], coeff))
+                term *= c
+            else:
+                sign = signs[j]
+                if sign is None:
+                    sign = signs[j] = _cut_sign(u, lens, tpts)
+                total += sign * term
+        total = ring.normalize(total)
         if not ring.is_zero(total):
             out[sigma] = total
     return out

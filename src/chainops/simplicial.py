@@ -68,7 +68,12 @@ def surjection_of_word(word: tuple, n: int) -> tuple:
 
 
 class FiniteSimplicialSet:
-    """Nondegenerate simplices per dimension plus a face incidence table."""
+    """Nondegenerate simplices per dimension plus a face incidence table.
+
+    A space memoises the faces it computes, those of degenerate simplices
+    and the vertex faces keyed by (simplex, tuple of vertices): the
+    interval cuts and the cross product ask for the same ones many
+    times.  The memos live on the space, so no two spaces share one."""
 
     def __init__(self, name, simplices, faces):
         """simplices: dim -> list of ids; faces: (dim, id, i) -> Simplex."""
@@ -80,6 +85,7 @@ class FiniteSimplicialSet:
                 self._dims[s] = n
         self._faces = dict(faces)
         self._degenerate_faces = {}     # (simplex, i) -> face, memoized
+        self._vertex_faces = {}         # (simplex, vertices) -> face
 
     def dims(self):
         return sorted(self._simplices)
@@ -117,7 +123,15 @@ class FiniteSimplicialSet:
         return Simplex(push_degeneracy(sx.word, i), sx.base, sx.base_dim)
 
     def vertex_face(self, sx: Simplex, vertices) -> Simplex:
-        """Restrict an n-simplex to a sorted subset of its vertices 0..n."""
+        """Restrict an n-simplex to a sorted subset of its vertices 0..n,
+        through the space's memo (a subclass computes in _vertex_face)."""
+        key = (sx, tuple(vertices))
+        out = self._vertex_faces.get(key)
+        if out is None:
+            out = self._vertex_faces[key] = self._vertex_face(sx, key[1])
+        return out
+
+    def _vertex_face(self, sx: Simplex, vertices) -> Simplex:
         keep = set(vertices)
         out = sx
         for v in range(sx.dim, -1, -1):
@@ -273,6 +287,7 @@ class ProductSpace(FiniteSimplicialSet):
         self._degrees = sorted({n for px in X.dims() for py in Y.dims()
                                 for n in range(max(px, py), px + py + 1)})
         self._simplices = {}
+        self._vertex_faces = {}     # the base class's vertex-face memo
 
     def dims(self):
         return list(self._degrees)
@@ -306,7 +321,7 @@ class ProductSpace(FiniteSimplicialSet):
     def face(self, sx: Simplex, i: int) -> Simplex:
         return self.vertex_face(sx, [v for v in range(sx.dim + 1) if v != i])
 
-    def vertex_face(self, sx: Simplex, vertices) -> Simplex:
+    def _vertex_face(self, sx: Simplex, vertices) -> Simplex:
         a, b = sx.base
         for t in reversed(sx.word):
             a, b = self.X.degeneracy(a, t), self.Y.degeneracy(b, t)

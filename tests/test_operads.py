@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,9 @@ from chainops.operads import (
     check_einfinity,
     check_operad_axioms,
     cochain_algebra,
+    interval_cut_action,
     is_surjection_word,
+    occurrence_counts,
     one_point_operad,
     orientation,
     rename_values,
@@ -21,8 +24,8 @@ from chainops.operads import (
     surjection_operad,
     surjection_words,
 )
-from chainops.rings import ZZ, Zmod
-from chainops.simplicial import classifying_space
+from chainops.rings import QQ, ZZ, Zmod
+from chainops.simplicial import classifying_space, product_space, torus_space
 
 
 def _degree(u, k):
@@ -358,3 +361,149 @@ class TestCompositeModulus:
         assert not report["passed"]
         assert {f["check"] for f in report["failures"]} == {"acyclicity"}
         assert all(f["witness"][0] == 2 for f in report["failures"])
+
+
+def _reference_interval_cut_action(X, ring, u, k, xs, cells=None):
+    """The interval-cut action as one loop that lists its own cuts and
+    reduces every factor into the ring before multiplying."""
+    d = len(u) - k
+    ns = [deg for _, deg in xs]
+    n = sum(ns) - d
+    if n < 0 or n not in X.dims():
+        return {}
+    occ = occurrence_counts(u)
+    poss = {}
+    for i, v in enumerate(u):
+        poss.setdefault(v, []).append(i)
+    per_value = []
+    for s in range(1, k + 1):
+        free = ns[s - 1] - occ[s] + 1
+        if free < 0:
+            return {}
+        per_value.append(list(operads_module._compositions(free, occ[s])))
+    out = {}
+    for sigma in X.simplices(n) if cells is None else cells(n):
+        sx = X.nondegenerate(sigma)
+        total = ring.zero()
+        for combo in itertools.product(*per_value):
+            lens = [0] * len(u)
+            used = {s: 0 for s in range(1, k + 1)}
+            for i, v in enumerate(u):
+                t = used[v] = used[v] + 1
+                lens[i] = combo[v - 1][t - 1]
+            tpts = [0]
+            for length in lens:
+                tpts.append(tpts[-1] + length)
+            coeff = ring.one()
+            for s, (entry, _) in enumerate(xs, start=1):
+                verts = []
+                for i in poss[s]:
+                    verts.extend(range(tpts[i], tpts[i + 1] + 1))
+                if len(set(verts)) < len(verts):
+                    coeff = ring.zero()
+                    break
+                face = X.vertex_face(sx, verts)
+                if face.is_degenerate:
+                    coeff = ring.zero()
+                    break
+                c = entry.get(face.base, ring.zero())
+                if ring.is_zero(c):
+                    coeff = ring.zero()
+                    break
+                coeff = ring.mul(coeff, ring.normalize(c))
+            if ring.is_zero(coeff):
+                continue
+            sign = ring.normalize(operads_module._cut_sign(u, lens, tpts))
+            total = ring.add(total, ring.mul(sign, coeff))
+        if not ring.is_zero(total):
+            out[sigma] = total
+    return out
+
+
+def _awkward_values(ring):
+    """Coefficients a caller may hand in unreduced: over Z/m a value
+    above m, negatives, multiples of m and explicit zeros."""
+    if ring.kind == "Zmod":
+        m = ring.modulus
+        return [m + 1, -1, m, 0, 2, -m - 2, 2 * m, 1]
+    if ring.kind == "Q":
+        return [Fraction(1, 2), -1, 0, Fraction(-2, 3), 3, Fraction(0)]
+    return [2, -1, 0, 3, -2, 1]
+
+
+class TestIntervalCutOracle:
+    """interval_cut_action reads its cuts from a shared table and reduces
+    each output cell once; a per-factor reducing loop is its reference,
+    on every surjection word of arity <= 3 and degree <= 2."""
+
+    @pytest.fixture(scope="class", params=["bz3", "torus", "bz3xbz3"])
+    def space(self, request):
+        if request.param == "bz3":
+            return classifying_space(3, 3), None
+        if request.param == "torus":
+            return torus_space(), None
+        X = classifying_space(3, 2)
+        P = product_space(X, X)
+        # a proper subset of each degree's cells, as verify_cartan passes
+        return P, lambda n: P.simplices(n)[::3]
+
+    @pytest.mark.parametrize("ring", [Zmod(3), Zmod(4), ZZ, QQ],
+                             ids=str)
+    def test_matches_the_reference(self, space, ring):
+        X, cells = space
+        values = _awkward_values(ring)
+        top = min(max(X.dims()), 2)
+
+        def cochain(q, slot):
+            # a different cochain in each slot; some cells left out
+            out = {}
+            for i, lab in enumerate(X.simplices(q)):
+                if (i + slot) % 5 != 4:
+                    out[lab] = values[(i + 3 * slot) % len(values)]
+            return out
+
+        nonzero = 0
+        for k in (1, 2, 3):
+            for d in (0, 1, 2):
+                for u in surjection_words(k, d):
+                    for ns in itertools.product(range(top + 1), repeat=k):
+                        xs = [(cochain(q, slot), q)
+                              for slot, q in enumerate(ns)]
+                        got = interval_cut_action(X, ring, u, k, xs, cells)
+                        want = _reference_interval_cut_action(
+                            X, ring, u, k, xs, cells)
+                        assert got == want, (u, ns)
+                        nonzero += bool(want)
+        assert nonzero >= 200, nonzero
+
+
+class TestCutTableMemo:
+    """The cuts of a (word, arity, degrees) shape are listed once per
+    process and shared by every call, on every space."""
+
+    def test_each_shape_is_listed_once(self, monkeypatch):
+        table = operads_module._cut_table
+        requested = []
+
+        def recording(u, k, degrees):
+            requested.append((u, k, degrees))
+            return table(u, k, degrees)
+
+        table.cache_clear()
+        monkeypatch.setattr(operads_module, "_cut_table", recording)
+        spaces = [classifying_space(3, 3), torus_space(),
+                  classifying_space(3, 3)]
+        for X in spaces:
+            for d in (0, 1, 2):
+                for u in surjection_words(2, d):
+                    for ns in itertools.product(range(3), repeat=2):
+                        interval_cut_action(
+                            X, Zmod(3), u, 2,
+                            [({lab: 1 for lab in X.simplices(q)}, q)
+                             for q in ns])
+        distinct = len(set(requested))
+        assert distinct < len(requested)
+        # one build per shape, every later request read from the table
+        info = table.cache_info()
+        assert (info.misses, info.hits) == (distinct,
+                                            len(requested) - distinct)

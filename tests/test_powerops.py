@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import chainops.operads as operads_module
 from chainops.complexes import verify_differential
 from chainops.homology_classes import HomologySpace
 from chainops.operads import cochain_algebra, cup_product, surjection_words
@@ -518,6 +519,26 @@ class TestCartanSupportRestriction:
         # nonzero classes were compared at s = q1 + q2, where the output
         # degree is the input degree (plain) or one above it (Bockstein)
         assert {(True, 0), (True, 1)} <= nonzero
+
+
+class TestCartanCutSignControl:
+    """The interval-cut signs are computed within each call, never kept
+    across calls: a verifier run that follows a passing one on the same
+    space, in the same process, must still see a corrupted sign."""
+
+    def test_dropped_cut_sign_fails_on_the_same_space(self, monkeypatch):
+        alg = CochainSystem(classifying_space(3, 2), Zmod(3))
+        baseline = verify_cartan(alg, degree_cap=1, p=3, smax=2)
+        assert baseline["passed"], baseline["failures"][:3]
+        monkeypatch.setattr(operads_module, "_cut_sign",
+                            lambda u, lens, tpts: 1)
+        report = verify_cartan(alg, degree_cap=1, p=3, smax=2)
+        assert not report["passed"]
+        assert report["checked"] == baseline["checked"]
+        assert len(report["failures"]) == 8
+        assert {f["check"] for f in report["failures"]} == {
+            "cartan", "cartan-bockstein"}
+        assert all(f["witness"] for f in report["failures"])
 
 
 class TestHomologySpacesPerDegree:

@@ -6,6 +6,7 @@ from chainops.complexes import homology, verify_differential
 from chainops.rings import ZZ, Zmod
 from chainops.simplicial import (
     FiniteSimplicialSet,
+    ProductSpace,
     Simplex,
     chains,
     circle_space,
@@ -229,3 +230,82 @@ class TestProductFaces:
     def test_simplicial_identities(self, spaces):
         P, _ = spaces
         assert P.check_simplicial_identities() == []
+
+
+class TestVertexFaceMemo:
+    """vertex_face keeps one memo per space, keyed by the simplex and the
+    vertices as a tuple."""
+
+    @staticmethod
+    def _bz3xbz3():
+        X = classifying_space(3, 2)
+        return product_space(X, X)
+
+    @pytest.fixture(params=["bz3", "bz3xbz3"])
+    def build(self, request):
+        if request.param == "bz3":
+            return lambda: classifying_space(3, 3)
+        return self._bz3xbz3
+
+    @staticmethod
+    def _simplices(X):
+        """Every nondegenerate simplex, and on a space with a face table
+        each s_i of one below the top (the cross product restricts the
+        degenerate components of product cells)."""
+        top = max(X.dims())
+        out = []
+        for n in X.dims():
+            for base in X.simplices(n):
+                sx = X.nondegenerate(base)
+                out.append(sx)
+                if n < top and not isinstance(X, ProductSpace):
+                    out.extend(X.degeneracy(sx, i) for i in range(n + 1))
+        return out
+
+    def test_memoised_faces_equal_fresh_ones(self, build):
+        X = build()
+        keys = [(sx, verts) for sx in self._simplices(X)
+                for r in range(1, sx.dim + 2)
+                for verts in itertools.combinations(range(sx.dim + 1), r)]
+        # fill the memo in one sweep, then read each entry back from it
+        faces = [X.vertex_face(sx, verts) for sx, verts in keys]
+        for (sx, verts), face in zip(keys, faces):
+            assert X.vertex_face(sx, verts) == face
+            assert build().vertex_face(sx, verts) == face, (sx, verts)
+
+    def test_spellings_of_the_vertices_share_an_entry(self, build,
+                                                       monkeypatch):
+        X = build()
+        computed = []
+        original = X._vertex_face
+
+        def counting(sx, vertices):
+            computed.append((sx, vertices))
+            return original(sx, vertices)
+
+        monkeypatch.setattr(X, "_vertex_face", counting)
+        sx = X.nondegenerate(X.simplices(2)[-1])
+        faces = {X.vertex_face(sx, vs) for vs in (range(2), [0, 1], (0, 1))}
+        assert len(faces) == 1
+        assert computed == [(sx, (0, 1))]
+
+    def test_spaces_do_not_share_entries(self):
+        # two edges on the same labels, running in opposite directions
+        def edge(tail, head):
+            return FiniteSimplicialSet(
+                "edge", {0: ["v0", "v1"], 1: ["e"]},
+                {(1, "e", 0): Simplex((), head, 0),
+                 (1, "e", 1): Simplex((), tail, 0)})
+
+        X, Y = edge("v0", "v1"), edge("v1", "v0")
+        e = X.nondegenerate("e")
+        assert X.vertex_face(e, [0]) == X.nondegenerate("v0")
+        assert Y.vertex_face(e, [0]) == Y.nondegenerate("v1")
+        assert X.vertex_face(e, [0]) == X.nondegenerate("v0")
+        PX, PY = product_space(X, X), product_space(Y, Y)
+        ee = Simplex((), (e, e), 1)
+        front = PX.vertex_face(ee, [0])
+        assert front == Simplex((), (X.nondegenerate("v0"),) * 2, 0)
+        assert PY.vertex_face(ee, [0]) == Simplex(
+            (), (Y.nondegenerate("v1"),) * 2, 0)
+        assert PX.vertex_face(ee, [0]) == front
