@@ -6,10 +6,10 @@ bases (linalg.EchelonBasis): one spans the image, and the other is fed
 each kernel column reduced modulo the image, so a column becomes a
 generator exactly when it raises the rank of the reductions kept so far.
 A class's coordinates are those of its reduction in the kept
-reductions.  Over Z the image lattice is put in Hermite form inside
-kernel coordinates and class coordinates are canonicalized by division
-with remainder (so torsion classes come out reduced mod their
-divisors).
+reductions.  Over Z the image lattice is put in Smith form inside
+kernel coordinates (linalg.image_in_kernel), and class coordinates are
+canonicalized by division with remainder (so torsion classes come out
+reduced mod their divisors).
 """
 
 from __future__ import annotations
@@ -18,17 +18,16 @@ import itertools
 
 from .complexes import ChainComplex
 from .freemod import add_scaled
-from .linalg import (EchelonBasis, identity_matrix, kernel_matrix,
-                     lattice_coordinates, rref, smith_normal_form_matrix,
-                     sparse_rows)
+from .linalg import (EchelonBasis, identity_matrix, image_in_kernel,
+                     kernel_matrix, lattice_coordinates, rref, sparse_rows)
 from .rings import QQ
 
 
 class HomologySpace:
     """H_n of a complex with chosen cycle generators.
 
-    generators: list of cycle columns (dicts label -> coefficient is not
-    used here; columns are coordinate lists over the degree-n basis).
+    generators: one cycle per class coordinate, each a list of
+    coefficients over the degree-n basis (not a dict keyed by label).
     class_vector(v) maps a cycle to canonical coordinates over the
     generators; two cycles are homologous iff their coordinates agree.
     """
@@ -76,25 +75,10 @@ class HomologySpace:
     # -- integral backend ----------------------------------------------
 
     def _init_integral(self):
-        # self._ker is a row-Hermite basis, so an image column's kernel
-        # coordinates come from back-substitution
+        # in y = U x coordinates the image lattice is spanned by d_i e_i,
+        # so the quotient splits as a direct sum of Z/d_i and Z factors
         k = len(self._ker)
-        coords = []
-        for col in self._im:
-            x = lattice_coordinates(self._ker, col)
-            if x is None:
-                raise ValueError("image is not contained in the kernel")
-            coords.append(x)
-        # Smith form of the image inside kernel coordinates: in y = U x
-        # coordinates the image lattice is spanned by d_i e_i, so the
-        # quotient splits as a direct sum of Z/d_i and Z factors.
-        if coords:
-            S, U, _ = smith_normal_form_matrix(
-                [list(r) for r in zip(*coords)])
-            diag = [S[i][i] if i < len(S[0]) else 0 for i in range(k)]
-        else:
-            U = identity_matrix(k)
-            diag = [0] * k
+        U, diag = image_in_kernel(self._ker, self._im)
         self._U = U
         self._diag = diag
         self._coord_idx = [i for i, d in enumerate(diag) if d != 1]

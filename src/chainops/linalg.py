@@ -10,27 +10,30 @@ Over a field there is one elimination loop, EchelonBasis: a reduced
 row echelon basis grown one vector at a time, which says whether each
 vector raised the rank, reduces a vector to its canonical coset
 representative, and reads coordinates in the vectors it kept.  rref,
-the field kernels, the rational echelon form behind the Z kernels and
-the field homology quotients are all built on it.
-Over Z/m with m composite, kernels are computed mod m by one sparse
-Howell-form elimination (Howell 1986; Storjohann and Mulders 1998):
-unimodular xgcd merges, pivots scaled to divisors of m and saturation
-rows, with no lift to Z.
-Smith normal form runs one pivot loop: the smallest nonzero |entry| of
-the trailing block, with (row, column) tie-break, becomes the pivot, and
-floor division leaves remainders smaller than it, so all outputs are
-deterministic and suitable for golden tests.  Lattice coordinates against
-a row-Hermite basis (the Z kernels below) come from back-substitution,
-with no Smith form.
+the field kernels, solve_matrix over a field and the field homology
+quotients are all built on it.
+Over Z and over Z/m with m composite there is one elimination loop too,
+_howell_form (Howell 1986; Storjohann and Mulders 1998): the Howell form
+of the stacked rows [column j of A | e_j], by unimodular xgcd merges,
+pivots scaled to divisors of m and saturation rows, with no lift to Z;
+over Z it runs with m = 0, where the Howell form is the Hermite normal
+form.  Its rows leading in the e-part are the kernel, and those leading
+in the A-part solve A x = b by reduction.
+Smith normal form is used only for invariant factors (integer_quotient
+and the integral HomologySpace, through image_in_kernel).  It runs one
+pivot loop: the smallest nonzero |entry| of the trailing block, with
+(row, column) tie-break, becomes the pivot, and floor division leaves
+remainders smaller than it, so all outputs are deterministic and
+suitable for golden tests.  Lattice coordinates against a row-Hermite
+basis (the Z kernels) come from back-substitution, with no Smith form.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .freemod import FreeModule, FreeModuleMap, add_scaled
-from .rings import QQ, RingSpec, ZZ
+from .rings import RingSpec, ZZ
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,10 @@ def rref(rows, ring: RingSpec):
 
 def hnf_rows(rows):
     """Row-style Hermite normal form of an integer matrix (unique echelon
-    with positive pivots and entries above pivots reduced)."""
+    with positive pivots and entries above pivots reduced).
+
+    A dense reference kept for tests, like det_unimodular: the Z kernels
+    come out of _howell_form already in this form."""
     A = [list(map(int, r)) for r in rows]
     R = len(A)
     C = len(A[0]) if R else 0
@@ -265,12 +271,11 @@ def hnf_rows(rows):
 def kernel_matrix(rows, ring: RingSpec):
     """Basis of ker(A) as a list of column vectors, canonicalized.
 
-    Over a field: RREF null space.  Over Z: the kernel lattice, put in
-    HNF; it is read off the rational RREF null space when that is
-    integral (always so for 0/1 face matrices), else off the Smith form.
-    Over Z/m (m composite): the Howell form of the kernel, computed mod m;
-    its rows are the rows of the Hermite basis of {u in Z^n : Au = 0 mod
-    m} whose pivot is not m.
+    Over a field: RREF null space.  Over Z: the Hermite normal form of the
+    kernel lattice.  Over Z/m (m composite): the Howell form of the
+    kernel, computed mod m; its rows are the rows of the Hermite basis of
+    {u in Z^n : Au = 0 mod m} whose pivot is not m.  Both come from one
+    loop, _howell_form.
     """
     R = len(rows)
     C = len(rows[0]) if R else 0
@@ -304,35 +309,36 @@ def sparse_kernel(rows, ncols: int, ring: RingSpec):
                 if fc != pc:
                     vecs[fc][pc] = ring.neg(x)
         return [dict(sorted(v.items())) for _, v in sorted(vecs.items())]
-    if ring.kind == "Z":
-        basis = _integral_null_space(rows, ncols)
-        if basis is None:
-            basis = _snf_kernel(rows, ncols)
-        if not basis:
-            return []
-        return [{j: x for j, x in enumerate(row) if x}
-                for row in hnf_rows(basis)]
-    return _howell_kernel(rows, ncols, ring)
+    R = len(rows)
+    return [{j - R: x for j, x in sorted(p.items())}
+            for p in _howell_form(rows, ncols, ring)[1]]
 
 
-def _howell_kernel(rows, ncols, ring: RingSpec):
-    """The Howell form of the kernel of sparse rows over Z/m, m composite.
+def _howell_form(rows, ncols, ring: RingSpec):
+    """An echelon form of the row span {(Au, u)} of [column j of A | e_j],
+    one row per column j of the sparse rows A, over Z or over Z/m with m
+    composite.
 
-    The Howell form of a submodule of (Z/m)^n is its canonical echelon
-    basis: each pivot d divides m, the entries above a pivot d lie in
-    [0, d), and the rows leading at column c or later span every vector
-    of the submodule that is zero before c.  Here it is computed for the
-    row span of [column j of A | e_j], one row per column j, whose
-    vectors are (Au, u); the rows that lead in the e-part then span, and
-    are the Howell form of, {u : Au = 0}.
+    Returns (image, kernel): the pivot rows leading in the A-part and
+    those leading in the e-part, each in increasing pivot column and
+    still indexed over [A | e].  Together they have the Howell property:
+    each pivot d divides m, and the rows leading at column c or later
+    span every vector of the span that is zero before c.  So the kernel
+    rows span {(0, u) : Au = 0}, and with the entries above each of their
+    pivots reduced into [0, d) they are its Howell form, the canonical
+    echelon basis (Howell 1986); and reducing (b | 0) by the image rows
+    clears the A-part exactly when b is in the image of A.  Over Z the
+    loop runs with m = 0: pivots are positive, there is no saturation
+    row, and the kernel rows are the Hermite normal form of the kernel
+    lattice.
 
     Columns are processed left to right on a pool of rows keyed by
     leading column.  The rows leading at c are merged into one by
     unimodular xgcd steps, the survivor is scaled by a unit so its pivot
-    d is gcd(pivot, m), and its multiple (m/d) * row, zero at c, goes
-    back to the pool: that saturation row keeps the spanning property.
-    As each pivot of the e-part is fixed, the entries above it in the
-    e-part rows are reduced into [0, d).
+    d is gcd(pivot, m), and over Z/m its multiple (m/d) * row, zero at c,
+    goes back to the pool: that saturation row keeps the spanning
+    property.  As each pivot of the e-part is fixed, the entries above it
+    in the e-part rows are reduced into [0, d).
     """
     m = ring.modulus
     R = len(rows)
@@ -348,7 +354,7 @@ def _howell_kernel(rows, ncols, ring: RingSpec):
 
     for v in stacked:
         push(v)
-    pivots = []
+    image, kernel = [], []
     for c in range(R + ncols):
         leading = pool.pop(c, None)
         if leading is None:
@@ -364,75 +370,41 @@ def _howell_kernel(rows, ncols, ring: RingSpec):
         d, u = _unit_to_gcd(p[c], m)
         if u != 1:
             p = add_scaled({}, u, p, ring)
-        push(add_scaled({}, m // d, p, ring))
-        if c >= R:
-            for _, q in pivots:
-                f = q.get(c, 0) // d
-                if f:
-                    add_scaled(q, -f, p, ring)
-            pivots.append((c, p))
-    return [{j - R: x for j, x in sorted(p.items())} for _, p in pivots]
+        if m:
+            push(add_scaled({}, m // d, p, ring))
+        if c < R:
+            image.append(p)
+            continue
+        for q in kernel:
+            f = q.get(c, 0) // d
+            if f:
+                add_scaled(q, -f, p, ring)
+        kernel.append(p)
+    return image, kernel
 
 
 def _xgcd(a, b):
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g > 0, for nonzero
+    a, b of either sign (entries over Z, or over Z/m in [1, m))."""
     s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
         q, a, b = a // b, b, a % b
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
 def _unit_to_gcd(a, m):
     """(d, u) with d = gcd(a, m) and u a unit mod m with u*a = d mod m,
-    for 0 < a < m."""
+    for 0 < a < m; over Z (m = 0), for a nonzero, (|a|, sign of a)."""
+    if not m:
+        return abs(a), 1 if a > 0 else -1
     d = math.gcd(a, m)
     n = m // d
     u = pow(a // d, -1, n)
     while math.gcd(u, m) != 1:
         u += n
     return d, u
-
-
-def _integral_null_space(rows, ncols):
-    """A Z-basis of {v in Z^ncols : A v = 0} read off the rational RREF of
-    the sparse integer rows of A, as dense rows; None when the RREF has a
-    non-integral entry.
-
-    The null-space vector of free column f has a 1 at f, zeros at the
-    other free columns and minus the RREF entries of column f at the
-    pivots; when those entries are integers, an integer kernel vector is
-    the integer combination of these vectors given by its free
-    coordinates, so they span the kernel lattice.
-    """
-    basis = EchelonBasis(QQ, ({j: Fraction(x) for j, x in row.items()}
-                              for row in rows)).rows
-    vecs = {fc: [0] * ncols for fc in range(ncols) if fc not in basis}
-    for fc, v in vecs.items():
-        v[fc] = 1
-    for pc, row in basis.items():
-        for fc, x in row.items():
-            if fc == pc:
-                continue
-            if x.denominator != 1:
-                return None
-            vecs[fc][pc] = -int(x)
-    return [v for _, v in sorted(vecs.items())]
-
-
-def _snf_kernel(rows, ncols):
-    """A Z-basis of the kernel lattice from the Smith form of the
-    (nonempty) sparse integer rows, as dense rows."""
-    dense = []
-    for row in rows:
-        v = [0] * ncols
-        for j, x in row.items():
-            v[j] = int(x)
-        dense.append(v)
-    S, _, V = smith_normal_form_matrix(dense)
-    rank = sum(1 for i in range(min(len(dense), ncols)) if S[i][i] != 0)
-    return [[V[i][j] for i in range(ncols)] for j in range(rank, ncols)]
 
 
 def kernel(M: FreeModuleMap) -> FreeModuleMap:
@@ -453,7 +425,10 @@ def kernel(M: FreeModuleMap) -> FreeModuleMap:
 def solve_matrix(rows, b, ring: RingSpec):
     """One solution x of A x = b over the ring, or None if unsolvable.
 
-    Free variables are set to zero.
+    Over a field the free variables are set to zero.  Over Z and Z/m (m
+    composite) b is reduced by the Hermite or Howell form of the stacked
+    rows [column j of A | e_j]; the solution is the one that reduction
+    reads off, not a canonical one.
     """
     R = len(rows)
     C = len(rows[0]) if R else 0
@@ -473,30 +448,19 @@ def solve_matrix(rows, b, ring: RingSpec):
         for r_i, pc in enumerate(pivots):
             x[pc] = A[r_i][C]
         return x
-    if ring.kind == "Z":
-        S, U, V = smith_normal_form_matrix(rows)
-        ub = [sum(U[i][j] * b[j] for j in range(R)) for i in range(R)]
-        z = [0] * C
-        for i in range(min(R, C)):
-            if S[i][i] != 0:
-                if ub[i] % S[i][i] != 0:
-                    return None
-                z[i] = ub[i] // S[i][i]
-            elif ub[i] != 0:
-                return None
-        for i in range(min(R, C), R):
-            if ub[i] != 0:
-                return None
-        return [sum(V[i][j] * z[j] for j in range(C)) for i in range(C)]
-    # Z/m with m composite: lift to Z with the extra relations m*e_i = 0
-    m = ring.modulus
-    lifted = [[int(x) for x in row] + [m if j == i else 0 for j in range(R)]
-              for i, row in enumerate(rows)]
-    bb = [int(x) for x in b]
-    sol = solve_matrix(lifted, bb, ZZ)
-    if sol is None:
+    # Z or Z/m, m composite: each image row is (Ay | y) for some y, so
+    # reducing (b | 0) by them leaves (b - Ay | -y) for the sum y taken;
+    # the A-part clears exactly when b is in the image, and then x = y
+    image, _ = _howell_form(sparse_rows(rows, ring), C, ring)
+    v = {i: x for i, x in enumerate(map(ring.normalize, b)) if x}
+    for p in image:
+        c = min(p)
+        q = v.get(c, 0) // p[c]
+        if q:
+            add_scaled(v, -q, p, ring)
+    if any(c < R for c in v):
         return None
-    return [ring.normalize(sol[j]) for j in range(C)]
+    return [ring.neg(v.get(R + j, 0)) for j in range(C)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +492,35 @@ def lattice_coordinates(basis, v):
     return None if any(v) else coords
 
 
-def integer_quotient(ker_cols, im_cols):
-    """Invariant factors of (lattice spanned by ker_cols)/(lattice spanned by
-    im_cols) inside Z^n; im must be contained in ker.  ker_cols must be a
-    row-Hermite basis (leading entries in strictly increasing positions),
-    as kernel_matrix returns over Z: the image columns are read in its
-    coordinates by back-substitution.  Returns (free_rank, [divisors > 1]),
-    each divisor dividing the next."""
+def image_in_kernel(ker_cols, im_cols):
+    """(U, diag): the image lattice in kernel coordinates, in Smith form.
+
+    ker_cols must be a row-Hermite basis (leading entries in strictly
+    increasing positions), as kernel_matrix returns over Z: each image
+    column is read in its coordinates by back-substitution, and the
+    matrix X with those coordinates as columns is put in Smith form
+    U X V = S.  U is k x k unimodular, and in y = U x coordinates the
+    image is spanned by the diag[i] e_i: diag holds the k diagonal
+    entries of S, d1 | d2 | ..., with 0 past the image's rank."""
     k = len(ker_cols)
-    if k == 0:
-        return 0, []
     coords = []
     for col in im_cols:
         x = lattice_coordinates(ker_cols, col)
         if x is None:
-            raise ValueError("image is not contained in kernel")
+            raise ValueError("image is not contained in the kernel")
         coords.append(x)
     if not coords:
-        return k, []
-    S, _, _ = smith_normal_form_matrix([list(r) for r in zip(*coords)])
-    diag = [S[i][i] for i in range(min(k, len(coords)))]
-    return k - sum(1 for d in diag if d), [d for d in diag if d > 1]
+        return identity_matrix(k), [0] * k
+    S, U, _ = smith_normal_form_matrix([list(r) for r in zip(*coords)])
+    return U, [S[i][i] if i < len(coords) else 0 for i in range(k)]
+
+
+def integer_quotient(ker_cols, im_cols):
+    """Invariant factors of (lattice spanned by ker_cols)/(lattice spanned by
+    im_cols) inside Z^n; im must be contained in ker, and ker_cols a
+    row-Hermite basis (see image_in_kernel).  Returns (free_rank,
+    [divisors > 1]), each divisor dividing the next."""
+    if not ker_cols:
+        return 0, []
+    _, diag = image_in_kernel(ker_cols, im_cols)
+    return diag.count(0), [d for d in diag if d > 1]

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import chainops.complexes
 from chainops.complexes import ChainComplex, homology
 from chainops.dold_kan import _face_rows, denormalize
-from chainops.freemod import FreeModule, FreeModuleMap
+from chainops.freemod import FreeModule, FreeModuleMap, add_scaled
 from chainops.linalg import (
     EchelonBasis,
     det_unimodular,
@@ -115,7 +116,7 @@ class TestSmithNormalForm:
         rows = [[data.draw(st.integers(-3, 3)) for _ in range(c)]
                 for _ in range(r)]
         if m is not None:
-            # [B | mI], the matrix a Z/m solve is lifted to
+            # [B | mI], the integer lift the Z/m kernel oracles read
             rows = [[x % m for x in row] + [m if j == i else 0
                                             for j in range(r)]
                     for i, row in enumerate(rows)]
@@ -221,6 +222,38 @@ class TestSolveLinear:
         x = solve_matrix([[3]], [6], ring)
         assert x is not None and (3 * x[0]) % 9 == 6
         assert solve_matrix([[3]], [1], ring) is None
+
+    @pytest.mark.parametrize("m", (4, 6, 9, 12))
+    def test_composite_modulus_matches_brute_force(self, m):
+        # None exactly when no x in (Z/m)^c solves Ax = b, found by trying
+        # them all; otherwise the answer solves it.  Pivots that are not
+        # units need the saturation rows, and b is drawn in the image half
+        # of the time so that both outcomes are common
+        ring = Zmod(m)
+        rng = random.Random(m)
+        solved = unsolvable = 0
+        for _ in range(300):
+            r, c = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [[rng.randrange(m) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.5:
+                xs = [rng.randrange(m) for _ in range(c)]
+                b = [sum(a * x for a, x in zip(row, xs)) % m
+                     for row in rows]
+            else:
+                b = [rng.randrange(m) for _ in range(r)]
+            exists = any(
+                all(sum(a * x for a, x in zip(row, cand)) % m == bi
+                    for row, bi in zip(rows, b))
+                for cand in itertools.product(range(m), repeat=c))
+            x = solve_matrix(rows, b, ring)
+            assert (x is not None) == exists, (rows, b)
+            if x is None:
+                unsolvable += 1
+                continue
+            solved += 1
+            assert [sum(a * v for a, v in zip(row, x)) % m
+                    for row in rows] == b, (rows, b, x)
+        assert solved > 100 and unsolvable > 50
 
 
 def dense_map(source, target, rows):
@@ -452,9 +485,30 @@ class TestEchelonBasis:
         assert inside > 100 and outside > 100
 
 
-# -- Z/m kernels against the integer lift [A | mI] ---------------------------
+# -- Z and Z/m kernels against a Smith-form oracle ---------------------------
 
 COMPOSITE = (4, 6, 8, 9, 12, 18, 30, 36)
+
+
+def snf_kernel_oracle(rows, ncols):
+    """A Z-basis of the kernel lattice of sparse integer rows, as dense
+    rows: the last columns of V in the Smith form U A V = S, past the
+    rank."""
+    dense = []
+    for row in rows:
+        v = [0] * ncols
+        for j, x in row.items():
+            v[j] = int(x)
+        dense.append(v)
+    S, _, V = smith_normal_form_matrix(dense or [[0] * ncols])
+    rank = sum(1 for i in range(min(len(S), ncols)) if S[i][i] != 0)
+    return [[V[i][j] for i in range(ncols)] for j in range(rank, ncols)]
+
+
+def hnf_kernel_oracle(rows, ncols):
+    """The Hermite basis of the kernel lattice, as sparse dicts."""
+    return [{j: x for j, x in enumerate(v) if x}
+            for v in hnf_rows(snf_kernel_oracle(rows, ncols))]
 
 
 def lift_kernel_oracle(rows, ncols, ring):
@@ -466,7 +520,7 @@ def lift_kernel_oracle(rows, ncols, ring):
     for i, row in enumerate(lifted):
         row[ncols + i] = m
     found = []
-    for vec in sparse_kernel(lifted, ncols + len(rows), ZZ):
+    for vec in hnf_kernel_oracle(lifted, ncols + len(rows)):
         v = [vec.get(j, 0) % m for j in range(ncols)]
         if any(v) and v not in found:
             found.append(v)
@@ -478,9 +532,65 @@ def lift_lattice_oracle(d_out, m):
     """The Hermite basis of {u in Z^n : A u = 0 mod m}: the integer kernel
     of [A | mI] projected to the A-part, put in HNF."""
     n = len(d_out[0])
-    aug = [list(row) + [m if j == i else 0 for j in range(len(d_out))]
-           for i, row in enumerate(d_out)]
-    return hnf_rows([v[:n] for v in kernel_matrix(aug, ZZ)])
+    aug = [{j: x for j, x in enumerate(row) if x} for row in d_out]
+    for i, row in enumerate(aug):
+        row[n + i] = m
+    return hnf_rows([v[:n] for v in
+                     snf_kernel_oracle(aug, n + len(d_out))])
+
+
+def _random_integer_rows(rng):
+    """Up to 6 sparse integer rows on up to 7 columns, with zero and
+    repeated rows and integer combinations of earlier rows among them."""
+    ncols = rng.randint(1, 7)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        draw = rng.random()
+        if draw < 0.1:
+            rows.append({})
+        elif draw < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif draw < 0.4 and rows:
+            acc = {}
+            for row in rows:
+                add_scaled(acc, rng.randint(-2, 2), row, ZZ)
+            rows.append(acc)
+        else:
+            row = {j: rng.randint(-6, 6) for j in range(ncols)
+                   if rng.random() < 0.5}
+            rows.append({j: x for j, x in row.items() if x})
+    return rows, ncols
+
+
+class TestIntegerKernel:
+    """The Z kernel, the Howell-form loop at m = 0, equals the Hermite
+    form of the kernel lattice read off the Smith form."""
+
+    def test_random_rows_match_the_smith_form(self):
+        rng = random.Random(17)
+        non_unit_pivots = negative = 0
+        for _ in range(600):
+            rows, ncols = _random_integer_rows(rng)
+            got = sparse_kernel(rows, ncols, ZZ)
+            assert got == hnf_kernel_oracle(rows, ncols), (rows, ncols)
+            non_unit_pivots += sum(v[min(v)] != 1 for v in got)
+            negative += sum(x < 0 for v in got for x in v.values())
+        assert non_unit_pivots > 20 and negative > 100
+
+    def test_dold_kan_face_rows_match_the_smith_form(self):
+        rng = random.Random(3)
+        compared = 0
+        for _ in range(6):
+            L = random_chain_complex(ZZ, 4, 3, rng)
+            K = denormalize(L, max(L.modules, default=0) + 1)
+            for n in sorted(K.modules):
+                if n and K.module(n - 1).rank:
+                    rows = _face_rows(K, n)
+                    ncols = K.module(n).rank
+                    assert sparse_kernel(rows, ncols, ZZ) == \
+                        hnf_kernel_oracle(rows, ncols)
+                    compared += 1
+        assert compared > 10
 
 
 def _random_zmod_rows(m, rng):
