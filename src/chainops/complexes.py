@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freemod import FreeModule, FreeModuleMap
-from .linalg import identity_matrix, integer_quotient, kernel_matrix, rref
+from .homology_classes import HomologySpace
 from .rings import RingSpec
 
 HOMOLOGICAL = "homological"
@@ -142,38 +142,12 @@ class HomologyGroup:
 
 
 def homology(C: ChainComplex, n: int) -> HomologyGroup:
-    """H_n (or H^n) = ker(d out of degree n) / im(d into degree n)."""
-    ring = C.ring
-    into = n - C.step
-    d_out = C.differential(n).to_matrix()
-    d_in = C.differential(into)
-    dim_n = C.module(n).rank
-    if dim_n == 0:
-        return HomologyGroup(ring, 0, ())
-    im_cols = []
-    mat_in = d_in.to_matrix()
-    for j in range(d_in.source.rank):
-        col = [mat_in[i][j] for i in range(dim_n)]
-        if any(not ring.is_zero(x) for x in col):
-            im_cols.append(col)
-    zero_out = not d_out or C.differential(n).is_zero()
-    if ring.is_field():
-        ker_dim = dim_n if zero_out else len(kernel_matrix(d_out, ring))
-        rank_im = len(rref([list(c) for c in zip(*im_cols)], ring)[1]) if im_cols else 0
-        return HomologyGroup(ring, ker_dim - rank_im, ())
-    ker_cols = (identity_matrix(dim_n) if zero_out
-                else kernel_matrix(d_out, ring))
-    if ring.kind == "Zmod":
-        # m composite: the quotient of integer lattices containing m Z^dim.
-        # The kernel lattice's Hermite basis is the Howell form of the
-        # kernel mod m, with m * e_c at each column c where it has no pivot
-        m = ring.modulus
-        m_e = [[m * x for x in e] for e in identity_matrix(dim_n)]
-        lead = {next(c for c, x in enumerate(v) if x): v for v in ker_cols}
-        ker_cols = [lead.get(c, m_e[c]) for c in range(dim_n)]
-        im_cols = im_cols + m_e
-    free, div = integer_quotient(ker_cols, im_cols)
-    return HomologyGroup(ring, free, tuple(div))
+    """H_n (or H^n) = ker(d out of degree n) / im(d into degree n), read
+    off the divisors of HomologySpace(C, n): a 0 for each free (over a
+    field, each) coordinate, d > 1 for each Z/d."""
+    divisors = HomologySpace(C, n).divisors
+    return HomologyGroup(C.ring, divisors.count(0),
+                         tuple(d for d in divisors if d))
 
 
 # ---------------------------------------------------------------------------

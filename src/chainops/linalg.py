@@ -1,11 +1,13 @@
 """Exact sparse/dense linear algebra over Z, Z/m and Q.
 
-The public functions take and return dense row-major lists of exact ring
-elements.  Echelon forms and kernels are computed on sparse rows (dicts
-column -> nonzero entry), since the structure maps this engine meets
-are mostly zero; their outputs are canonical (reduced row echelon form
-over a field, Hermite normal form over Z, Howell form over Z/m), so they
-do not depend on the elimination order.
+Most public functions take and return dense row-major lists of exact
+ring elements; sparse_kernel, lattice_coordinates and integer_quotient,
+which serve the homology quotient, take sparse dicts.  Echelon forms
+and kernels are computed on sparse rows (dicts column -> nonzero entry),
+since the structure maps this engine meets are mostly zero; their
+outputs are canonical (reduced row echelon form over a field, Hermite
+normal form over Z, Howell form over Z/m), so they do not depend on the
+elimination order.
 Over a field there is one elimination loop, EchelonBasis: a reduced
 row echelon basis grown one vector at a time, which says whether each
 vector raised the rank, reduces a vector to its canonical coset
@@ -14,18 +16,23 @@ the field kernels, solve_matrix over a field and the field homology
 quotients are all built on it.
 Over Z and over Z/m with m composite there is one elimination loop too,
 _howell_form (Howell 1986; Storjohann and Mulders 1998): the Howell form
-of the stacked rows [column j of A | e_j], by unimodular xgcd merges,
-pivots scaled to divisors of m and saturation rows, with no lift to Z;
-over Z it runs with m = 0, where the Howell form is the Hermite normal
-form.  Its rows leading in the e-part are the kernel, and those leading
-in the A-part solve A x = b by reduction.
-Smith normal form is used only for invariant factors (integer_quotient
-and the integral HomologySpace, through image_in_kernel).  It runs one
-pivot loop: the smallest nonzero |entry| of the trailing block, with
-(row, column) tie-break, becomes the pivot, and floor division leaves
-remainders smaller than it, so all outputs are deterministic and
-suitable for golden tests.  Lattice coordinates against a row-Hermite
-basis (the Z kernels) come from back-substitution, with no Smith form.
+of the stacked rows [column j of A | e_j], with pivots scaled to
+divisors of m and saturation rows, and no lift to Z; over Z it runs with
+m = 0, where the Howell form is the Hermite normal form.  Its rows
+leading in the e-part are the kernel, and those leading in the A-part
+solve A x = b by reduction.
+Every integer elimination follows one pivot rule: among the entries in
+play, the smallest nonzero |entry| becomes the pivot, and floor division
+leaves remainders smaller than it, so the integers stay small (a merge
+by extended gcd multipliers instead blows them up, as Kannan and Bachem
+1979 describe for naive Hermite forms) and all outputs are
+deterministic and suitable for golden tests.  _howell_form,
+smith_normal_form_matrix and the dense test reference hnf_rows all
+follow it.
+Smith normal form is reached only through integer_quotient, for the
+invariant factors of the homology quotient over Z and Z/m.  Lattice
+coordinates against a row-Hermite basis (the Z kernels) come from
+back-substitution, with no Smith form.
 """
 
 from __future__ import annotations
@@ -333,8 +340,10 @@ def _howell_form(rows, ncols, ring: RingSpec):
     lattice.
 
     Columns are processed left to right on a pool of rows keyed by
-    leading column.  The rows leading at c are merged into one by
-    unimodular xgcd steps, the survivor is scaled by a unit so its pivot
+    leading column.  The rows leading at c are reduced to one: the row
+    with the smallest |entry| at c reduces the others by floor division,
+    until one row leads at c, and every row that no longer leads at c
+    goes back to the pool.  The survivor is scaled by a unit so its pivot
     d is gcd(pivot, m), and over Z/m its multiple (m/d) * row, zero at c,
     goes back to the pool: that saturation row keeps the spanning
     property.  As each pivot of the e-part is fixed, the entries above it
@@ -359,14 +368,18 @@ def _howell_form(rows, ncols, ring: RingSpec):
         leading = pool.pop(c, None)
         if leading is None:
             continue
-        p = leading.pop()
-        for r in leading:
-            a, b = p[c], r[c]
-            g, s, t = _xgcd(a, b)
-            p, r = (add_scaled(add_scaled({}, s, p, ring), t, r, ring),
-                    add_scaled(add_scaled({}, -b // g, p, ring), a // g, r,
-                               ring))
-            push(r)
+        while len(leading) > 1:
+            p = min(leading, key=lambda v: abs(v[c]))
+            rest = []
+            for r in leading:
+                if r is not p:
+                    add_scaled(r, -(r[c] // p[c]), p, ring)
+                    if c in r:
+                        rest.append(r)
+                    else:
+                        push(r)
+            leading = rest + [p]
+        p = leading[0]
         d, u = _unit_to_gcd(p[c], m)
         if u != 1:
             p = add_scaled({}, u, p, ring)
@@ -381,17 +394,6 @@ def _howell_form(rows, ncols, ring: RingSpec):
                 add_scaled(q, -f, p, ring)
         kernel.append(p)
     return image, kernel
-
-
-def _xgcd(a, b):
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g > 0, for nonzero
-    a, b of either sign (entries over Z, or over Z/m in [1, m))."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
 def _unit_to_gcd(a, m):
@@ -471,41 +473,43 @@ def lattice_coordinates(basis, v):
     """The integer coordinates x with sum_j x[j] * basis[j] = v, or None
     when v is outside the lattice the basis spans.
 
-    basis must be in row echelon form, its vectors' leading entries in
-    strictly increasing positions, as a row-Hermite basis is; the
-    coordinates are then unique and one back-substitution pass finds
-    them."""
-    v = [int(x) for x in v]
+    The vectors are sparse dicts index -> int.  basis must be in row
+    echelon form, its vectors' leading indices strictly increasing, as a
+    row-Hermite basis is; the coordinates are then unique and one
+    back-substitution pass finds them."""
+    v = dict(v)
     coords = []
     last = -1
     for b in basis:
-        lead = next((j for j, x in enumerate(b) if x), -1)
+        lead = min(b, default=-1)
         if lead <= last:
             raise ValueError("lattice basis is not in row echelon form")
         last = lead
-        q, r = divmod(v[lead], b[lead])
+        q, r = divmod(v.get(lead, 0), b[lead])
         if r:
             return None
         if q:
-            v = [a - q * c for a, c in zip(v, b)]
+            add_scaled(v, -q, b, ZZ)
         coords.append(q)
-    return None if any(v) else coords
+    return None if v else coords
 
 
-def image_in_kernel(ker_cols, im_cols):
-    """(U, diag): the image lattice in kernel coordinates, in Smith form.
+def integer_quotient(ker, im):
+    """(U, diag): the quotient of the lattice ker spans by the lattice im
+    spans, in Smith form.
 
-    ker_cols must be a row-Hermite basis (leading entries in strictly
-    increasing positions), as kernel_matrix returns over Z: each image
-    column is read in its coordinates by back-substitution, and the
-    matrix X with those coordinates as columns is put in Smith form
-    U X V = S.  U is k x k unimodular, and in y = U x coordinates the
-    image is spanned by the diag[i] e_i: diag holds the k diagonal
-    entries of S, d1 | d2 | ..., with 0 past the image's rank."""
-    k = len(ker_cols)
+    Vectors are sparse dicts index -> int; ker must be a row-Hermite
+    basis (see lattice_coordinates) and im inside its span.  Each image
+    vector is read in kernel coordinates, and the matrix X with those
+    coordinates as columns is put in Smith form U X V = S.  U is k x k
+    unimodular, and in y = U x coordinates the image is spanned by the
+    diag[i] e_i: diag holds the k diagonal entries of S, d1 | d2 | ...,
+    with 0 past the image's rank.  So the quotient is the sum of the
+    Z/diag[i], Z where diag[i] is 0."""
+    k = len(ker)
     coords = []
-    for col in im_cols:
-        x = lattice_coordinates(ker_cols, col)
+    for v in im:
+        x = lattice_coordinates(ker, v)
         if x is None:
             raise ValueError("image is not contained in the kernel")
         coords.append(x)
@@ -513,14 +517,3 @@ def image_in_kernel(ker_cols, im_cols):
         return identity_matrix(k), [0] * k
     S, U, _ = smith_normal_form_matrix([list(r) for r in zip(*coords)])
     return U, [S[i][i] if i < len(coords) else 0 for i in range(k)]
-
-
-def integer_quotient(ker_cols, im_cols):
-    """Invariant factors of (lattice spanned by ker_cols)/(lattice spanned by
-    im_cols) inside Z^n; im must be contained in ker, and ker_cols a
-    row-Hermite basis (see image_in_kernel).  Returns (free_rank,
-    [divisors > 1]), each divisor dividing the next."""
-    if not ker_cols:
-        return 0, []
-    _, diag = image_in_kernel(ker_cols, im_cols)
-    return diag.count(0), [d for d in diag if d > 1]

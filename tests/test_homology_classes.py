@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from sympy import Matrix, ZZ as sympy_ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from chainops.complexes import ChainComplex, ChainMap, homology
 from chainops.freemod import FreeModule, FreeModuleMap
@@ -9,6 +11,8 @@ from chainops.linalg import kernel_matrix, solve_matrix
 from chainops.randomgen import random_chain_complex
 from chainops.rings import QQ, ZZ, Zmod
 from chainops.simplicial import chains, circle_space, classifying_space
+
+from test_linalg import lift_lattice_oracle
 
 
 def _perturb(ring, rep, boundary):
@@ -22,19 +26,65 @@ def _perturb(ring, rep, boundary):
     return out
 
 
+def _invariant_factors(rows):
+    """The nonzero invariant factors of an integer matrix, by sympy."""
+    if not rows or not rows[0]:
+        return []
+    return [abs(int(d)) for d in
+            invariant_factors(Matrix(rows), domain=sympy_ZZ) if d]
+
+
+def _oracle_group(C, n):
+    """(free rank, divisors > 1) of H_n, computed without HomologySpace.
+
+    Over Z and Q the ranks of the differentials give the free rank, and
+    over Z the invariant factors > 1 of the map into degree n are the
+    torsion (the kernel is a direct summand).  Over Z/m, H_n is the
+    lattice {u : d u = 0 mod m} (lift_lattice_oracle) modulo the image
+    plus m Z^n: the image read in the lattice's coordinates, and its
+    invariant factors."""
+    ring = C.ring
+    dim = C.module(n).rank
+    d_out = C.differential(n).to_matrix()
+    d_in = C.differential(n + 1).to_matrix()
+    if ring.kind == "Q":
+        rank = (lambda A: Matrix(A).rank() if A and A[0] else 0)
+        return dim - rank(d_out) - rank(d_in), ()
+    if ring.kind == "Z":
+        into = _invariant_factors(d_in)
+        return (dim - len(_invariant_factors(d_out)) - len(into),
+                tuple(d for d in into if d > 1))
+    m = ring.modulus
+    lattice = Matrix(lift_lattice_oracle(d_out, m) if d_out
+                     else [[int(i == j) for j in range(dim)]
+                           for i in range(dim)])
+    image = [list(col) for col in zip(*d_in)] + [
+        [m * int(i == j) for j in range(dim)] for i in range(dim)]
+    coords = (Matrix(image) * lattice.inv()).tolist()
+    divisors = [d for d in _invariant_factors(coords) if d > 1]
+    if ring.is_field():
+        return len(divisors), ()
+    return 0, tuple(divisors)
+
+
 class TestRanksMatchHomology:
-    def test_random_complexes(self):
+    @pytest.mark.parametrize("ring", (ZZ, QQ, Zmod(3), Zmod(4), Zmod(6)),
+                             ids=str)
+    def test_random_complexes_match_an_independent_oracle(self, ring):
         rng = random.Random(1)
-        for ring in (ZZ, Zmod(3), QQ):
-            for _ in range(5):
-                C = random_chain_complex(ring, 4, 3, rng)
-                for n in range(5):
-                    H = HomologySpace(C, n)
-                    G = homology(C, n)
-                    free = sum(1 for d in H.divisors if d == 0)
-                    tors = tuple(sorted(d for d in H.divisors if d))
-                    assert free == G.free_rank
-                    assert tors == tuple(sorted(G.divisors))
+        compared = torsion = 0
+        for _ in range(12):
+            C = random_chain_complex(ring, 4, 4, rng)
+            for n in range(5):
+                if not C.module(n).rank:
+                    continue
+                G = homology(C, n)
+                assert (G.free_rank, G.divisors) == _oracle_group(C, n), n
+                compared += 1
+                torsion += bool(G.divisors)
+        assert compared > 30
+        if ring in (ZZ, Zmod(4), Zmod(6)):
+            assert torsion > 3
 
 
 class TestClassArithmetic:
@@ -62,6 +112,31 @@ class TestClassArithmetic:
                 b = d.apply({d.source.basis[0]: ring.normalize(3)})
                 assert H.class_vector(rep) == \
                     H.class_vector(_perturb(ring, rep, b))
+
+    @pytest.mark.parametrize("m", (4, 6, 9), ids=lambda m: f"Z/{m}")
+    def test_composite_modulus_classes(self, m):
+        # over Z/m each generator's class is its unit vector, its divisor
+        # times it is the zero class, and adding a boundary keeps it
+        ring = Zmod(m)
+        rng = random.Random(m)
+        checked = 0
+        for _ in range(10):
+            C = random_chain_complex(ring, 4, 3, rng)
+            for n in range(5):
+                H = HomologySpace(C, n)
+                d = C.differential(n + 1)
+                for i, div in enumerate(H.divisors):
+                    unit = [int(j == i) for j in range(H.rank)]
+                    rep = H.representative(unit)
+                    assert H.class_vector(rep) == tuple(unit)
+                    multiple = {k: ring.mul(div, x) for k, x in rep.items()}
+                    assert not any(H.class_vector(multiple))
+                    if d.source.rank:
+                        b = d.apply({d.source.basis[0]: 1})
+                        assert H.class_vector(_perturb(ring, rep, b)) == \
+                            tuple(unit)
+                    checked += 1
+        assert checked > 10
 
     def test_non_cycle_rejected(self):
         C = chains(circle_space(), ZZ)

@@ -1,11 +1,15 @@
+import contextlib
 import itertools
+import json
 import random
+import signal
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import chainops.complexes
+import chainops.homology_classes
+from chainops.cli import main
 from chainops.complexes import ChainComplex, homology
 from chainops.dold_kan import _face_rows, denormalize
 from chainops.freemod import FreeModule, FreeModuleMap, add_scaled
@@ -22,8 +26,10 @@ from chainops.linalg import (
     solve_matrix,
     sparse_kernel,
 )
+from chainops.operads import surjection_operad
 from chainops.randomgen import random_chain_complex
 from chainops.rings import QQ, ZZ, Zmod
+from chainops.simplicial import chains, classifying_space
 
 
 def mod(ring, basis):
@@ -336,7 +342,8 @@ class TestKernelAndQuotient:
             else:
                 v = [rng.randint(-6, 6) for _ in range(n)]
             want = solve_matrix(K, v, ZZ)
-            got = lattice_coordinates(basis, v)
+            got = lattice_coordinates([_sparse(b, ZZ) for b in basis],
+                                      _sparse(v, ZZ))
             assert got == want
             if got is None:
                 outside += 1
@@ -348,14 +355,20 @@ class TestKernelAndQuotient:
 
     def test_lattice_coordinates_need_echelon_basis(self):
         with pytest.raises(ValueError):
-            lattice_coordinates([[0, 1], [1, 0]], [1, 1])
+            lattice_coordinates([{1: 1}, {0: 1}], {0: 1, 1: 1})
         with pytest.raises(ValueError):
-            lattice_coordinates([[0, 0]], [0, 0])
+            lattice_coordinates([{}], {})
 
     def test_integer_quotient_torsion(self):
-        # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6 in invariant factors
-        free, div = integer_quotient([[1, 0], [0, 1]], [[2, 0], [0, 3]])
-        assert free == 0 and div == [6]
+        # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6 in invariant factors, and
+        # in y = U x coordinates the image is spanned by 1 e_0 and 6 e_1
+        U, diag = integer_quotient([{0: 1}, {1: 1}], [{0: 2}, {1: 3}])
+        assert diag == [1, 6]
+        assert abs(det_unimodular(U)) == 1
+        # U carries the image (columns 2 e_0, 3 e_1) onto a lattice that
+        # diag[i] e_i span: each row i of U X is divisible by diag[i]
+        UX = [[2 * row[0], 3 * row[1]] for row in U]
+        assert all(x % d == 0 for row, d in zip(UX, diag) for x in row)
 
     def test_coset_reducer(self):
         # reduction modulo the span of (1, 1, 0) over Z/5
@@ -593,6 +606,51 @@ class TestIntegerKernel:
         assert compared > 10
 
 
+@contextlib.contextmanager
+def within(seconds):
+    """Fail with TimeoutError once the block has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestIntegerKernelCoefficients:
+    """Kernels over Z the size of the built-in spaces' and the surjection
+    operad's differentials: merging the rows that lead in a column by
+    extended-gcd multipliers made their integers grow without bound
+    (over 100 s for the BZ/5 request below), while the smallest-entry
+    pivot rule takes milliseconds."""
+
+    SECONDS = 5
+
+    @pytest.mark.parametrize("name", ("bz5-d3", "surjection-level3-d3"))
+    def test_kernel_matches_the_smith_form(self, name):
+        C = (chains(classifying_space(5, 3), ZZ) if name == "bz5-d3"
+             else surjection_operad(3, ZZ, 3).level(3))
+        A = C.differential(3).to_matrix()
+        with within(self.SECONDS):
+            got = kernel_matrix(A, ZZ)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in A]
+        assert got == hnf_rows(snf_kernel_oracle(rows, len(A[0])))
+        assert len(got) == {"bz5-d3": 52, "surjection-level3-d3": 61}[name]
+
+    def test_bz5_homology_over_z(self, capsys):
+        with within(self.SECONDS):
+            code = main(["homology", "--space", "bz5", "--dim", "3",
+                         "--ring", "Z"])
+        assert code == 0
+        groups = {r["degree"]: r["group"]
+                  for r in json.loads(capsys.readouterr().out)["results"]}
+        assert groups == {0: "Z", 1: "Z/5", 2: "0", 3: "Z^52"}
+
+
 def _random_zmod_rows(m, rng):
     """Up to 6 sparse rows over Z/m on up to 6 columns, with zero and
     repeated rows among them."""
@@ -645,14 +703,17 @@ class TestCompositeKernel:
 
     @pytest.mark.parametrize("m", (4, 6, 8, 9, 12, 18, 30))
     def test_homology_kernel_lattice_matches_the_lift(self, m, monkeypatch):
-        # the kernel lattice homology hands to integer_quotient
+        # the kernel lattice HomologySpace hands to integer_quotient, as
+        # dense rows
         ring = Zmod(m)
         rng = random.Random(100 + m)
         lattices = []
-        real = chainops.complexes.integer_quotient
-        monkeypatch.setattr(chainops.complexes, "integer_quotient",
-                            lambda ker, im: (lattices.append(ker),
-                                             real(ker, im))[1])
+        real = chainops.homology_classes.integer_quotient
+        monkeypatch.setattr(
+            chainops.homology_classes, "integer_quotient",
+            lambda ker, im: (lattices.append(
+                [[v.get(j, 0) for j in range(len(ker))] for v in ker]),
+                real(ker, im))[1])
         for _ in range(150):
             rows, ncols = _random_zmod_rows(m, rng)
             if not rows:
@@ -670,7 +731,7 @@ class TestCompositeKernel:
                     else [[int(i == j) for j in range(ncols)]
                           for i in range(ncols)])
             assert lattices == [want], d_out
-            m_e = [[m * int(i == j) for j in range(ncols)]
-                   for i in range(ncols)]
-            free, div = real(want, m_e)
+            _, diag = real([_sparse(v, ZZ) for v in want],
+                           [{j: m} for j in range(ncols)])
+            free, div = diag.count(0), [d for d in diag if d > 1]
             assert (H.free_rank, H.divisors) == (free, tuple(div))
