@@ -6,6 +6,18 @@ generators into the arity-p level of the surjection operad, and the
 operations obtained by evaluating lifted generators on p-th tensor
 powers of a cocycle.  Verifiers check the Cartan and Adem relations
 exhaustively on finite test algebras.
+
+One routine, classical_power, evaluates every reduced power, under two
+indexings of the same family on a class of degree q:
+
+- the classical index s, which adem-check uses: P^s raises degree by
+  2s(p - 1), P^0 is the identity and P^{q/2} the p-th power;
+- the weight index, which power_op takes and cartan-check --smax
+  sweeps: weight s names the classical P^{q-s} (generator index
+  (2s - q)(p - 1)) and raises the weight grading by s(p - 1).
+
+Steenrod squares are the p = 2 case, Sq^{2s} = P^s and Sq^{2s+1} the
+Bockstein variant.
 """
 
 from __future__ import annotations
@@ -347,17 +359,6 @@ def adem_coefficient(i, j, p):
     return math.comb(i + j, i) % p
 
 
-def nu(q, p):
-    """nu(2j + epsilon) = (-1)^j (m!)^epsilon mod p, m = (p-1)/2."""
-    eps = q % 2
-    j = (q - eps) // 2
-    m = (p - 1) // 2
-    out = (-1) ** (j % 2)
-    if eps:
-        out *= math.factorial(m)
-    return out % p
-
-
 def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
               lift: EquivariantLift, n: int, x: dict, q: int,
               cells=None) -> dict:
@@ -373,101 +374,99 @@ def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
     return out
 
 
-def power_op(x: BigradedClass, s: int, alg, W: WResolution,
-             lift: EquivariantLift, bocksteined=False,
-             cells=None) -> BigradedClass:
-    """P^{s} of a cocycle class (or beta-P^s when bocksteined).
-
-    The generator index is (2s - q)(p - 1), minus one for the Bockstein
-    variant (the resolution is stored homologically, so the shift that
-    raises output degree lowers the generator index); a negative index
-    makes the operation zero.  For p > 2 the result is normalised by
-    (-1)^s nu(-q).  The zero class goes to the zero class without
-    touching the lift; otherwise the lift grows to the index if needed,
-    which stays within W = build_w(p, p * maxdim) because the index is
-    at most p*q whenever the output degree is nonnegative.  cells, when
-    given, selects the output simplices evaluated (see
-    interval_cut_action); the representative is then the operation's
-    value restricted to them, which need not be a cocycle.
-    """
-    p = W.p
-    ring = alg.ring
-    X = alg.space
-    q = x.degree
-    idx = (2 * s - q) * (p - 1) - (1 if bocksteined else 0)
-    out_weight = None if x.weight is None else x.weight + s * (p - 1)
-    out_degree = p * q - idx
-    if idx < 0 or out_degree < 0 or not x.rep:
-        return BigradedClass(out_degree, out_weight, {})
-    rep = theta_bar(X, ring, lift, idx, x.rep, q, cells)
-    if p > 2:
-        scale = ((-1) ** (s % 2)) * nu(-q, p)
-        rep = add_scaled({}, scale, rep, ring)
-    return BigradedClass(out_degree, out_weight, rep)
-
-
 def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
-                    lift: EquivariantLift, bocksteined=False) -> BigradedClass:
-    """The classically indexed reduced power: the generator e_{(q-2s)(p-1)}
-    (one lower for the Bockstein variant) evaluated on the p-th tensor
-    power, normalised so that the zeroth power is the identity and the
-    top power is the p-th cup power, raising degree by 2s(p-1) (plus one
-    when bocksteined).  The zero class goes to the zero class without
-    touching the lift; otherwise the lift grows to the index, at most
-    q(p-1), if needed."""
+                    lift: EquivariantLift, bocksteined=False,
+                    cells=None) -> BigradedClass:
+    """P^s of a cocycle class, or beta P^s when bocksteined, in the
+    classical indexing: the generator e_{(q-2s)(p-1)} (one lower for
+    the Bockstein variant) evaluated on the p-th tensor power and scaled
+    by power_unit for p > 2, raising degree by 2s(p-1) (plus one when
+    bocksteined).  At p = 2 this is Sq^{2s} (Sq^{2s+1} when
+    bocksteined), unscaled.
+
+    A negative s, or an s with 2s > q, makes the operation zero, and the
+    zero class goes to the zero class; neither touches the lift.
+    Otherwise the lift grows to the index, at most q(p-1), if needed.
+    cells, when given, selects the output simplices evaluated (see
+    interval_cut_action); the representative is then the operation's
+    value restricted to them, which need not be a cocycle."""
     p = W.p
-    ring = alg.ring
     q = x.degree
     idx = (q - 2 * s) * (p - 1) - (1 if bocksteined else 0)
     out_degree = p * q - idx
-    out_weight = None
-    if s < 0 or idx < 0 or out_degree < 0 or not x.rep:
-        return BigradedClass(out_degree, out_weight, {})
-    rep = theta_bar(alg.space, ring, lift, idx, x.rep, q)
+    if s < 0 or idx < 0 or not x.rep:
+        return BigradedClass(out_degree, None, {})
+    rep = theta_bar(alg.space, alg.ring, lift, idx, x.rep, q, cells)
     if p > 2:
-        rep = add_scaled({}, _classical_scale(q, s, p), rep, ring)
-    return BigradedClass(out_degree, out_weight, rep)
+        rep = add_scaled({}, power_unit(q, s, p), rep, alg.ring)
+    return BigradedClass(out_degree, None, rep)
 
 
-def _classical_scale(q: int, s: int, p: int) -> int:
-    """Unit making the classically indexed powers satisfy P^0 = 1 and
-    P^s = (p-th cup power) when 2s = q.
+def power_unit(q: int, s: int, p: int) -> int:
+    """The unit u with P^s x = u D_i(x) on a class x of degree q, where
+    D_i(x) is e_i evaluated on x^p and i = (q - 2s)(p - 1); with
+    m = (p - 1)/2 and q = 2j + epsilon,
 
-    The sign and the power of m! were calibrated against evaluations of
-    the generator pairing on cyclic classifying spaces at p in {3, 5}:
-    zeroth powers, top powers, and powers of products all come out on
-    the nose with this unit and with no other choice of the three
-    exponents.  The extra flip when the generator index (q-2s)(p-1)
-    equals 2 compensates a sign in our degree-2 lift relative to the
-    convention the closed formula otherwise follows; an index of 2 only
-    arises when p = 3 and q - 2s = 1.
+        u(q, s) = (-1)^(q + s) (-1)^j (m!)^epsilon  (mod p).
+
+    Three facts about the D_i fix it, and the Bockstein variant
+    beta P^s = u D_{i-1} shares it, because the resolution's Bockstein
+    sends e_i to e_{i-1} with coefficient +1 (quotient_bockstein):
+
+    1. D_0 is the p-th cup power on the nose: e_0 is the identity word,
+       whose only cut is the Alexander-Whitney one, with sign +1.  So
+       u(2j, j) = 1.
+    2. Cartan: in cohomology, D_{2i}(x cross y) is (-1)^(m q1 q2)
+       times sum_k D_{2k}(x) cross D_{2i-2k}(y).  The sign is the
+       Koszul sign of shuffling (x (x) y)^p into x^p (x) y^p, pm
+       transpositions of a degree-q1 past a degree-q2 factor; the
+       terms alpha^r e_odd (x) alpha^t e_odd (r < t) of the coproduct
+       of e_{2i} give p(p-1)/2 equal classes, 0 mod p.  For P^s to
+       satisfy the plain Cartan formula, u(q1 + q2, s1 + s2) must be
+       (-1)^(m q1 q2) u(q1, s1) u(q2, s2), and every such u has the
+       form (-1)^(m q(q-1)/2) lambda^q mu^s.
+    3. P^0 is the identity: on a degree-one class y,
+       D_{p-1}(y) = c y with c = (-1)^m m!, the value of the lift's
+       degree p-1 component on the circle's 1-simplex.  So lambda = 1/c.
+
+    Fact 1 gives mu = (-1)^m lambda^(-2) = (-1)^m (m!)^2, which is -1
+    by Wilson's theorem ((m!)^2 = (-1)^(m+1) mod p).  Hence
+    u = (-1)^s (-1)^(m q(q-1)/2) (-1)^(m q) (m!)^(-q), and with
+    (m!)^(-2) = (-1)^(m+1) this is the closed form above: May's
+    (-1)^s nu(q) (LNM 168, section 2) times (-1)^q, the sign by which
+    the value c of fact 3 differs from May's 1/m!.  No index needs a
+    case of its own.
     """
     m = (p - 1) // 2
-    mfact = math.factorial(m) % p
-    unit = pow(mfact, (p - 2) * q, p)
-    if (s + (q * (q - 1)) // 2) % 2:
-        unit = -unit
-    if (q - 2 * s) * (p - 1) == 2:
-        unit = -unit
-    return unit
+    j, eps = divmod(q, 2)
+    unit = math.factorial(m) if eps else 1
+    return (-1) ** ((q + s + j) % 2) * unit % p
+
+
+def power_op(x: BigradedClass, s: int, alg, W: WResolution,
+             lift: EquivariantLift, bocksteined=False,
+             cells=None) -> BigradedClass:
+    """P^{q-s} of a class x of degree q (beta P^{q-s} when
+    bocksteined), indexed by its weight s: classical_power at q - s,
+    which raises the weight by s(p - 1).  The generator index is
+    (2s - q)(p - 1), so s runs from ceil(q/2), the top power, to q,
+    the identity."""
+    out = classical_power(x, x.degree - s, alg, W, lift, bocksteined,
+                          cells)
+    if x.weight is not None:
+        out.weight = x.weight + s * (W.p - 1)
+    return out
 
 
 def steenrod_square(x: BigradedClass, i: int, alg, W: WResolution,
                     lift: EquivariantLift) -> BigradedClass:
-    """Sq^i at p = 2, indexed so that Sq^i raises degree by i: the
-    generator e_{q-i} evaluated on x tensor x.  The zero class goes to
-    the zero class without touching the lift; otherwise the lift grows
-    to the index, at most q, if needed."""
+    """Sq^i at p = 2: the generator e_{q-i} evaluated on x tensor x,
+    raising degree by i; classical_power at i // 2, bocksteined when i
+    is odd."""
     if W.p != 2:
         raise ValueError("Steenrod squares live at p = 2")
-    q = x.degree
-    idx = q - i
-    out_weight = None
-    out_degree = q + i
-    if idx < 0 or i < 0 or not x.rep:
-        return BigradedClass(out_degree, out_weight, {})
-    rep = theta_bar(alg.space, alg.ring, lift, idx, x.rep, q)
-    return BigradedClass(out_degree, out_weight, rep)
+    return classical_power(x, i // 2, alg, W, lift,
+                           bocksteined=i % 2 == 1)
 
 
 def cup_i_oracle(X: FiniteSimplicialSet, ring: RingSpec, i: int,

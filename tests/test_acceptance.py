@@ -336,13 +336,15 @@ class TestCriterion9NegativeControls:
         assert all(f["witness"] for f in report["failures"])
 
     def test_corrupted_power_normalisation_is_caught(self, monkeypatch):
-        # with nu(q) = 1 the operations lose their normalising unit, and
-        # the Cartan formula must then fail on the product classes
+        # with the unit forced to 1 the operations lose their
+        # normalisation, and the Cartan formula must then fail on the
+        # product classes
         ring = Zmod(3)
         alg = CochainSystem(classifying_space(3, 2), ring)
         baseline = verify_cartan(alg, degree_cap=1, p=3, smax=2)
         assert baseline["passed"], baseline["failures"][:3]
-        monkeypatch.setattr(powerops_module, "nu", lambda q, p: 1)
+        monkeypatch.setattr(powerops_module, "power_unit",
+                            lambda q, s, p: 1)
         report = verify_cartan(alg, degree_cap=1, p=3, smax=2)
         assert not report["passed"]
         assert report["checked"] == baseline["checked"]

@@ -20,8 +20,8 @@ from chainops.powerops import (
     cochain_cross,
     cup_i_oracle,
     equivariant_lift_j,
-    nu,
     power_op,
+    power_unit,
     steenrod_square,
     theta_bar,
     verify_cartan,
@@ -138,14 +138,64 @@ class TestLift:
         assert out.degree == 2
 
 
-class TestCoefficients:
-    def test_nu_small_values(self):
-        assert nu(0, 3) == 1
-        assert nu(1, 3) == 1
-        assert nu(2, 3) == 2          # (-1)^1
-        assert nu(1, 5) == 2          # m! = 2
-        assert nu(2, 5) == 4          # -1
+class TestPowerUnit:
+    """power_unit against the facts its docstring derives it from: the
+    degree-one constant of the lift, P^0 = 1, and P^{q/2} = x^p."""
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_degree_one_constant_on_the_circle(self, p):
+        # D_{p-1}(y) = (-1)^m m! y, cochain for cochain: the circle has
+        # one 1-simplex, and y^p = y mod p there
+        ring = Zmod(p)
+        X = circle_space()
+        W = build_w(p, p)
+        lift = equivariant_lift_j(W, None, 0)
+        m = (p - 1) // 2
+        c = (-1) ** m * math.factorial(m)
+        for v in range(1, p):
+            y = {sx: v for sx in X.simplices(1)}
+            assert theta_bar(X, ring, lift, p - 1, y, 1) == {
+                sx: c * v % p for sx in X.simplices(1)}
+        assert power_unit(1, 0, p) * c % p == 1
+
+    @pytest.mark.parametrize("p, dim, degrees", [(3, 5, (1, 2, 3, 4)),
+                                                 (5, 3, (1, 2))])
+    def test_p0_is_identity(self, p, dim, degrees):
+        alg = CochainSystem(classifying_space(p, dim), Zmod(p))
+        W = build_w(p, p * dim)
+        lift = equivariant_lift_j(W, None, 0)
+        for q in degrees:
+            H = alg.homology_space(q)
+            for _, rep in H.all_classes():
+                out = classical_power(BigradedClass(q, 0, rep), 0, alg, W,
+                                      lift)
+                assert out.degree == q
+                assert H.class_vector(out.rep) == H.class_vector(rep), q
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_top_power_is_the_pth_cup_power(self, p):
+        # P^{q/2} x = u(q, q/2) D_0(x) and D_0 is the cup power, so the
+        # two agree as cochains; BZ/2 has one simplex in each dimension,
+        # and its 2p-simplex has nondegenerate front faces
+        ring = Zmod(p)
+        X = classifying_space(2, 2 * p)
+        alg = CochainSystem(X, ring)
+        W = build_w(p, 2 * p)
+        lift = equivariant_lift_j(W, None, 0)
+        x = {sx: 1 for sx in X.simplices(2)}
+        power, q = x, 2
+        for _ in range(p - 1):
+            power = _cup(X, ring, power, q, x, 2)
+            q += 2
+        assert power
+        out = classical_power(BigradedClass(2, 0, x), 1, alg, W, lift)
+        assert out.degree == 2 * p
+        assert out.rep == power
+        for q in (2, 4, 6):
+            assert power_unit(q, q // 2, p) == 1
+
+
+class TestCoefficients:
     def test_adem_coefficient_matches_lucas(self):
         for p in (2, 3, 5):
             for i in range(12):
@@ -248,14 +298,6 @@ class TestOddPrimaryPowers:
         return BigradedClass(q, None,
                              H.representative([1] + [0] * (H.rank - 1)))
 
-    def test_classical_p0_is_identity(self):
-        # q = 1 exercises the index-2 calibration sign
-        for q in (1, 2):
-            x = self._gen(q)
-            out = classical_power(x, 0, self.alg, self.W, self.lift)
-            H = HomologySpace(self.alg.complex, q)
-            assert H.class_vector(out.rep) == H.class_vector(x.rep)
-
     def test_cartan_refuses_p_2(self):
         # power_op's index (2s - q)(p - 1) is the odd-prime rule; at p = 2
         # it would report a false Cartan failure on BZ/2
@@ -271,21 +313,17 @@ class TestOddPrimaryPowers:
         assert classical_power(x, 2, self.alg, self.W, self.lift).is_zero()
 
     def test_paper_indexed_matches_classical_complement(self):
-        # the two indexings name the same operation family: index
-        # (2s - q)(p - 1) at parameter s equals index (q - 2s')(p - 1)
-        # at s' = q - s, so the underlying cocycles agree up to the
-        # normalising unit
-        q, s = 2, 1
-        x = self._gen(q)
-        a = power_op(x, s, self.alg, self.W, self.lift)
-        b = classical_power(x, q - s, self.alg, self.W, self.lift)
-        assert a.degree == b.degree
-        H = HomologySpace(self.alg.complex, a.degree)
-        va = H.class_vector(a.rep)
-        vb = H.class_vector(b.rep)
-        scales = [c for c in (1, 2)
-                  if all((c * u - v) % 3 == 0 for u, v in zip(va, vb))]
-        assert scales
+        # power_op is classical_power re-indexed by s -> q - s: the same
+        # cochain, unit included, for every weight, plain and Bockstein
+        for q in range(4):
+            x = self._gen(q)
+            for s in range(-1, q + 2):
+                for bock in (False, True):
+                    a = power_op(x, s, self.alg, self.W, self.lift, bock)
+                    b = classical_power(x, q - s, self.alg, self.W,
+                                        self.lift, bock)
+                    assert a.degree == b.degree, (q, s, bock)
+                    assert a.rep == b.rep, (q, s, bock)
 
     def test_bockstein_squares_to_zero(self):
         x = self._gen(1)
@@ -539,6 +577,44 @@ class TestCartanCutSignControl:
         assert {f["check"] for f in report["failures"]} == {
             "cartan", "cartan-bockstein"}
         assert all(f["witness"] for f in report["failures"])
+
+
+class TestCartanBeyondTheGate:
+    """Cartan requests past the gate's smax 2 at p = 3: weight 3 reads
+    P^0 on classes of degree 3, and p = 5 reads the unit's factor m!.
+    Each needs one unit for both indexings and a sign-correct action."""
+
+    @pytest.mark.parametrize("space, p, smax, degree_cap, checked", [
+        ("bz3", 3, 3, 2, 648),
+        ("circle", 5, 2, 1, 600),
+        ("bz5", 5, 3, 1, 800),
+    ])
+    def test_passes_with_every_relation_checked(self, space, p, smax,
+                                                 degree_cap, checked):
+        X = circle_space() if space == "circle" else \
+            classifying_space(p, 3)
+        report = verify_cartan(CochainSystem(X, Zmod(p)), degree_cap, p,
+                               smax=smax)
+        assert report["passed"], report["failures"][:3]
+        assert report["checked"] == checked
+
+    def test_p1_of_a_square_on_bz3(self):
+        # P^1(y^2) = 2 y^4 for y of degree 2: D_4 on a degree-4 class,
+        # where the action's arity-3 signs reach degree 4
+        ring = Zmod(3)
+        X = classifying_space(3, 8)
+        alg = CochainSystem(X, ring)
+        W = build_w(3, 12)
+        lift = equivariant_lift_j(W, None, 0)
+        y = alg.homology_space(2).representative([1])
+        y2 = _cup(X, ring, y, 2, y, 2)
+        y4 = _cup(X, ring, y2, 4, y2, 4)
+        out = classical_power(BigradedClass(4, 0, y2), 1, alg, W, lift)
+        assert out.degree == 8
+        H8 = alg.homology_space(8)
+        want = H8.class_vector({lab: 2 * c % 3 for lab, c in y4.items()})
+        assert any(want)
+        assert H8.class_vector(out.rep) == want
 
 
 class TestHomologySpacesPerDegree:
