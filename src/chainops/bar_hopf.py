@@ -18,6 +18,7 @@ from .complexes import COHOMOLOGICAL, ChainComplex, verify_differential
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
 from .linalg import EchelonBasis, sparse_rows
+from .operads import koszul_sign
 from .rings import QQ
 
 
@@ -274,19 +275,15 @@ def shuffle_words(A, w1, w2):
     degs2 = [A.degree(a) - 1 for a in w2]
     out = {}
     for positions in itertools.combinations(range(n1 + n2), n1):
-        rest = [t for t in range(n1 + n2) if t not in positions]
+        rest = tuple(t for t in range(n1 + n2) if t not in positions)
         word = [None] * (n1 + n2)
         for a, t in zip(w1, positions):
             word[t] = a
         for b, t in zip(w2, rest):
             word[t] = b
-        sign = 1
-        for i, ti in enumerate(positions):
-            for j, tj in enumerate(rest):
-                if tj < ti:
-                    sign *= (-1) ** (degs1[i] * degs2[j])
         word = tuple(word)
-        out[word] = out.get(word, Fraction(0)) + sign
+        out[word] = out.get(word, Fraction(0)) + koszul_sign(
+            positions + rest, degs1 + degs2)
     return {w: c for w, c in out.items() if c}
 
 

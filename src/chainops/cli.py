@@ -399,6 +399,8 @@ def cmd_cartan_check(args):
 
 
 def cmd_adem_check(args):
+    if args.p == 2:
+        raise ParseError("adem-check needs an odd prime --p, got 2")
     ring = Zmod(args.p)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)

@@ -15,7 +15,10 @@ letters (letters whose value recurs later) relative to the
 (value, occurrence)-sorted order.  All structure maps are defined by a
 pure Koszul rule in the oriented basis and transported back, which is
 what makes d^2 = 0, the chain-map property of gamma, associativity and
-equivariance come out exactly.
+equivariance come out exactly.  The pure Koszul rule is koszul_sign,
+the one place where a reordering of graded letters becomes a sign: the
+orientation, the composition, the equivariance and block signs of the
+checks and the interval-cut signs all read it.
 """
 
 from __future__ import annotations
@@ -75,15 +78,26 @@ def occurrence_counts(u):
     return occ
 
 
+def koszul_sign(keys, degrees=None) -> int:
+    """The pure Koszul rule: the sign of sorting a sequence of graded
+    letters by keys.
+
+    It is (-1) to the sum of deg(a) * deg(b) over the pairs a, b that
+    sorting keys puts in the other order; equal keys keep their order.
+    With degrees None every letter has degree 1, and the sign is that of
+    the sorting permutation.  Only pairs of odd letters count, so the
+    even ones are dropped before the pairs are compared.
+    """
+    if degrees is not None:
+        keys = [key for key, deg in zip(keys, degrees) if deg % 2]
+    inv = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:])
+    return -1 if inv % 2 else 1
+
+
 def orientation(u) -> int:
     """Sign relating position order to (value, occurrence) order of the
     caesura letters."""
-    info = letter_info(u)
-    keys = [(v, t) for v, t, c in info]
-    caes = [c for _, _, c in info]
-    inv = sum(1 for i in range(len(u)) for j in range(i + 1, len(u))
-              if caes[i] and caes[j] and keys[i] > keys[j])
-    return -1 if inv % 2 else 1
+    return koszul_sign([(v, t) for v, t, c in letter_info(u) if c])
 
 
 def surjection_boundary(u, k):
@@ -134,30 +148,19 @@ def _caesuras_sorted(u):
     return [i + 1 for _, _, i in caes]
 
 
-def _match_sign(src, tgt):
-    """Sign of the permutation matching two orderings of the same items."""
-    rest = list(tgt)
-    sign = 1
-    for x in src:
-        j = rest.index(x)
-        if j % 2:
-            sign = -sign
-        rest.pop(j)
-    return sign
-
-
 def surjection_composition(u, k, vs, arities):
     """gamma(u; v_1..v_k): substitute v_s for the occurrences of s.
 
     Each v_s is split into as many overlapping pieces as s has
     occurrences; the pieces replace the occurrences in order, values are
     renumbered by block offsets, and results with adjacent repeats or
-    missing values are dropped.  The sign is
-    or(u) * prod or(v_s) * or(w) * (caesura matching sign): duplicated
-    cut letters account for the caesuras of u, transported letters for
-    the caesuras of the v_s, and the matching permutation of these
-    degree-1 letters against the caesuras of the result w gives the
-    Koszul sign.
+    missing values are dropped.  The sign is or(u) * prod or(v_s) times
+    the Koszul sign of sorting the caesuras of the result w, in position
+    order, into the source order: duplicated cut letters stand for the
+    caesuras of u, transported letters for the caesuras of the v_s, and
+    the source lists u's (by value and occurrence) before those of each
+    v_s in turn (in orientation order).  That one sort is or(w) times
+    the matching of the source order with w's oriented caesuras.
     """
     occ = occurrence_counts(u)
     offsets = {}
@@ -181,6 +184,7 @@ def surjection_composition(u, k, vs, arities):
     for s in range(1, k + 1):
         for pos in _caesuras_sorted(vs[s - 1]):
             src.append(("v", s, pos))
+    rank = {tag: j for j, tag in enumerate(src)}
     out = {}
     for choice in itertools.product(*splits):
         used = {s: 0 for s in range(1, k + 1)}
@@ -198,11 +202,8 @@ def surjection_composition(u, k, vs, arities):
         w = tuple(w)
         if not is_surjection_word(w, off):
             continue
-        info = letter_info(w)
-        wc = [(val, t, i) for i, (val, t, c) in enumerate(info) if c]
-        wc.sort(key=lambda z: (z[0], z[1]))
-        tgt = [tags[i] for _, _, i in wc]
-        sign = base * orientation(w) * _match_sign(src, tgt)
+        sign = base * koszul_sign([rank[tag] for tag, (_, _, c)
+                                   in zip(tags, letter_info(w)) if c])
         out[w] = out.get(w, 0) + sign
     return {w: c for w, c in out.items() if c}
 
@@ -282,23 +283,6 @@ def _act_vector(O: Operad, k, perm, vec):
     for lab, c in vec.items():
         add_scaled(out, c, O.act(k, perm, lab), O.ring)
     return out
-
-
-class OperadAlgebra:
-    """A complex with structure maps theta_k: O(k) (x) A^(x k) -> A.
-
-    theta(u, k, xs) evaluates on basis elements; xs is a list of
-    (label, degree) pairs of the algebra's basis.
-    """
-
-    def __init__(self, operad: Operad, complex_: ChainComplex, theta):
-        self.operad = operad
-        self.complex = complex_
-        self.theta = theta
-
-    @property
-    def ring(self):
-        return self.complex.ring
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +457,6 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
             "failures": failures}
 
 
-def _koszul_permutation_sign(degrees, perm):
-    """Sign from permuting graded tensor factors: factor s moves to the
-    slot where perm places it (inputs reordered as perm inverse)."""
-    k = len(degrees)
-    sign = 1
-    for a in range(k):
-        for b in range(a + 1, k):
-            if perm[a] > perm[b]:
-                if degrees[perm[b] - 1] * degrees[perm[a] - 1] % 2:
-                    sign = -sign
-    return sign
-
-
 def _equivariance_failures(O: Operad, k, u, js, vs, ds):
     """The outer (block permutation) and inner (block sum) equivariance
     diagrams of gamma(u; vs)."""
@@ -498,10 +469,10 @@ def _equivariance_failures(O: Operad, k, u, js, vs, ds):
         for u2, c in O.act(k, perm, u).items():
             add_scaled(lhs, c, O.compose_basis(u2, k, vs, js), ring)
         # permuted inputs, then the block permutation of the output, with
-        # the Koszul sign of the input rearrangement
+        # the Koszul sign of sorting the permuted inputs back
         vs_in = [vs[perm[s] - 1] for s in range(k)]
         js_in = [js[perm[s] - 1] for s in range(k)]
-        sgn = _koszul_permutation_sign(ds, perm)
+        sgn = koszul_sign(perm, [ds[s - 1] for s in perm])
         rhs = add_scaled({}, sgn, _act_vector(
             O, j, _block_permutation(js, perm),
             O.compose_basis(u, k, vs_in, js_in)), ring)
@@ -550,6 +521,15 @@ def _block_sum(js, s, tau):
     return tuple(out)
 
 
+def _block_sign(js, outer, inner):
+    """Koszul sign of interleaving o_1..o_k, i_1..i_n into o_1, (block 1),
+    o_2, (block 2), ...: block s holds the next js[s] letters i, and
+    outer and inner give the degrees of the o and the i."""
+    keys = [2 * s for s in range(len(js))]
+    keys += [2 * s + 1 for s, j in enumerate(js) for _ in range(j)]
+    return koszul_sign(keys, list(outer) + list(inner))
+
+
 def _associativity_holds(O, k, u, js, vs, dvs, ls, ws, dws):
     ring = O.ring
     left = {}
@@ -558,15 +538,11 @@ def _associativity_holds(O, k, u, js, vs, dvs, ls, ws, dws):
     prefix = [0]
     for x in js:
         prefix.append(prefix[-1] + x)
-    koszul = 1
+    koszul = _block_sign(js, dvs, dws)
     inner_results = []
     for s in range(k):
         block = ws[prefix[s]:prefix[s + 1]]
         bls = ls[prefix[s]:prefix[s + 1]]
-        dblock = sum(dws[prefix[s]:prefix[s + 1]])
-        dlater = sum(dvs[s + 1:])
-        if (dblock * dlater) % 2:
-            koszul = -koszul
         inner_results.append(O.compose_basis(vs[s], js[s], block, bls))
     lens = [sum(ls[prefix[s]:prefix[s + 1]]) for s in range(k)]
     right = {}
@@ -632,40 +608,31 @@ def _compositions(total, parts):
 def _cut_sign(u, lens, tpts):
     """Sign of one interval-cut term.
 
-    Three factors: the Koszul sign of regrouping the sequence
-    interval_1, [caesura_1], interval_2, ... by value (intervals graded
-    by their length, caesuras by 1); a factor -1 per caesura whose
-    interval ends at an odd vertex; and (-1)^(d(d-1)/2) for a word with
-    d caesuras, the Koszul sign of reversing d degree-one letters.
-    With the last factor the action commutes with the differentials for
-    every word, also past the degrees check_algebra_axioms sweeps.
+    Three factors: the pure Koszul rule, koszul_sign, for regrouping the
+    sequence interval_1, [caesura_1], interval_2, ... by value
+    (intervals graded by their length, caesuras by 1; letter i sorts
+    under the key (value, i, interval before caesura), packed into one
+    integer); a factor -1 per caesura whose interval ends at an odd
+    vertex; and (-1)^(d(d-1)/2) for a word with d caesuras, the Koszul
+    sign of reversing d degree-one letters.  With the last factor the
+    action commutes with the differentials for every word, also past the
+    degrees check_algebra_axioms sweeps.
     """
-    info = letter_info(u)
-    k = len(set(u))
-    poss = {}
-    for i, v in enumerate(u):
-        poss.setdefault(v, []).append(i)
-    src = []
-    for i in range(len(u)):
-        src.append((("i", i), lens[i]))
-        if info[i][2]:
-            src.append((("c", i), 1))
-    tgt = []
-    for s in range(1, k + 1):
-        for i in poss[s]:
-            tgt.append((("i", i), lens[i]))
-            if info[i][2]:
-                tgt.append((("c", i), 1))
-    pos = {it[0]: j for j, it in enumerate(src)}
-    inv = 0
-    for a in range(len(tgt)):
-        for b in range(a + 1, len(tgt)):
-            if pos[tgt[a][0]] > pos[tgt[b][0]]:
-                inv += tgt[a][1] * tgt[b][1]
-    caesuras = [i for i, (_, _, c) in enumerate(info) if c]
-    d = len(caesuras)
-    extra = sum(tpts[i + 1] for i in caesuras) + d * (d - 1) // 2
-    return -1 if (inv + extra) % 2 else 1
+    width = 2 * len(u)
+    keys = []
+    degrees = []
+    extra = d = 0
+    for i, (v, _, caesura) in enumerate(letter_info(u)):
+        keys.append(v * width + 2 * i)
+        degrees.append(lens[i])
+        if caesura:
+            keys.append(v * width + 2 * i + 1)
+            degrees.append(1)
+            extra += tpts[i + 1]
+            d += 1
+    extra += d * (d - 1) // 2
+    sign = koszul_sign(keys, degrees)
+    return -sign if extra % 2 else sign
 
 
 @functools.cache
@@ -770,75 +737,32 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
     return out
 
 
-def cochain_algebra(X: FiniteSimplicialSet, ring: RingSpec,
-                    arity_cap: int, degree_cap: int = None) -> OperadAlgebra:
-    """Normalized cochains of X as an algebra over the surjection operad.
-
-    The arity-2 degree-0 element acts as the cup product and the
-    degree-i elements as the cup-i products.
-    """
-    if degree_cap is None:
-        degree_cap = max(X.dims(), default=0) * max(arity_cap, 1)
-    O = surjection_operad(arity_cap, ring, degree_cap)
-    A = cochains(X, ring)
-
-    def theta(u, k, xs):
-        return interval_cut_action(X, ring, u, k,
-                                   [({lab: 1}, deg) for lab, deg in xs])
-
-    alg = OperadAlgebra(O, A, theta)
-    alg.space = X
-    return alg
-
-
-def cup_product(X: FiniteSimplicialSet, ring: RingSpec, x, p, y, q):
-    """x cup y on cochain basis elements, via the arity-2 action."""
-    return interval_cut_action(X, ring, (1, 2), 2,
-                               [({x: 1}, p), ({y: 1}, q)])
-
-
 # ---------------------------------------------------------------------------
 # algebra axiom checks
 # ---------------------------------------------------------------------------
 
-def _theta_linear(alg: OperadAlgebra, u, k, xs_mixed):
-    """theta extended linearly: entries of xs_mixed may be a basis pair
-    (label, degree) or a pair (dict, degree)."""
-    slots = []
-    for entry, deg in xs_mixed:
-        if isinstance(entry, dict):
-            slots.append([((lab, deg), c) for lab, c in entry.items()])
-        else:
-            slots.append([((entry, deg), 1)])
-    ring = alg.complex.ring
-    out = {}
-    for combo in itertools.product(*slots):
-        xs = [pair for pair, _ in combo]
-        coeff = ring.one()
-        for _, c in combo:
-            coeff = ring.mul(coeff, ring.normalize(c))
-        add_scaled(out, coeff, alg.theta(u, k, xs), ring)
-    return out
-
-
-def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
+def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
                          degree_cap: int) -> dict:
-    """Exhaustive checks of the algebra diagrams on basis elements.
+    """Exhaustive checks, on basis elements within the caps, of the
+    diagrams that make the normalized cochains of X an algebra over the
+    surjection operad O through interval_cut_action (theta).
 
     Covers: theta commuting with the differentials, the unit acting as
     the identity, compatibility of theta with the operad composition,
     and the commutativity diagram (the symmetric action on the operad
     side absorbs permutations of the arguments up to Koszul signs).
+    The arity-2 degree-0 word acts as the cup product and the degree-i
+    words as the cup-i products.
     """
-    O = alg.operad
-    C = alg.complex
-    ring = C.ring
+    ring = O.ring
+    C = cochains(X, ring)
     failures = []
     checked = 0
     adeg = _basis_with_degrees(C, degree_cap)
 
     def theta(u, k, xs):
-        return alg.theta(u, k, list(xs))
+        return interval_cut_action(X, ring, u, k,
+                                   [({lab: 1}, n) for lab, n in xs])
 
     for k, ops in _bases(O, arity_cap, degree_cap).items():
         for u, du in ops:
@@ -871,7 +795,7 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
                     for u2, c in O.act(k, perm, u).items():
                         add_scaled(acted, c, theta(u2, k, xs), ring)
                     xs_in = [xs[perm[s] - 1] for s in range(k)]
-                    sgn = _koszul_permutation_sign(ns, perm)
+                    sgn = koszul_sign(perm, [ns[s - 1] for s in perm])
                     direct = add_scaled({}, sgn, theta(u, k, xs_in), ring)
                     if acted != direct:
                         failures.append({"check": "commutativity",
@@ -897,17 +821,14 @@ def check_algebra_axioms(alg: OperadAlgebra, arity_cap: int,
             lhs = {}
             for w, c in O.compose_basis(u, k, vs, js).items():
                 add_scaled(lhs, c, theta(w, sum(js), xs), ring)
-            sgn = 1
             inner = []
             for s in range(k):
                 block = xs[prefix[s]:prefix[s + 1]]
-                before = sum(ns[:prefix[s]])
-                if (dvs[s] * before) % 2:
-                    sgn = -sgn
                 val = theta(vs[s], js[s], block)
                 m = sum(n for _, n in block) - dvs[s]
                 inner.append((val, m))
-            rhs = add_scaled({}, sgn, _theta_linear(alg, u, k, inner), ring)
+            rhs = add_scaled({}, _block_sign(js, dvs, ns),
+                             interval_cut_action(X, ring, u, k, inner), ring)
             if lhs != rhs:
                 failures.append({"check": "composition-compatibility",
                                  "witness": (k, u, vs, tuple(xs))})

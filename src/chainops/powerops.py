@@ -30,7 +30,7 @@ import random
 from .complexes import ChainComplex, homology, verify_differential
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
-from .operads import (interval_cut_action, rename_values,
+from .operads import (interval_cut_action, koszul_sign, rename_values,
                       surjection_boundary, surjection_words)
 from .rings import ZZ, RingSpec, SizeBoundError, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains, cochains,
@@ -660,9 +660,8 @@ def _shuffles(i, j, ring):
     terms = []
     for A in itertools.combinations(range(n), i):
         B = tuple(t for t in range(n) if t not in A)
-        inv = sum(1 for u in A for v in B if u > v)
         terms.append((word_for_positions(B), word_for_positions(A),
-                      ring.normalize((-1) ** inv)))
+                      ring.normalize(koszul_sign(A + B))))
     return terms
 
 
@@ -780,7 +779,13 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
 
     The lift starts at degree 0 and grows to the highest index a
     nonzero class asks for; the resolution is built to p times the
-    dimension of the space, which bounds every such index."""
+    dimension of the space, which bounds every such index.
+
+    p must be odd: the relations are the odd-prime ones, and at p = 2
+    they are not the Adem relations of the squares (at a = b = 1 they
+    read Sq^2 Sq^2 = 0, where Sq^2 Sq^2 = Sq^3 Sq^1 holds)."""
+    if p == 2:
+        raise ValueError("verify_adem needs an odd prime p, got 2")
     X = alg.space
     ring = alg.ring
     W = build_w(p, p * max(X.dims()))

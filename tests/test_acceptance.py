@@ -31,10 +31,9 @@ from chainops.freemod import FreeModuleMap
 from chainops.homology_classes import HomologySpace
 from chainops.operads import (
     check_einfinity,
-    check_operad_axioms,
-    cochain_algebra,
     check_algebra_axioms,
-    cup_product,
+    check_operad_axioms,
+    interval_cut_action,
     surjection_operad,
 )
 from chainops.powerops import (
@@ -58,17 +57,8 @@ from chainops.simplicial import classifying_space, cochains
 
 
 def _cup(X, ring, a, qa, b, qb):
-    out = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            for lab, c in cup_product(X, ring, la, qa, lb, qb).items():
-                t = ring.add(out.get(lab, ring.zero()),
-                             ring.mul(ring.mul(ca, cb), c))
-                if ring.is_zero(t):
-                    out.pop(lab, None)
-                else:
-                    out[lab] = t
-    return out
+    """a cup b: the arity-2 degree-0 word acting by interval cuts."""
+    return interval_cut_action(X, ring, (1, 2), 2, [(a, qa), (b, qb)])
 
 
 def _add(ring, a, b):
@@ -325,15 +315,36 @@ class TestCriterion9NegativeControls:
     def test_dropped_koszul_sign_is_caught(self, monkeypatch):
         ring = Zmod(3)
         X = classifying_space(3, 2)
-        alg = cochain_algebra(X, ring, 2, 2)
-        baseline = check_algebra_axioms(alg, 2, 2)
+        baseline = check_algebra_axioms(surjection_operad(2, ring, 2), X,
+                                        2, 2)
         assert baseline["passed"]
         monkeypatch.setattr(operads_module, "_cut_sign",
                             lambda u, lens, tpts: 1)
-        alg2 = cochain_algebra(X, ring, 2, 2)
-        report = check_algebra_axioms(alg2, 2, 2)
+        report = check_algebra_axioms(surjection_operad(2, ring, 2), X, 2, 2)
         assert not report["passed"]
         assert all(f["witness"] for f in report["failures"])
+
+    @pytest.mark.parametrize("corrupt", [
+        # every letter read as degree one
+        lambda orig: lambda keys, degrees=None: orig(keys),
+        # no reordering signs at all
+        lambda orig: lambda keys, degrees=None: 1,
+    ], ids=["degrees-dropped", "sign-one"])
+    def test_corrupted_koszul_rule_is_caught(self, monkeypatch, corrupt):
+        # every graded reordering reads operads.koszul_sign, so one
+        # corruption of it before the operad is built must break both the
+        # operad's axioms and the action's
+        monkeypatch.setattr(operads_module, "koszul_sign",
+                            corrupt(operads_module.koszul_sign))
+        ring = Zmod(3)
+        reports = [
+            check_operad_axioms(surjection_operad(3, ring, 2), 3, 2),
+            check_algebra_axioms(surjection_operad(2, ring, 2),
+                                 classifying_space(3, 2), 2, 2),
+        ]
+        for report in reports:
+            assert not report["passed"]
+            assert all(f["witness"] for f in report["failures"])
 
     def test_corrupted_power_normalisation_is_caught(self, monkeypatch):
         # with the unit forced to 1 the operations lose their

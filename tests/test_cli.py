@@ -280,15 +280,6 @@ class TestVerifierCommands:
         assert main(["steenrod", "--p", "3", "--space", "bz2",
                      "--dim", "3"]) == 2
 
-    def test_cartan_rejects_p_2(self, capsys):
-        # the Cartan check indexes powers by the odd-prime rule
-        assert main(["cartan-check", "--p", "2", "--space", "bz2",
-                     "--dim", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            "chainops: cartan-check needs an odd prime --p, got 2\n"
-
     def test_steenrod_small(self, capsys):
         code, out = run(capsys, ["steenrod", "--p", "2", "--space", "bz2",
                                  "--dim", "3", "--degree-cap", "2"])
@@ -321,6 +312,18 @@ class TestBadPrime:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"chainops: --p must be a prime, got {p}\n"
+
+    # the Cartan and Adem checks index the operations by the odd-prime
+    # rule, which does not give the squares' relations at p = 2 (the Adem
+    # check would read Sq^2 Sq^2 = 0 and pass on BZ/2)
+    @pytest.mark.parametrize("command", ["cartan-check", "adem-check"])
+    def test_p_2_is_refused_by_the_odd_prime_checks(self, capsys, command):
+        assert main([command, "--p", "2", "--space", "bz2", "--dim", "6",
+                     "--degree-cap", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"chainops: {command} needs an odd prime --p, got 2\n"
 
 
 class TestOptionRanges:

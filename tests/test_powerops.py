@@ -8,7 +8,7 @@ import pytest
 import chainops.operads as operads_module
 from chainops.complexes import verify_differential
 from chainops.homology_classes import HomologySpace
-from chainops.operads import cochain_algebra, cup_product, surjection_words
+from chainops.operads import interval_cut_action, surjection_words
 from chainops.powerops import (
     BigradedClass,
     CochainSystem,
@@ -24,6 +24,7 @@ from chainops.powerops import (
     power_unit,
     steenrod_square,
     theta_bar,
+    verify_adem,
     verify_cartan,
     verify_vanishing_pattern,
 )
@@ -33,17 +34,8 @@ from chainops.simplicial import (chains, circle_space, classifying_space,
 
 
 def _cup(X, ring, a, qa, b, qb):
-    out = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            for lab, c in cup_product(X, ring, la, qa, lb, qb).items():
-                t = ring.add(out.get(lab, ring.zero()),
-                             ring.mul(ring.mul(ca, cb), c))
-                if ring.is_zero(t):
-                    out.pop(lab, None)
-                else:
-                    out[lab] = t
-    return out
+    """a cup b: the arity-2 degree-0 word acting by interval cuts."""
+    return interval_cut_action(X, ring, (1, 2), 2, [(a, qa), (b, qb)])
 
 
 class TestWResolution:
@@ -289,7 +281,7 @@ class TestOddPrimaryPowers:
     def setup_method(self):
         self.ring = Zmod(3)
         self.X = classifying_space(3, 4)
-        self.alg = cochain_algebra(self.X, self.ring, 3, 4)
+        self.alg = CochainSystem(self.X, self.ring)
         self.W = build_w(3, 10)
         self.lift = equivariant_lift_j(self.W, None, 10)
 
@@ -305,6 +297,13 @@ class TestOddPrimaryPowers:
         alg = CochainSystem(classifying_space(2, 3), Zmod(2))
         with pytest.raises(ValueError, match="odd prime"):
             verify_cartan(alg, degree_cap=1, p=2)
+
+    def test_adem_refuses_p_2(self):
+        # at p = 2 the odd-prime relation at a = b = 1 reads Sq^2 Sq^2 = 0,
+        # not Sq^2 Sq^2 = Sq^3 Sq^1; BZ/2's one generator would hide it
+        alg = CochainSystem(classifying_space(2, 6), Zmod(2))
+        with pytest.raises(ValueError, match="odd prime"):
+            verify_adem(alg, 2, 2, 2)
 
     def test_classical_negative_and_overflow_vanish(self):
         x = self._gen(2)
