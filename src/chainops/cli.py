@@ -374,7 +374,7 @@ def cmd_steenrod(args):
                 continue
             x = BigradedClass(q, 0, rep)
             for i in range(0, q + 1):
-                out = steenrod_square(x, i, alg, W, lift)
+                out = steenrod_square(x, i, alg, lift)
                 if out.degree not in X.dims():
                     continue
                 H = alg.homology_space(out.degree)

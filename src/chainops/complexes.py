@@ -60,13 +60,6 @@ class ChainComplex:
             return FreeModuleMap.zero(self.module(n), self.module(n + self.step))
         return d
 
-    def degrees(self):
-        if not self.modules:
-            return range(0)
-        lo = min(self.modules)
-        hi = max(self.modules)
-        return range(lo, hi + 1)
-
     def __eq__(self, other):
         return (isinstance(other, ChainComplex)
                 and self.ring == other.ring
@@ -96,9 +89,6 @@ class OperatorModule:
 
     def module(self, n) -> FreeModule:
         return self.modules.get(n, FreeModule(self.ring, []))
-
-    def top_degree(self):
-        return max(self.modules, default=-1)
 
     def structure_map(self, key) -> FreeModuleMap:
         f = self.maps.get(key)
@@ -172,16 +162,6 @@ class ChainMap:
         if f is None:
             return FreeModuleMap.zero(self.source.module(n), self.target.module(n))
         return f
-
-    def commutes_with_differential(self):
-        degs = set(self.source.modules) | set(self.target.modules)
-        step = self.source.step
-        for n in sorted(degs):
-            lhs = self.target.differential(n).compose(self.component(n))
-            rhs = self.component(n + step).compose(self.source.differential(n))
-            if lhs != rhs:
-                return False
-        return True
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         degs = set(self.components) | set(first.components)

@@ -26,51 +26,6 @@ class CubicalModule(OperatorModule):
     def degeneracy(self, n, i) -> FreeModuleMap:
         return self.structure_map(("s", n, i))
 
-    def check_identities(self):
-        """Cubical identity families, truncation-aware; returns violations."""
-        bad = []
-        top = self.top_degree()
-        cs = (0, 1)
-        for n in range(top + 1):
-            if n >= 2:
-                for j in range(1, n + 1):
-                    for i in range(1, j):
-                        for a in cs:
-                            for b in cs:
-                                lhs = self.face(n - 1, i, a).compose(
-                                    self.face(n, j, b))
-                                rhs = self.face(n - 1, j - 1, b).compose(
-                                    self.face(n, i, a))
-                                if lhs != rhs:
-                                    bad.append(("dd", n, i, j, a, b))
-            if n + 2 <= top:
-                for j in range(1, n + 2):
-                    for i in range(1, j + 1):
-                        lhs = self.degeneracy(n + 1, j + 1).compose(
-                            self.degeneracy(n, i))
-                        rhs = self.degeneracy(n + 1, i).compose(
-                            self.degeneracy(n, j))
-                        if lhs != rhs:
-                            bad.append(("ss", n, i, j))
-            if n + 1 <= top:
-                for j in range(1, n + 2):
-                    sj = self.degeneracy(n, j)
-                    for i in range(1, n + 2):
-                        for c in cs:
-                            lhs = self.face(n + 1, i, c).compose(sj)
-                            if i == j:
-                                rhs = FreeModuleMap.identity(self.module(n))
-                            elif i < j:
-                                rhs = self.degeneracy(n - 1, j - 1).compose(
-                                    self.face(n, i, c))
-                            else:
-                                rhs = self.degeneracy(n - 1, j).compose(
-                                    self.face(n, i - 1, c))
-                            if lhs != rhs:
-                                bad.append(("ds", n, i, j, c))
-        return bad
-
-
 # ---------------------------------------------------------------------------
 # nc / dnc
 # ---------------------------------------------------------------------------

@@ -29,49 +29,6 @@ class SimplicialModule(OperatorModule):
     def degeneracy(self, n, i) -> FreeModuleMap:
         return self.structure_map(("s", n, i))
 
-    def check_identities(self):
-        """All five simplicial identity families; returns violation tags.
-
-        Families whose composites would leave the stored degree range (the
-        module is a truncation) are skipped at the boundary.
-        """
-        bad = []
-        top = self.top_degree()
-        for n in range(top + 1):
-            if n >= 2:
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = self.face(n - 1, i).compose(self.face(n, j))
-                        rhs = self.face(n - 1, j - 1).compose(self.face(n, i))
-                        if lhs != rhs:
-                            bad.append(("dd", n, i, j))
-            if n + 2 <= top:
-                for j in range(n + 1):
-                    for i in range(j + 1):
-                        lhs = self.degeneracy(n + 1, j + 1).compose(
-                            self.degeneracy(n, i))
-                        rhs = self.degeneracy(n + 1, i).compose(
-                            self.degeneracy(n, j))
-                        if lhs != rhs:
-                            bad.append(("ss", n, i, j))
-            if n + 1 <= top:
-                for j in range(n + 1):
-                    sj = self.degeneracy(n, j)
-                    for i in range(n + 2):
-                        lhs = self.face(n + 1, i).compose(sj)
-                        if i in (j, j + 1):
-                            rhs = FreeModuleMap.identity(self.module(n))
-                        elif i < j:
-                            rhs = self.degeneracy(n - 1, j - 1).compose(
-                                self.face(n, i))
-                        else:
-                            rhs = self.degeneracy(n - 1, j).compose(
-                                self.face(n, i - 1))
-                        if lhs != rhs:
-                            bad.append(("ds", n, i, j))
-        return bad
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

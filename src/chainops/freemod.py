@@ -102,11 +102,6 @@ class FreeModuleMap:
                 and self.target == other.target
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted(((self.target.index[t], self.source.index[s])
-                                   for (t, s) in self.entries)))))
-
     def __repr__(self):
         return (f"FreeModuleMap({self.source.rank}->{self.target.rank}, "
                 f"{len(self.entries)} entries)")

@@ -26,9 +26,8 @@ play, the smallest nonzero |entry| becomes the pivot, and floor division
 leaves remainders smaller than it, so the integers stay small (a merge
 by extended gcd multipliers instead blows them up, as Kannan and Bachem
 1979 describe for naive Hermite forms) and all outputs are
-deterministic and suitable for golden tests.  _howell_form,
-smith_normal_form_matrix and the dense test reference hnf_rows all
-follow it.
+deterministic and suitable for golden tests.  _howell_form and
+smith_normal_form_matrix both follow it.
 Smith normal form is reached only through integer_quotient, for the
 invariant factors of the homology quotient over Z and Z/m.  Lattice
 coordinates against a row-Hermite basis (the Z kernels) come from
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .freemod import FreeModule, FreeModuleMap, add_scaled
+from .freemod import add_scaled
 from .rings import RingSpec, ZZ
 
 
@@ -106,22 +105,6 @@ def smith_normal_form_matrix(m_rows):
             S[t] = [-a for a in S[t]]
             U[t] = [-a for a in U[t]]
     return S, U, V
-
-
-def det_unimodular(rows):
-    """Determinant of a small integer matrix by fraction-free expansion."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    det = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        det += (-1) ** j * rows[0][j] * det_unimodular(minor)
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -228,47 +211,6 @@ def rref(rows, ring: RingSpec):
         A.append(row)
     A.extend([ring.zero()] * C for _ in range(R - len(pivots)))
     return A, pivots
-
-
-def hnf_rows(rows):
-    """Row-style Hermite normal form of an integer matrix (unique echelon
-    with positive pivots and entries above pivots reduced).
-
-    A dense reference kept for tests, like det_unimodular: the Z kernels
-    come out of _howell_form already in this form."""
-    A = [list(map(int, r)) for r in rows]
-    R = len(A)
-    C = len(A[0]) if R else 0
-    r = 0
-    for c in range(C):
-        # gcd-reduce column c below row r
-        while True:
-            nz = [i for i in range(r, R) if A[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
-            A[r], A[i0] = A[i0], A[r]
-            done = True
-            for i in range(r + 1, R):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                    if A[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < R and A[r][c] != 0:
-            if A[r][c] < 0:
-                A[r] = [-x for x in A[r]]
-            for i in range(r):
-                q = A[i][c] // A[r][c]
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-            r += 1
-            if r == R:
-                break
-    A = [row for row in A if any(row)]
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +349,6 @@ def _unit_to_gcd(a, m):
     while math.gcd(u, m) != 1:
         u += n
     return d, u
-
-
-def kernel(M: FreeModuleMap) -> FreeModuleMap:
-    """Inclusion map of ker(M) into M.source, with a canonical basis."""
-    cols = kernel_matrix(M.to_matrix(), M.ring)
-    src = FreeModule(M.ring, [("ker", i) for i in range(len(cols))])
-    entries = {}
-    for j, col in enumerate(cols):
-        for i, c in enumerate(col):
-            entries[(M.source.basis[i], ("ker", j))] = c
-    return FreeModuleMap(src, M.source, entries)
 
 
 # ---------------------------------------------------------------------------

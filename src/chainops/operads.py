@@ -332,22 +332,6 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     return Operad(ring, levels, act, compose_basis, (1,))
 
 
-def one_point_operad(ring: RingSpec, arity: int) -> Operad:
-    """O(k) = the unit complex for every k, trivial action and gamma.
-
-    Acyclic but not free: the basis point is fixed by everything."""
-    levels = {k: ChainComplex(ring, {0: FreeModule(ring, [("pt", k)])}, {},
-                              HOMOLOGICAL)
-              for k in range(1, arity + 1)}
-
-    def act(k, perm, label):
-        return {label: 1}
-
-    def compose(u, k, vs, arities):
-        return {("pt", sum(arities)): 1}
-
-    return Operad(ring, levels, act, compose, ("pt", 1))
-
 # ---------------------------------------------------------------------------
 # axiom checks
 # ---------------------------------------------------------------------------

@@ -353,7 +353,8 @@ class BigradedClass:
 
 def adem_coefficient(i, j, p):
     """The binomial (i, j) = (i+j)!/(i!j!) mod p, zero for negative
-    arguments, via the factor-by-factor Lucas reduction."""
+    arguments, reduced from the full binomial; verify_adem checks it
+    against its own digit-by-digit Lucas oracle."""
     if i < 0 or j < 0:
         return 0
     return math.comb(i + j, i) % p
@@ -374,9 +375,8 @@ def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
     return out
 
 
-def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
-                    lift: EquivariantLift, bocksteined=False,
-                    cells=None) -> BigradedClass:
+def classical_power(x: BigradedClass, s: int, alg, lift: EquivariantLift,
+                    bocksteined=False, cells=None) -> BigradedClass:
     """P^s of a cocycle class, or beta P^s when bocksteined, in the
     classical indexing: the generator e_{(q-2s)(p-1)} (one lower for
     the Bockstein variant) evaluated on the p-th tensor power and scaled
@@ -384,17 +384,20 @@ def classical_power(x: BigradedClass, s: int, alg, W: WResolution,
     bocksteined).  At p = 2 this is Sq^{2s} (Sq^{2s+1} when
     bocksteined), unscaled.
 
-    A negative s, or an s with 2s > q, makes the operation zero, and the
-    zero class goes to the zero class; neither touches the lift.
-    Otherwise the lift grows to the index, at most q(p-1), if needed.
+    A negative s, or an s with 2s > q, makes the operation zero, the
+    zero class goes to the zero class, and so does every class when the
+    output degree is not a dimension of the space; none of these touches
+    the lift.  Otherwise the lift grows to the index, at most q(p-1), if
+    needed.
     cells, when given, selects the output simplices evaluated (see
     interval_cut_action); the representative is then the operation's
     value restricted to them, which need not be a cocycle."""
-    p = W.p
+    p = lift.p
     q = x.degree
     idx = (q - 2 * s) * (p - 1) - (1 if bocksteined else 0)
     out_degree = p * q - idx
-    if s < 0 or idx < 0 or not x.rep:
+    if (s < 0 or idx < 0 or not x.rep
+            or out_degree not in alg.space.dims()):
         return BigradedClass(out_degree, None, {})
     rep = theta_bar(alg.space, alg.ring, lift, idx, x.rep, q, cells)
     if p > 2:
@@ -443,30 +446,27 @@ def power_unit(q: int, s: int, p: int) -> int:
     return (-1) ** ((q + s + j) % 2) * unit % p
 
 
-def power_op(x: BigradedClass, s: int, alg, W: WResolution,
-             lift: EquivariantLift, bocksteined=False,
-             cells=None) -> BigradedClass:
+def power_op(x: BigradedClass, s: int, alg, lift: EquivariantLift,
+             bocksteined=False, cells=None) -> BigradedClass:
     """P^{q-s} of a class x of degree q (beta P^{q-s} when
     bocksteined), indexed by its weight s: classical_power at q - s,
     which raises the weight by s(p - 1).  The generator index is
     (2s - q)(p - 1), so s runs from ceil(q/2), the top power, to q,
     the identity."""
-    out = classical_power(x, x.degree - s, alg, W, lift, bocksteined,
-                          cells)
+    out = classical_power(x, x.degree - s, alg, lift, bocksteined, cells)
     if x.weight is not None:
-        out.weight = x.weight + s * (W.p - 1)
+        out.weight = x.weight + s * (lift.p - 1)
     return out
 
 
-def steenrod_square(x: BigradedClass, i: int, alg, W: WResolution,
+def steenrod_square(x: BigradedClass, i: int, alg,
                     lift: EquivariantLift) -> BigradedClass:
     """Sq^i at p = 2: the generator e_{q-i} evaluated on x tensor x,
     raising degree by i; classical_power at i // 2, bocksteined when i
     is odd."""
-    if W.p != 2:
+    if lift.p != 2:
         raise ValueError("Steenrod squares live at p = 2")
-    return classical_power(x, i // 2, alg, W, lift,
-                           bocksteined=i % 2 == 1)
+    return classical_power(x, i // 2, alg, lift, bocksteined=i % 2 == 1)
 
 
 def cup_i_oracle(X: FiniteSimplicialSet, ring: RingSpec, i: int,
@@ -478,28 +478,6 @@ def cup_i_oracle(X: FiniteSimplicialSet, ring: RingSpec, i: int,
         return {}
     word = tuple((1, 2)[j % 2] for j in range(i + 2))
     return interval_cut_action(X, ring, word, 2, [(x, q), (x, q)])
-
-
-def bockstein(x: BigradedClass, X: FiniteSimplicialSet, p: int) -> BigradedClass:
-    """The Z/p -> Z/p^2 -> Z/p connecting operation on cochains: lift
-    the representative, apply the coboundary, divide by p."""
-    big = Zmod(p * p)
-    ring = Zmod(p)
-    C2 = cochains(X, big)
-    lifted = {lab: int(c) % (p * p) for lab, c in x.rep.items()}
-    q = x.degree
-    d = C2.differentials.get(q)
-    out = {}
-    if d is not None:
-        img = d.apply(lifted)
-        for lab, c in img.items():
-            c = int(c) % (p * p)
-            if c % p:
-                raise ValueError("representative is not a mod-p cocycle")
-            v = (c // p) % p
-            if v:
-                out[lab] = ring.normalize(v)
-    return BigradedClass(q + 1, x.weight, out)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +694,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
         # the factor operations repeat across pairs; compute each once
         key = (q, coords, s, bock)
         if key not in ops:
-            ops[key] = power_op(BigradedClass(q, 0, rep), s, alg, W, lift,
+            ops[key] = power_op(BigradedClass(q, 0, rep), s, alg, lift,
                                 bocksteined=bock)
         return ops[key]
 
@@ -733,7 +711,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                         for bock in ((False, True) if with_bockstein
                                      else (False,)):
                             checked += 1
-                            lhs = power_op(z, s, palg, W, lift,
+                            lhs = power_op(z, s, palg, lift,
                                            bocksteined=bock,
                                            cells=classifier.support)
                             terms = []
@@ -801,7 +779,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
         key = (cls.degree, tuple(sorted(cls.rep.items(), key=repr)),
                s, bock)
         if key not in cache:
-            cache[key] = classical_power(cls, s, alg, W, lift,
+            cache[key] = classical_power(cls, s, alg, lift,
                                          bocksteined=bock)
         return cache[key]
 
@@ -886,48 +864,6 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int,
                         failures.append({
                             "check": "adem-bockstein",
                             "witness": (q, a, b, eps, xc)})
-    failures.sort(key=repr)
-    return {"passed": not failures, "checked": checked,
-            "failures": failures}
-
-
-def verify_vanishing_pattern(alg, W: WResolution,
-                             lift: EquivariantLift,
-                             degree_cap: int, index_cap: int) -> dict:
-    """theta-bar(e_n (x) x^p) can only be a nonzero class when n sits
-    in the residue classes 0, -1 (q even) or p-1, p-2 (q odd) modulo
-    2(p - 1)."""
-    X = alg.space
-    ring = alg.ring
-    p = W.p
-    period = 2 * (p - 1)
-    failures = []
-    checked = 0
-    for q in [n for n in X.dims() if n <= degree_cap]:
-        for _, xrep in alg.homology_space(q).all_classes():
-            if not xrep:
-                continue
-            for n in range(index_cap + 1):
-                out_deg = p * q - n
-                if out_deg < 0 or out_deg not in X.dims():
-                    continue
-                checked += 1
-                z = theta_bar(X, ring, lift, n, xrep, q)
-                coords = alg.homology_space(out_deg).class_vector(z)
-                if coords is None:
-                    failures.append({"check": "vanishing-cocycle",
-                                     "witness": (q, n)})
-                    continue
-                if any(not ring.is_zero(ring.normalize(c))
-                       for c in coords):
-                    if q % 2 == 0:
-                        ok = n % period in (0, period - 1)
-                    else:
-                        ok = n % period in ((p - 1) % period,
-                                            (p - 2) % period)
-                    if not ok:
-                        failures.append({"check": "vanishing-pattern",
-                                         "witness": (q, n, coords)})
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}

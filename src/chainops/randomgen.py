@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 
 from .complexes import ChainComplex, HOMOLOGICAL
-from .freemod import FreeModule, FreeModuleMap
-from .linalg import kernel
+from .freemod import FreeModule, FreeModuleMap, add_scaled
+from .linalg import sparse_kernel
 from .rings import RingSpec
 
 
@@ -22,7 +22,7 @@ def random_chain_complex(ring: RingSpec, length: int, max_rank: int,
     modules = {n: FreeModule(ring, [("x", n, i) for i in range(r)])
                for n, r in enumerate(ranks) if r}
     diffs = {}
-    prev_kernel = None   # inclusion ker(d_{n-1}) -> C_{n-1}
+    prev_kernel = None   # basis of ker(d_{n-1}), vectors over C_{n-1}
     for n in range(1, length + 1):
         src = modules.get(n)
         tgt = modules.get(n - 1)
@@ -39,18 +39,21 @@ def random_chain_complex(ring: RingSpec, length: int, max_rank: int,
         else:
             # random combination of kernel generators per source basis vector
             cols = {}
-            kbasis = prev_kernel.source.basis
             for s in src.basis:
-                vec = {}
-                for kb in kbasis:
+                col = {}
+                for vec in prev_kernel:
                     c = rng.randint(-coeff_bound, coeff_bound)
                     if c:
-                        vec[kb] = c
-                col = prev_kernel.apply({k: ring.normalize(v)
-                                         for k, v in vec.items()})
+                        add_scaled(col, ring.normalize(c), vec, ring)
                 cols[s] = col
             d = FreeModuleMap.from_columns(src, tgt, cols)
         if not d.is_zero():
             diffs[n] = d
-        prev_kernel = kernel(d)
+        # the kernel's rows are d's rows, grouped by target label
+        rows = {}
+        for (t, s), x in d.entries.items():
+            rows.setdefault(t, {})[src.index[s]] = x
+        prev_kernel = [{src.basis[j]: x for j, x in vec.items()}
+                       for vec in sparse_kernel(list(rows.values()),
+                                                src.rank, ring)]
     return ChainComplex(ring, modules, diffs, HOMOLOGICAL)

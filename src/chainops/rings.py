@@ -42,9 +42,6 @@ class RingSpec:
     def add(self, a, b):
         return self.normalize(a + b)
 
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
     def neg(self, a):
         return self.normalize(-a)
 

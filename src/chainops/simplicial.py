@@ -52,21 +52,6 @@ def word_for_positions(positions) -> tuple:
     return word
 
 
-def surjection_of_word(word: tuple, n: int) -> tuple:
-    """The monotone surjection [n] ->> [n - len(word)] the word encodes.
-
-    eta(t) = eta(t+1) exactly at the collapse positions of the word.
-    """
-    eta = []
-    for t in range(n + 1):
-        v = t
-        for a in word:
-            if v > a:
-                v -= 1
-        eta.append(v)
-    return tuple(eta)
-
-
 class FiniteSimplicialSet:
     """Nondegenerate simplices per dimension plus a face incidence table.
 
@@ -197,10 +182,6 @@ def cochains(X: FiniteSimplicialSet, ring: RingSpec) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # built-in spaces
 # ---------------------------------------------------------------------------
-
-def point_space() -> FiniteSimplicialSet:
-    return FiniteSimplicialSet("point", {0: ["*"]}, {})
-
 
 def circle_space() -> FiniteSimplicialSet:
     """Triangulated circle: 3 vertices, 3 oriented edges."""

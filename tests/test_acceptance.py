@@ -40,7 +40,6 @@ from chainops.powerops import (
     BigradedClass,
     CochainSystem,
     adem_coefficient,
-    bockstein,
     build_w,
     cup_i_oracle,
     equivariant_lift_j,
@@ -49,11 +48,11 @@ from chainops.powerops import (
     theta_bar,
     verify_adem,
     verify_cartan,
-    verify_vanishing_pattern,
 )
 from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 from chainops.simplicial import classifying_space, cochains
+from oracles import bockstein, verify_vanishing_pattern
 
 
 def _cup(X, ring, a, qa, b, qb):
@@ -143,7 +142,7 @@ class TestCriterion4ModTwoOperations:
             for rep in classes[q]:
                 x = BigradedClass(q, 0, rep)
                 for i in range(0, min(q, 6 - q) + 1):
-                    out = steenrod_square(x, i, alg, W, lift)
+                    out = steenrod_square(x, i, alg, lift)
                     H = spaces[q + i]
                     # table entry against the brute-force oracle
                     oracle = cup_i_oracle(X, ring, q - i, rep, q)
@@ -156,7 +155,7 @@ class TestCriterion4ModTwoOperations:
                             H.class_vector(sq), q
                 # vanishing above the degree
                 for i in range(q + 1, 7 - q):
-                    out = steenrod_square(x, i, alg, W, lift)
+                    out = steenrod_square(x, i, alg, lift)
                     H = spaces[q + i]
                     assert all(ring.is_zero(c)
                                for c in H.class_vector(out.rep)), (q, i)
@@ -167,11 +166,11 @@ class TestCriterion4ModTwoOperations:
             for rep in classes[q]:
                 x = BigradedClass(q, 0, rep)
                 for s in range(0, 3):
-                    direct = power_op(x, s, alg, W, lift, bocksteined=True)
+                    direct = power_op(x, s, alg, lift, bocksteined=True)
                     if direct.degree > 6 or direct.degree < 0:
                         continue
                     composed = bockstein(
-                        power_op(x, s, alg, W, lift), X, 2)
+                        power_op(x, s, alg, lift), X, 2)
                     H = spaces[direct.degree]
                     assert H.class_vector(direct.rep) == \
                         H.class_vector(composed.rep), (q, s)
@@ -183,19 +182,19 @@ class TestCriterion4ModTwoOperations:
                     ab = _add(ring, ra, rb)
                     for i in range(0, min(q, 6 - 2 * q) + 1):
                         lhs = steenrod_square(
-                            BigradedClass(q, 0, ab), i, alg, W, lift)
+                            BigradedClass(q, 0, ab), i, alg, lift)
                         rhs = _add(
                             ring,
                             steenrod_square(BigradedClass(q, 0, ra),
-                                            i, alg, W, lift).rep,
+                                            i, alg, lift).rep,
                             steenrod_square(BigradedClass(q, 0, rb),
-                                            i, alg, W, lift).rep)
+                                            i, alg, lift).rep)
                         H = spaces[q + i]
                         assert H.class_vector(lhs.rep) == \
                             H.class_vector(rhs), (q, i)
 
         # index pattern of the nonvanishing theta evaluations
-        pattern = verify_vanishing_pattern(alg, W, lift, degree_cap=3,
+        pattern = verify_vanishing_pattern(alg, lift, degree_cap=3,
                                            index_cap=6)
         assert pattern["passed"], pattern["failures"][:3]
         assert time.monotonic() - start < 60.0
@@ -239,8 +238,8 @@ class TestCriterion7WellDefined:
             a = equivariant_lift_j(W, None, 6, seed=2 * seed + 1)
             b = equivariant_lift_j(W, None, 6, seed=2 * seed + 2)
             assert a.components != b.components
-            za = power_op(x, 1, alg, W, a)
-            zb = power_op(x, 1, alg, W, b)
+            za = power_op(x, 1, alg, a)
+            zb = power_op(x, 1, alg, b)
             assert za.degree == 1
             assert H1.class_vector(za.rep) == H1.class_vector(zb.rep), seed
             ta = theta_bar(X, ring, a, 1, x.rep, 1)
@@ -258,7 +257,7 @@ class TestCriterion7WellDefined:
         H4 = HomologySpace(C, 4)
         y = H2.representative([1] + [0] * (H2.rank - 1))
         d1 = C.differentials[1]
-        base = power_op(BigradedClass(2, 0, y), 1, alg, W, lift)
+        base = power_op(BigradedClass(2, 0, y), 1, alg, lift)
         want = H4.class_vector(base.rep)
         for seed in range(10):
             rng = random.Random(1000 + seed)
@@ -270,7 +269,7 @@ class TestCriterion7WellDefined:
                 df = d1.apply(f)
             y2 = _add(ring, y, df)
             assert y2 != y
-            out = power_op(BigradedClass(2, 0, y2), 1, alg, W, lift)
+            out = power_op(BigradedClass(2, 0, y2), 1, alg, lift)
             assert H4.class_vector(out.rep) == want, seed
 
 

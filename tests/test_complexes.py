@@ -85,9 +85,10 @@ class TestEulerCharacteristic:
             for _ in range(8):
                 C = random_chain_complex(ring, 5, 4, rng)
                 assert verify_differential(C) == []
-                chi_ranks = sum((-1) ** n * C.module(n).rank for n in C.degrees())
+                # the complex is supported in degrees [0, 5]
+                chi_ranks = sum((-1) ** n * C.module(n).rank for n in range(6))
                 chi_hom = sum((-1) ** n * homology(C, n).free_rank
-                              for n in C.degrees())
+                              for n in range(6))
                 assert chi_ranks == chi_hom
 
 
@@ -101,7 +102,7 @@ class TestOperatorModule:
         for key in (("d", 0, 0), ("s", 0, 0), ("d", 2, 1), ("s", 2, 0)):
             f = K.structure_map(key)
             assert f.is_zero() and f.source == M
-        assert K.top_degree() == 2
+        assert sorted(K.modules) == [0, 2]
 
     def test_each_map_is_built_once_under_its_own_key(self):
         built = []

@@ -9,13 +9,70 @@ from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 
 
+def cubical_identity_violations(K):
+    """The cubical identity families of a cubical module, truncation-aware;
+    returns violation tags."""
+    bad = []
+    top = max(K.modules, default=-1)
+    cs = (0, 1)
+    for n in range(top + 1):
+        if n >= 2:
+            for j in range(1, n + 1):
+                for i in range(1, j):
+                    for a in cs:
+                        for b in cs:
+                            lhs = K.face(n - 1, i, a).compose(
+                                K.face(n, j, b))
+                            rhs = K.face(n - 1, j - 1, b).compose(
+                                K.face(n, i, a))
+                            if lhs != rhs:
+                                bad.append(("dd", n, i, j, a, b))
+        if n + 2 <= top:
+            for j in range(1, n + 2):
+                for i in range(1, j + 1):
+                    lhs = K.degeneracy(n + 1, j + 1).compose(
+                        K.degeneracy(n, i))
+                    rhs = K.degeneracy(n + 1, i).compose(
+                        K.degeneracy(n, j))
+                    if lhs != rhs:
+                        bad.append(("ss", n, i, j))
+        if n + 1 <= top:
+            for j in range(1, n + 2):
+                sj = K.degeneracy(n, j)
+                for i in range(1, n + 2):
+                    for c in cs:
+                        lhs = K.face(n + 1, i, c).compose(sj)
+                        if i == j:
+                            rhs = FreeModuleMap.identity(K.module(n))
+                        elif i < j:
+                            rhs = K.degeneracy(n - 1, j - 1).compose(
+                                K.face(n, i, c))
+                        else:
+                            rhs = K.degeneracy(n - 1, j).compose(
+                                K.face(n, i - 1, c))
+                        if lhs != rhs:
+                            bad.append(("ds", n, i, j, c))
+    return bad
+
+
+def commutes_with_differential(f):
+    """Whether the chain map f satisfies d f = f d in every degree."""
+    step = f.source.step
+    for n in sorted(set(f.source.modules) | set(f.target.modules)):
+        lhs = f.target.differential(n).compose(f.component(n))
+        rhs = f.component(n + step).compose(f.source.differential(n))
+        if lhs != rhs:
+            return False
+    return True
+
+
 class TestDnc:
     def test_cubical_identities(self):
         rng = random.Random(1)
         for ring in (ZZ, Zmod(2), Zmod(3)):
             for _ in range(4):
                 L = random_chain_complex(ring, 3, 3, rng)
-                assert dnc(L, 4).check_identities() == []
+                assert cubical_identity_violations(dnc(L, 4)) == []
 
     def test_rank_formula(self):
         rng = random.Random(2)
@@ -43,8 +100,8 @@ class TestSplitting:
             N = nc(dnc(L, 5))
             inc = dnc_inclusion(L, N)
             proj = dnc_projection(L, N)
-            assert inc.commutes_with_differential()
-            assert proj.commutes_with_differential()
+            assert commutes_with_differential(inc)
+            assert commutes_with_differential(proj)
 
     def test_projection_retracts_inclusion(self):
         rng = random.Random(5)
@@ -138,7 +195,7 @@ class TestLazyStructureMaps:
                         assert K.degeneracy(n, i) == degens.get(
                             (n, i), FreeModuleMap.zero(K.module(n),
                                                        K.module(n + 1)))
-                assert K.check_identities() == []
+                assert cubical_identity_violations(K) == []
 
     def test_nc_reads_no_degeneracy(self):
         rng = random.Random(8)

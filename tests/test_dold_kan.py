@@ -9,6 +9,50 @@ from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 
 
+def simplicial_identity_violations(K):
+    """All five simplicial identity families of a simplicial module;
+    returns violation tags.
+
+    Families whose composites would leave the stored degree range (the
+    module is a truncation) are skipped at the boundary.
+    """
+    bad = []
+    top = max(K.modules, default=-1)
+    for n in range(top + 1):
+        if n >= 2:
+            for j in range(n + 1):
+                for i in range(j):
+                    lhs = K.face(n - 1, i).compose(K.face(n, j))
+                    rhs = K.face(n - 1, j - 1).compose(K.face(n, i))
+                    if lhs != rhs:
+                        bad.append(("dd", n, i, j))
+        if n + 2 <= top:
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    lhs = K.degeneracy(n + 1, j + 1).compose(
+                        K.degeneracy(n, i))
+                    rhs = K.degeneracy(n + 1, i).compose(
+                        K.degeneracy(n, j))
+                    if lhs != rhs:
+                        bad.append(("ss", n, i, j))
+        if n + 1 <= top:
+            for j in range(n + 1):
+                sj = K.degeneracy(n, j)
+                for i in range(n + 2):
+                    lhs = K.face(n + 1, i).compose(sj)
+                    if i in (j, j + 1):
+                        rhs = FreeModuleMap.identity(K.module(n))
+                    elif i < j:
+                        rhs = K.degeneracy(n - 1, j - 1).compose(
+                            K.face(n, i))
+                    else:
+                        rhs = K.degeneracy(n - 1, j).compose(
+                            K.face(n, i - 1))
+                    if lhs != rhs:
+                        bad.append(("ds", n, i, j))
+    return bad
+
+
 class TestSurjections:
     def test_counts(self):
         for n in range(5):
@@ -28,7 +72,7 @@ class TestDenormalize:
             for _ in range(5):
                 L = random_chain_complex(ring, 4, 3, rng)
                 K = denormalize(L, 5)
-                assert K.check_identities() == []
+                assert simplicial_identity_violations(K) == []
 
     def test_rank_formula(self):
         # DN(L)_n has one copy of L_r per surjection [n] ->> [r]
@@ -124,7 +168,7 @@ class TestLazyStructureMaps:
                         assert K.degeneracy(n, i) == degens.get(
                             (n, i), FreeModuleMap.zero(K.module(n),
                                                        K.module(n + 1)))
-                assert K.check_identities() == []
+                assert simplicial_identity_violations(K) == []
 
     def test_roundtrip_reads_no_degeneracy(self):
         rng = random.Random(8)

@@ -178,7 +178,7 @@ class TestFieldClasses:
                     assert len(coords) == H.rank
                     rep = H.representative(coords)
                     assert H.class_vector(rep) == coords
-                    w = [ring.sub(x, rep.get(b, ring.zero()))
+                    w = [ring.normalize(x - rep.get(b, ring.zero()))
                          for b, x in zip(H.basis, col)]
                     assert solve_matrix(d_in, w, ring) is not None
                     nonzero += any(coords)

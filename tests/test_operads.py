@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import chainops.operads as operads_module
-from chainops.complexes import ChainComplex
-from chainops.freemod import add_scaled
+from chainops.complexes import ChainComplex, HOMOLOGICAL
+from chainops.freemod import FreeModule, add_scaled
 from chainops.operads import (
     Operad,
     _composable,
@@ -18,7 +18,6 @@ from chainops.operads import (
     is_surjection_word,
     koszul_sign,
     occurrence_counts,
-    one_point_operad,
     orientation,
     rename_values,
     surjection_boundary,
@@ -33,6 +32,23 @@ from chainops.simplicial import (classifying_space, cochains, product_space,
 
 def _degree(u, k):
     return len(u) - k
+
+
+def one_point_operad(ring, arity):
+    """O(k) = the unit complex for every k, trivial action and gamma.
+
+    Acyclic but not free: the basis point is fixed by everything."""
+    levels = {k: ChainComplex(ring, {0: FreeModule(ring, [("pt", k)])}, {},
+                              HOMOLOGICAL)
+              for k in range(1, arity + 1)}
+
+    def act(k, perm, label):
+        return {label: 1}
+
+    def compose(u, k, vs, arities):
+        return {("pt", sum(arities)): 1}
+
+    return Operad(ring, levels, act, compose, ("pt", 1))
 
 
 class TestWords:

@@ -14,7 +14,6 @@ from chainops.powerops import (
     CochainSystem,
     ProductClassifier,
     adem_coefficient,
-    bockstein,
     build_w,
     classical_power,
     cochain_cross,
@@ -26,11 +25,11 @@ from chainops.powerops import (
     theta_bar,
     verify_adem,
     verify_cartan,
-    verify_vanishing_pattern,
 )
 from chainops.rings import QQ, SizeBoundError, Zmod
 from chainops.simplicial import (chains, circle_space, classifying_space,
                                  cochains, product_space, torus_space)
+from oracles import bockstein, verify_vanishing_pattern
 
 
 def _cup(X, ring, a, qa, b, qb):
@@ -117,7 +116,7 @@ class TestLift:
         H = HomologySpace(alg.complex, 2)
         x = BigradedClass(2, 0, H.representative([1] + [0] * (H.rank - 1)))
         with pytest.raises(SizeBoundError, match="resolution cap"):
-            steenrod_square(x, 0, alg, W, lift)
+            steenrod_square(x, 0, alg, lift)
 
     def test_zero_class_above_cap_is_zero(self):
         X = classifying_space(2, 3)
@@ -125,7 +124,7 @@ class TestLift:
         alg = CochainSystem(X, Zmod(2))
         W = build_w(2, 1)
         lift = equivariant_lift_j(W, None, 1)
-        out = steenrod_square(BigradedClass(2, 0, {}), 0, alg, W, lift)
+        out = steenrod_square(BigradedClass(2, 0, {}), 0, alg, lift)
         assert out.is_zero()
         assert out.degree == 2
 
@@ -159,8 +158,7 @@ class TestPowerUnit:
         for q in degrees:
             H = alg.homology_space(q)
             for _, rep in H.all_classes():
-                out = classical_power(BigradedClass(q, 0, rep), 0, alg, W,
-                                      lift)
+                out = classical_power(BigradedClass(q, 0, rep), 0, alg, lift)
                 assert out.degree == q
                 assert H.class_vector(out.rep) == H.class_vector(rep), q
 
@@ -180,7 +178,7 @@ class TestPowerUnit:
             power = _cup(X, ring, power, q, x, 2)
             q += 2
         assert power
-        out = classical_power(BigradedClass(2, 0, x), 1, alg, W, lift)
+        out = classical_power(BigradedClass(2, 0, x), 1, alg, lift)
         assert out.degree == 2 * p
         assert out.rep == power
         for q in (2, 4, 6):
@@ -225,7 +223,7 @@ class TestSteenrodSquares:
         for q in (1, 2, 3):
             x = self._gen(q)
             for i in range(0, q + 1):
-                out = steenrod_square(x, i, self.alg, self.W, self.lift)
+                out = steenrod_square(x, i, self.alg, self.lift)
                 if out.degree not in self.spaces:
                     continue
                 H = self.spaces[out.degree]
@@ -235,21 +233,21 @@ class TestSteenrodSquares:
     def test_sq0_is_identity(self):
         for q in (1, 2, 3):
             x = self._gen(q)
-            out = steenrod_square(x, 0, self.alg, self.W, self.lift)
+            out = steenrod_square(x, 0, self.alg, self.lift)
             H = self.spaces[q]
             assert H.class_vector(out.rep) == H.class_vector(x.rep)
 
     def test_top_square_is_cup_square(self):
         for q in (1, 2):
             x = self._gen(q)
-            out = steenrod_square(x, q, self.alg, self.W, self.lift)
+            out = steenrod_square(x, q, self.alg, self.lift)
             sq = _cup(self.X, self.ring, x.rep, q, x.rep, q)
             H = self.spaces[2 * q]
             assert H.class_vector(out.rep) == H.class_vector(sq)
 
     def test_vanishing_above_degree(self):
         x = self._gen(1)
-        out = steenrod_square(x, 2, self.alg, self.W, self.lift)
+        out = steenrod_square(x, 2, self.alg, self.lift)
         H = self.spaces[3]
         assert all(self.ring.is_zero(c) for c in H.class_vector(out.rep))
 
@@ -268,9 +266,9 @@ class TestSteenrodSquares:
         ab = {lab: ring.add(a.get(lab, 0), b.get(lab, 0))
               for lab in set(a) | set(b)}
         for i in (0, 1):
-            lhs = steenrod_square(BigradedClass(1, 0, ab), i, alg, W, lift)
-            ra = steenrod_square(BigradedClass(1, 0, a), i, alg, W, lift)
-            rb = steenrod_square(BigradedClass(1, 0, b), i, alg, W, lift)
+            lhs = steenrod_square(BigradedClass(1, 0, ab), i, alg, lift)
+            ra = steenrod_square(BigradedClass(1, 0, a), i, alg, lift)
+            rb = steenrod_square(BigradedClass(1, 0, b), i, alg, lift)
             rhs = {lab: ring.add(ra.rep.get(lab, 0), rb.rep.get(lab, 0))
                    for lab in set(ra.rep) | set(rb.rep)}
             H = H1 if i == 0 else H2
@@ -307,9 +305,9 @@ class TestOddPrimaryPowers:
 
     def test_classical_negative_and_overflow_vanish(self):
         x = self._gen(2)
-        assert classical_power(x, -1, self.alg, self.W, self.lift).is_zero()
+        assert classical_power(x, -1, self.alg, self.lift).is_zero()
         # 2s > q makes the generator index negative: the operation is zero
-        assert classical_power(x, 2, self.alg, self.W, self.lift).is_zero()
+        assert classical_power(x, 2, self.alg, self.lift).is_zero()
 
     def test_paper_indexed_matches_classical_complement(self):
         # power_op is classical_power re-indexed by s -> q - s: the same
@@ -318,9 +316,8 @@ class TestOddPrimaryPowers:
             x = self._gen(q)
             for s in range(-1, q + 2):
                 for bock in (False, True):
-                    a = power_op(x, s, self.alg, self.W, self.lift, bock)
-                    b = classical_power(x, q - s, self.alg, self.W,
-                                        self.lift, bock)
+                    a = power_op(x, s, self.alg, self.lift, bock)
+                    b = classical_power(x, q - s, self.alg, self.lift, bock)
                     assert a.degree == b.degree, (q, s, bock)
                     assert a.rep == b.rep, (q, s, bock)
 
@@ -337,14 +334,14 @@ class TestOddPrimaryPowers:
     def test_vanishing_pattern(self):
         from chainops.powerops import CochainSystem
         sys_alg = CochainSystem(self.X, self.ring)
-        rep = verify_vanishing_pattern(sys_alg, self.W, self.lift,
+        rep = verify_vanishing_pattern(sys_alg, self.lift,
                                        degree_cap=2, index_cap=6)
         assert rep["passed"], rep["failures"][:3]
 
     def test_empty_class_maps_to_empty(self):
         x = BigradedClass(2, None, {})
-        assert power_op(x, 1, self.alg, self.W, self.lift).is_zero()
-        assert classical_power(x, 1, self.alg, self.W, self.lift).is_zero()
+        assert power_op(x, 1, self.alg, self.lift).is_zero()
+        assert classical_power(x, 1, self.alg, self.lift).is_zero()
 
     def test_empty_class_above_cap_maps_to_empty(self):
         # the zero class has zero powers at every index, even one the
@@ -353,17 +350,30 @@ class TestOddPrimaryPowers:
         empty = BigradedClass(2, None, {})
         x = self._gen(2)
         # generator index (2s - q)(p - 1) = 4 > 2
-        out = power_op(empty, 2, self.alg, self.W, lift)
+        out = power_op(empty, 2, self.alg, lift)
         assert out.is_zero()
         assert out.degree == 2
-        assert power_op(x, 2, self.alg, self.W, lift).rep == \
-            power_op(x, 2, self.alg, self.W, self.lift).rep
+        assert power_op(x, 2, self.alg, lift).rep == \
+            power_op(x, 2, self.alg, self.lift).rep
         # generator index (q - 2s)(p - 1) = 4 > 2
-        out = classical_power(empty, 0, self.alg, self.W, lift)
+        out = classical_power(empty, 0, self.alg, lift)
         assert out.is_zero()
         assert out.degree == 2
-        assert classical_power(x, 0, self.alg, self.W, lift).rep == \
-            classical_power(x, 0, self.alg, self.W, self.lift).rep
+        assert classical_power(x, 0, self.alg, lift).rep == \
+            classical_power(x, 0, self.alg, self.lift).rep
+
+    def test_zero_for_degree_reasons_leaves_the_lift(self):
+        # on the 3-skeleton P^1 of a degree-3 class lands in degree 7, and
+        # beta P^1 in degree 8: both are zero, and neither grows the lift
+        # to its generator index (2, and 1 for beta)
+        alg = CochainSystem(classifying_space(3, 3), self.ring)
+        lift = equivariant_lift_j(build_w(3, 9), None, 0)
+        H = alg.homology_space(3)
+        x = BigradedClass(3, None, H.representative([1] + [0] * (H.rank - 1)))
+        for bock, degree in ((False, 7), (True, 8)):
+            out = classical_power(x, 1, alg, lift, bock)
+            assert out.degree == degree and out.is_zero()
+            assert lift.cap == 0
 
 
 class TestThetaWellDefined:
@@ -539,8 +549,8 @@ class TestCartanSupportRestriction:
                         X, X, ring, x, q1, y, q2, P))
                     for s, bock in itertools.product(range(3),
                                                      (False, True)):
-                        full = power_op(z, s, palg, W, lift, bock)
-                        part = power_op(z, s, palg, W, lift, bock,
+                        full = power_op(z, s, palg, lift, bock)
+                        part = power_op(z, s, palg, lift, bock,
                                         classifier.support)
                         n = full.degree
                         assert part.degree == n
@@ -608,7 +618,7 @@ class TestCartanBeyondTheGate:
         y = alg.homology_space(2).representative([1])
         y2 = _cup(X, ring, y, 2, y, 2)
         y4 = _cup(X, ring, y2, 4, y2, 4)
-        out = classical_power(BigradedClass(4, 0, y2), 1, alg, W, lift)
+        out = classical_power(BigradedClass(4, 0, y2), 1, alg, lift)
         assert out.degree == 8
         H8 = alg.homology_space(8)
         want = H8.class_vector({lab: 2 * c % 3 for lab, c in y4.items()})
@@ -652,7 +662,7 @@ class TestHomologySpacesPerDegree:
         assert verify_cartan(alg, degree_cap=1, p=3, smax=2)["passed"]
         W = build_w(3, 6)
         lift = equivariant_lift_j(W, None, 6)
-        assert verify_vanishing_pattern(alg, W, lift, degree_cap=1,
+        assert verify_vanishing_pattern(alg, lift, degree_cap=1,
                                         index_cap=6)["passed"]
         # the rest are the Cartan classifier's spaces of the factor chains
         assert sorted(n for C, n in built if C is alg.complex) == [0, 1, 2]

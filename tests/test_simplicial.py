@@ -13,14 +13,31 @@ from chainops.simplicial import (
     classifying_space,
     cochains,
     pair_simplex,
-    point_space,
     product_space,
     push_degeneracy,
     sphere_space,
-    surjection_of_word,
     torus_space,
     word_for_positions,
 )
+
+
+def surjection_of_word(word: tuple, n: int) -> tuple:
+    """The monotone surjection [n] ->> [n - len(word)] the word encodes.
+
+    eta(t) = eta(t+1) exactly at the collapse positions of the word.
+    """
+    eta = []
+    for t in range(n + 1):
+        v = t
+        for a in word:
+            if v > a:
+                v -= 1
+        eta.append(v)
+    return tuple(eta)
+
+
+def point_space() -> FiniteSimplicialSet:
+    return FiniteSimplicialSet("point", {0: ["*"]}, {})
 
 
 class TestDegeneracyWords:
