@@ -314,7 +314,17 @@ def cmd_homology(args):
     return {"results": results, "failures": []}
 
 
+# The longest random complex dold-kan-roundtrip draws.  Denormalizing a
+# complex of length n builds, in degree n + 1, one copy of L_r per
+# surjection [n + 1] ->> [r]: with --count 1 and --max-rank 3 a request
+# takes about 0.5 s at length 8, and about sevenfold more per two degrees.
+MAX_ROUNDTRIP_LENGTH = 8
+
+
 def cmd_dold_kan_roundtrip(args):
+    if args.length > MAX_ROUNDTRIP_LENGTH:
+        raise SizeBoundError("length cap exceeded for the roundtrip "
+                             f"(length <= {MAX_ROUNDTRIP_LENGTH})")
     rng = random.Random(args.seed)
     rings = [ZZ, Zmod(3)] if args.ring == "default" \
         else [parse_ring(args.ring)]

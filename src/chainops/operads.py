@@ -289,14 +289,27 @@ def _act_vector(O: Operad, k, perm, vec):
 # the surjection operad
 # ---------------------------------------------------------------------------
 
+MAX_ARITY = 4
+
+
 def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     """Arities 1..arity of the surjection operad, degrees 0..degree_cap.
 
     Each level keeps one guard degree above the cap so that homology
     through the cap is that of the full (infinite) complex.
+
+    Size bounds (SizeBoundError): arity <= MAX_ARITY and degree_cap <=
+    10.  The word counts grow factorially with the arity (k! words of
+    degree 0; 600, 7,800 and 100,800 of degree 2 at arities 4, 5 and
+    6), and the axiom and E-infinity sweeps with them: at degree cap 2,
+    operad-check takes about a second at arity 4 and runs past 30 s at
+    arity 5.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
+    if arity > MAX_ARITY:
+        raise SizeBoundError("arity cap too large for exhaustive levels "
+                             f"(arity <= {MAX_ARITY})")
     if degree_cap > 10:
         raise SizeBoundError("degree cap too large for exhaustive levels")
     levels = {}

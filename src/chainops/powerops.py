@@ -546,17 +546,21 @@ class ProductClassifier:
     The product cycles are the shuffle images of a (x) b, for a and b
     running over cycle representatives of bases of H_i(X) and H_j(Y).
     Over a field they form a basis of the product's homology, so
-    pairing a cocycle against them separates classes.
+    pairing a cocycle against them separates classes.  The coordinates
+    of degree n are ordered by i ascending (j = n - i), then by the
+    basis class of H_i(X), then by that of H_j(Y); the cycles of one
+    degree pair (i, j) make one block.
 
-    For each degree n a pairing table is built once, on first use.  It
-    has one row per product cycle, ordered by i ascending (j = n - i),
-    then by the basis class of H_i(X), then by that of H_j(Y); this is
-    the order of the coordinates.  A row holds the merged (product
-    simplex, coefficient) entries of its cycle's shuffle image, with
-    zero entries dropped, so coordinates(z, n) costs one lookup and one
-    multiply-add per entry and one normalize per row.  The simplices
-    the rows name are the table's support: coordinates(z, n) reads z
-    there and nowhere else.
+    coordinates(z, n) reads a pairing table built once per degree, on
+    first use, and stored by cell: the number of product cycles, and
+    for each product simplex the (cycle, coefficient) entries of the
+    shuffle images that name it, with zero entries dropped.  A pairing
+    walks z's entries: one lookup each, and one multiply-add per cycle
+    the cell carries.  The simplices the table names are its support;
+    entries of z off the support are skipped.
+
+    cross_coordinates(terms, n) reads a sum of cross products off the
+    factors' own pairings (Kuenneth), with no product cochain built.
     """
 
     def __init__(self, X, Y, ring):
@@ -574,55 +578,94 @@ class ProductClassifier:
 
     def coordinates(self, z: dict, n: int):
         """Pair the degree-n cocycle z against every product cycle."""
-        get = z.get
-        vals = []
-        for row in self._table(n)[0]:
-            total = 0
-            for lab, c in row:
-                v = get(lab)
-                if v is not None:
-                    total += c * v
-            vals.append(self.ring.normalize(total))
-        return tuple(vals)
+        nrows, columns = self._table(n)
+        vals = [0] * nrows
+        for lab, v in z.items():
+            for row, c in columns.get(lab, ()):
+                vals[row] += c * v
+        return tuple(map(self.ring.normalize, vals))
+
+    def cross_coordinates(self, terms, n: int):
+        """The coordinates of sum sign * (a cross b) over the terms
+        (a, deg a, b, deg b, sign) with deg a + deg b = n: cocycles a on
+        X and b on Y, crossed as cochain_cross does.
+
+        By Eilenberg-Zilber (AW o EZ = id on normalized chains),
+        <a cross b, EZ(alpha (x) beta)> = <a, alpha> <b, beta> when
+        deg alpha = deg a, and 0 in every other block.  No Koszul sign
+        enters: cochain_cross carries none, and the only shuffle whose
+        front and back faces are nondegenerate is the identity, of sign
+        +1.  A term with a factor outside its space's degrees is zero."""
+        blocks, total = {}, 0
+        for i in sorted(self._xcycles):
+            if n - i in self._ycycles:
+                blocks[i] = total
+                total += len(self._xcycles[i]) * len(self._ycycles[n - i])
+        vals = [0] * total
+        for a, qa, b, qb, sign in terms:
+            if qa not in blocks:
+                continue
+            k = blocks[qa]
+            pb = [_pair(b, beta) for beta in self._ycycles[qb]]
+            for alpha in self._xcycles[qa]:
+                u = sign * _pair(a, alpha)
+                for v in pb:
+                    vals[k] += u * v
+                    k += 1
+        return tuple(map(self.ring.normalize, vals))
 
     def support(self, n):
         """The degree-n product simplices the pairing table reads, in
         order of first appearance."""
-        return self._table(n)[1]
+        return self._table(n)[1].keys()
 
     def _table(self, n):
-        """(pairing table, support) in degree n, built on first use."""
+        """(number of product cycles, cell -> [(cycle, coefficient)]) in
+        degree n, built on first use."""
         table = self._tables.get(n)
         if table is None:
-            rows = self._pairing_table(n)
-            support = list(dict.fromkeys(lab for row in rows
-                                         for lab, _ in row))
-            table = self._tables[n] = (rows, support)
+            table = self._tables[n] = self._pairing_table(n)
         return table
 
     def _pairing_table(self, n):
+        # The shuffle image of a (x) b puts ca cb sign(A, B) on the cell
+        # (s_B xa, s_A yb) for each (i, j)-shuffle (A, B).  Distinct
+        # (xa, yb, shuffle) give distinct cells, so no two entries of an
+        # image merge, and each cell's degeneracies are taken once per
+        # block.
         ring = self.ring
-        rows = []
+        columns = {}
+        row = 0
         for i in sorted(self._xcycles):
             j = n - i
             if j not in self._ycycles:
                 continue
-            shuffles = _shuffles(i, j, ring)
-            for a in self._xcycles[i]:
-                for b in self._ycycles[j]:
-                    row = {}
+            shuffles = _shuffles(i, j)
+            xs, ys = self._xcycles[i], self._ycycles[j]
+            fronts = {xa: [Simplex(word_b, xa, i) for word_b, _, _ in shuffles]
+                      for a in xs for xa in a}
+            backs = {yb: [Simplex(word_a, yb, j) for _, word_a, _ in shuffles]
+                     for b in ys for yb in b}
+            signs = [sign for _, _, sign in shuffles]
+            for a in xs:
+                for b in ys:
                     for xa, ca in a.items():
                         for yb, cb in b.items():
-                            cab = ring.mul(ca, cb)
-                            for word_b, word_a, sign in shuffles:
-                                lab = (Simplex(word_b, xa, i),
-                                       Simplex(word_a, yb, j))
-                                row[lab] = ring.add(
-                                    row.get(lab, ring.zero()),
-                                    ring.mul(cab, sign))
-                    rows.append(tuple((lab, c) for lab, c in row.items()
-                                      if not ring.is_zero(c)))
-        return rows
+                            plus = ring.normalize(ca * cb)
+                            if ring.is_zero(plus):
+                                continue
+                            minus = ring.normalize(-ca * cb)
+                            for sx, sy, sign in zip(fronts[xa], backs[yb],
+                                                    signs):
+                                columns.setdefault((sx, sy), []).append(
+                                    (row, plus if sign > 0 else minus))
+                    row += 1
+        return row, columns
+
+
+def _pair(cochain: dict, cycle: dict):
+    """<cochain, cycle>, unreduced."""
+    return sum(c * cochain.get(lab, 0) for lab, c in cycle.items())
 
 
 def _cycle_basis(h: HomologySpace):
@@ -631,15 +674,15 @@ def _cycle_basis(h: HomologySpace):
             for idx in range(h.rank)]
 
 
-def _shuffles(i, j, ring):
+def _shuffles(i, j):
     """(i, j)-shuffles as (degeneracy word of the first factor,
-    degeneracy word of the second factor, sign)."""
+    degeneracy word of the second factor, sign +-1)."""
     n = i + j
     terms = []
     for A in itertools.combinations(range(n), i):
         B = tuple(t for t in range(n) if t not in A)
         terms.append((word_for_positions(B), word_for_positions(A),
-                      ring.normalize(koszul_sign(A + B))))
+                      koszul_sign(A + B)))
     return terms
 
 
@@ -661,11 +704,15 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     the sign being the Koszul sign beta picks up as a degree-one
     derivation passing P^i(x).
 
-    Both sides are compared by their classifier coordinates, which read
-    a product cochain only on the pairing table's support.  The left
-    side is therefore evaluated on the support cells alone; its input,
-    the cross product x cross y, is built on every cell, since the cuts
-    of a support cell read it on faces outside the support.
+    Both sides are compared by their coordinates against the
+    ProductClassifier's product cycles.  The left side is a cochain on
+    X x X, paired through the classifier's table; since that table
+    reads only its support, the left side is evaluated on the support
+    cells alone.  Its input, the cross product x cross y, is built on
+    every cell, since the cuts of a support cell read it on faces
+    outside the support.  The right side is never built on X x X: each
+    term P^i(x) cross P^j(y) is read by Kuenneth from the pairings of
+    its factors on X (ProductClassifier.cross_coordinates).
 
     The lift grows to whatever index the sweep asks for, and the
     resolution is built to p times the dimension of the product space,
@@ -725,20 +772,21 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                                   op(*y, j), 1))
                                     terms.append((a2, op(*y, j, True),
                                                   (-1) ** (a2.degree % 2)))
-                            rhs = {}
-                            for a, b, sign in terms:
-                                add_scaled(rhs, sign, cochain_cross(
-                                    X, X, ring, a.rep, a.degree,
-                                    b.rep, b.degree, P), ring)
                             n_out = lhs.degree
                             if n_out < 0 or n_out not in P.dims():
-                                if lhs.rep or rhs:
+                                # Outside the product's degrees one
+                                # factor of every right-side term lies
+                                # outside X's and is empty, so the right
+                                # side is zero: only the left can fail.
+                                if lhs.rep:
                                     failures.append({
                                         "check": "cartan-degree",
                                         "witness": (q1, q2, s, bock)})
                                 continue
                             lc = classifier.coordinates(lhs.rep, n_out)
-                            rc = classifier.coordinates(rhs, n_out)
+                            rc = classifier.cross_coordinates(
+                                [(a.rep, a.degree, b.rep, b.degree, sign)
+                                 for a, b, sign in terms], n_out)
                             if lc != rc:
                                 failures.append({
                                     "check": "cartan" if not bock

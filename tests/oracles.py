@@ -1,7 +1,10 @@
-"""Oracles that more than one test module reads: the cochain Bockstein,
-computed by lifting to Z/p^2 rather than through the resolution, and the
-vanishing-pattern property of the lifted generators."""
-from chainops.powerops import BigradedClass, theta_bar
+"""Oracles for the power-operation tests: the cochain Bockstein,
+computed by lifting to Z/p^2 rather than through the resolution; the
+vanishing-pattern property of the lifted generators; and the
+coordinates of a sum of cross products built as a cochain on the
+product space, against which the Kuenneth reading is checked."""
+from chainops.freemod import add_scaled
+from chainops.powerops import BigradedClass, cochain_cross, theta_bar
 from chainops.rings import Zmod
 from chainops.simplicial import cochains
 
@@ -66,3 +69,17 @@ def verify_vanishing_pattern(alg, lift, degree_cap, index_cap):
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}
+
+
+def full_product_coordinates(classifier, P, terms, n):
+    """The coordinates of sum sign * (a cross b) over the terms (a, deg a,
+    b, deg b, sign): the sum is built as a cochain on the product space
+    P = X x Y, one cochain_cross per term, and paired through the
+    classifier's table, which ProductClassifier.cross_coordinates must
+    match without building it."""
+    ring = classifier.ring
+    cochain = {}
+    for a, qa, b, qb, sign in terms:
+        add_scaled(cochain, sign, cochain_cross(
+            classifier.X, classifier.Y, ring, a, qa, b, qb, P), ring)
+    return classifier.coordinates(cochain, n)

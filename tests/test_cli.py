@@ -11,6 +11,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from chainops.cli import (
     LEAST_VALUE,
+    MAX_ROUNDTRIP_LENGTH,
     ParseError,
     build_parser,
     builtin_space,
@@ -18,6 +19,7 @@ from chainops.cli import (
     parse_inputs,
     parse_ring,
 )
+from chainops.operads import MAX_ARITY
 from chainops.rings import QQ, ZZ
 
 
@@ -399,12 +401,29 @@ class TestSizeBounds:
          "dimension cap exceeded (nmax <= 10)"),
         (["operad-check", "--degree-cap", "11"],
          "degree cap too large for exhaustive levels"),
+        (["einfinity-check", "--arity-cap", "7", "--degree-cap", "0"],
+         "arity cap too large for exhaustive levels (arity <= 4)"),
+        (["operad-check", "--arity-cap", "5", "--degree-cap", "0"],
+         "arity cap too large for exhaustive levels (arity <= 4)"),
+        (["dold-kan-roundtrip", "--length", "11", "--max-rank", "3",
+          "--count", "1"],
+         "length cap exceeded for the roundtrip (length <= 8)"),
     ])
     def test_size_bound_exits_3(self, capsys, argv, message):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"chainops: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["einfinity-check", "--arity-cap", str(MAX_ARITY), "--degree-cap",
+         "0"],
+        ["dold-kan-roundtrip", "--length", str(MAX_ROUNDTRIP_LENGTH),
+         "--max-rank", "1", "--count", "1"],
+    ])
+    def test_the_bound_itself_is_accepted(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_exit_code_follows_the_error_type(self, monkeypatch):
         # a plain ValueError is not a size bound, whatever its wording
@@ -553,11 +572,13 @@ class TestMalformedInputsFuzzed:
 
 
 # every integer option of every command, with the largest value drawn:
-# dimensions up to 3, caps up to 2, arity up to 3; each is drawn from
-# one below its least accepted value (cli.LEAST_VALUE; 2 for --p, the
-# least prime) upward
-_LARGEST = {"dim": 3, "arity_cap": 3, "degree_cap": 2, "length_cap": 2,
-            "smax": 2, "cap": 2, "amax": 3, "count": 2, "length": 3,
+# dimensions up to 3, caps up to 2, and arity and length one past their
+# size bounds (operads.MAX_ARITY, cli.MAX_ROUNDTRIP_LENGTH), so that the
+# refusals are drawn; each is drawn from one below its least accepted
+# value (cli.LEAST_VALUE; 2 for --p, the least prime) upward
+_LARGEST = {"dim": 3, "arity_cap": MAX_ARITY + 1, "degree_cap": 2,
+            "length_cap": 2, "smax": 2, "cap": 2, "amax": 3, "count": 2,
+            "length": MAX_ROUNDTRIP_LENGTH + 1,
             "max_rank": 2, "p": 5, "seed": 3}
 _SPACES = ["circle", "torus", "sphere2", "bz2", "bz3", "bz5", "sphere"]
 _RINGS = ["Z", "Q", "Z/2", "Z/3", "Z/4", "Z/1", "F"]

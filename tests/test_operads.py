@@ -9,6 +9,7 @@ import chainops.operads as operads_module
 from chainops.complexes import ChainComplex, HOMOLOGICAL
 from chainops.freemod import FreeModule, add_scaled
 from chainops.operads import (
+    MAX_ARITY,
     Operad,
     _composable,
     check_algebra_axioms,
@@ -25,7 +26,7 @@ from chainops.operads import (
     surjection_operad,
     surjection_words,
 )
-from chainops.rings import QQ, ZZ, Zmod
+from chainops.rings import QQ, ZZ, SizeBoundError, Zmod
 from chainops.simplicial import (classifying_space, cochains, product_space,
                                  torus_space)
 
@@ -216,6 +217,12 @@ class TestSurjectionOperadLevels:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             surjection_operad(3, ZZ, 30)
+
+    def test_arity_guard(self):
+        with pytest.raises(SizeBoundError, match="arity <= 4"):
+            surjection_operad(MAX_ARITY + 1, ZZ, 0)
+        assert surjection_operad(MAX_ARITY, ZZ, 0).arities() == \
+            list(range(1, MAX_ARITY + 1))
 
 
 class TestEInfinity:

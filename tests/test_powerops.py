@@ -29,7 +29,8 @@ from chainops.powerops import (
 from chainops.rings import QQ, SizeBoundError, Zmod
 from chainops.simplicial import (chains, circle_space, classifying_space,
                                  cochains, product_space, torus_space)
-from oracles import bockstein, verify_vanishing_pattern
+from oracles import (bockstein, full_product_coordinates,
+                     verify_vanishing_pattern)
 
 
 def _cup(X, ring, a, qa, b, qb):
@@ -434,18 +435,19 @@ def _basis_reps(h):
             for m in range(h.rank)]
 
 
-def _brute_force_pairing(X, Y, ring, z, n):
-    """<z, shuffle image of a (x) b> for every pair of basis cycles, in
-    the classifier's order (degree of a, then a's class, then b's),
-    built cell by cell with the degeneracy maps."""
-    vals = []
+def _shuffle_images(X, Y, ring, n):
+    """The shuffle image of a (x) b for every pair of basis cycles, in
+    the classifier's order (degree of a, then a's class, then b's): a
+    dict product simplex -> coefficient, built cell by cell with the
+    degeneracy maps, its keys in the order the loops first reach them."""
+    images = []
     for i in X.dims():
         j = n - i
         if j not in Y.dims():
             continue
         for a in _basis_reps(HomologySpace(chains(X, ring), i)):
             for b in _basis_reps(HomologySpace(chains(Y, ring), j)):
-                total = ring.zero()
+                image = {}
                 for xa, ca in a.items():
                     for yb, cb in b.items():
                         for A in itertools.combinations(range(n), i):
@@ -457,11 +459,34 @@ def _brute_force_pairing(X, Y, ring, z, n):
                             sb = Y.nondegenerate(yb)
                             for t in A:
                                 sb = Y.degeneracy(sb, t)
-                            c = z.get((sa, sb), ring.zero())
-                            total = ring.add(total, ring.mul(
-                                ring.normalize((-1) ** inv * ca * cb), c))
-                vals.append(total)
+                            image[sa, sb] = ring.add(
+                                image.get((sa, sb), ring.zero()),
+                                ring.normalize((-1) ** inv * ca * cb))
+                images.append(image)
+    return images
+
+
+def _brute_force_pairing(X, Y, ring, z, n):
+    """<z, shuffle image of a (x) b> for every pair of basis cycles, in
+    the classifier's order."""
+    vals = []
+    for image in _shuffle_images(X, Y, ring, n):
+        total = ring.zero()
+        for lab, c in image.items():
+            total = ring.add(total, ring.mul(c, z.get(lab, ring.zero())))
+        vals.append(total)
     return tuple(vals)
+
+
+def _first_appearance_support(X, Y, ring, n):
+    """The product simplices on which some shuffle image is nonzero, in
+    order of first appearance over the images in coordinate order."""
+    order = {}
+    for image in _shuffle_images(X, Y, ring, n):
+        for lab, c in image.items():
+            if not ring.is_zero(c):
+                order.setdefault(lab)
+    return list(order)
 
 
 class TestProductClassifier:
@@ -487,6 +512,37 @@ class TestProductClassifier:
                 z = _random_cochain(ring, P.simplices(n), rng)
                 assert classifier.coordinates(z, n) == \
                     _brute_force_pairing(X, Y, ring, z, n), n
+
+    def test_sparse_cochains_read_by_column(self, factors, ring):
+        # a few cells on the table's support and more off it: the column
+        # read skips the latter, so z and its restriction to the support
+        # have the brute-force pairing's coordinates
+        X, Y, P = factors
+        classifier = ProductClassifier(X, Y, ring)
+        rng = random.Random(13)
+        off_support_read = 0
+        for n in P.dims():
+            support = set(classifier.support(n))
+            on = sorted(support)
+            off = sorted(set(P.simplices(n)) - support)
+            for _ in range(3):
+                z = _random_cochain(
+                    ring, rng.sample(on, min(3, len(on)))
+                    + rng.sample(off, min(6, len(off))), rng)
+                coords = classifier.coordinates(z, n)
+                assert coords == _brute_force_pairing(X, Y, ring, z, n), n
+                assert coords == classifier.coordinates(
+                    {lab: c for lab, c in z.items() if lab in support}, n)
+                off_support_read += sum(lab not in support for lab in z)
+        assert off_support_read
+
+    def test_support_in_order_of_first_appearance(self, factors, ring):
+        # interval_cut_action evaluates the support cells in this order
+        X, Y, P = factors
+        classifier = ProductClassifier(X, Y, ring)
+        for n in P.dims():
+            assert list(classifier.support(n)) == \
+                _first_appearance_support(X, Y, ring, n), n
 
     def test_coboundaries_vanish(self, factors, ring):
         X, Y, P = factors
@@ -523,6 +579,58 @@ class TestProductClassifier:
             assert len(set(coords)) == len(coords), n
             assert all(any(not ring.is_zero(v) for v in c) for c in coords)
 
+
+
+class TestCrossCoordinates:
+    """verify_cartan reads its right side by Kuenneth.  For every pair
+    (a, b) of operation outputs P^s x and beta P^s x (classes x of degree
+    <= 2, s <= 2, p = 3), with both signs, cross_coordinates must give the
+    coordinates of a cross b built on X x X and paired; so must it for
+    each degree's signed sum of all of them.  The spaces: BZ/3 to
+    dimension 3 (the benchmark's size) and 4 (the gate's), and the torus,
+    whose degree-one outputs make odd x odd blocks."""
+
+    SPACES = {"bz3-dim3": lambda: classifying_space(3, 3),
+              "bz3-dim4": lambda: classifying_space(3, 4),
+              "torus": torus_space}
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_matches_the_full_product(self, space):
+        ring = Zmod(3)
+        X = self.SPACES[space]()
+        alg = CochainSystem(X, ring)
+        P = product_space(X, X)
+        lift = equivariant_lift_j(build_w(3, 3 * max(P.dims())), None, 0)
+        classifier = ProductClassifier(X, X, ring)
+        outputs = {}
+        for q in range(3):
+            for _, rep in alg.homology_space(q).all_classes():
+                for s, bock in itertools.product(range(3), (False, True)):
+                    out = power_op(BigradedClass(q, 0, rep), s, alg, lift,
+                                   bock)
+                    if out.degree in X.dims():
+                        outputs[out.degree,
+                                frozenset(out.rep.items())] = out
+        sums = {}
+        blocks = set()
+        for a, b in itertools.product(outputs.values(), repeat=2):
+            n = a.degree + b.degree
+            for sign in (1, -1):
+                term = (a.rep, a.degree, b.rep, b.degree, sign)
+                coords = classifier.cross_coordinates([term], n)
+                assert coords == full_product_coordinates(
+                    classifier, P, [term], n), (a.degree, b.degree, sign)
+                sums.setdefault(n, []).append(term)
+                if any(coords):
+                    blocks.add((a.degree, b.degree))
+        for n, terms in sums.items():
+            assert classifier.cross_coordinates(terms, n) == \
+                full_product_coordinates(classifier, P, terms, n), n
+        # nonzero terms in blocks that a swapped block or a Koszul sign
+        # would break: two different degrees, and odd x odd on the torus
+        assert any(qa != qb for qa, qb in blocks)
+        if space == "torus":
+            assert (1, 1) in blocks
 
 
 class TestCartanSupportRestriction:
