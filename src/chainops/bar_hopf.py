@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .complexes import COHOMOLOGICAL, ChainComplex, verify_differential
-from .freemod import FreeModule, FreeModuleMap, add_scaled
+from .freemod import FreeModule, FreeModuleMap, add_scaled, zero_module
 from .homology_classes import HomologySpace
 from .linalg import EchelonBasis, sparse_rows
 from .operads import koszul_sign
@@ -127,7 +127,7 @@ class AugmentedDGA:
                    for q in by_deg}
         diffs = {}
         for q, mod in modules.items():
-            tgt = modules.get(q + 1, FreeModule(QQ, ()))
+            tgt = modules.get(q + 1) or zero_module(QQ)
             entries = {}
             for a in mod.basis:
                 for b, c in self.diff.get(a, {}).items():
@@ -208,7 +208,7 @@ class BarComplex:
         self.incomplete = []
         diffs = {}
         for deg, mod in self.modules.items():
-            tgt = self.modules.get(deg + 1, FreeModule(QQ, ()))
+            tgt = self.modules.get(deg + 1) or zero_module(QQ)
             entries = {}
             for w in mod.basis:
                 for w2, c in self._boundary(w).items():

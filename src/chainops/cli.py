@@ -24,7 +24,7 @@ from .complexes import ChainComplex, HOMOLOGICAL, COHOMOLOGICAL, homology, \
     verify_differential
 from .cubical import dnc, dnc_inclusion, dnc_projection, nc
 from .dold_kan import denormalize, normalize
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, zero_module
 from .homology_classes import HomologySpace
 from .operads import check_einfinity, check_operad_axioms, surjection_operad
 from .powerops import (BigradedClass, CochainSystem, build_w, cup_i_oracle,
@@ -177,8 +177,8 @@ def parse_complex_file(path) -> ChainComplex:
     with _reading(path):
         mods = {n: FreeModule(ring, labs) for n, labs in modules.items()}
         for n, ent in entries.items():
-            src = mods.get(n, FreeModule(ring, ()))
-            tgt = mods.get(n + step, FreeModule(ring, ()))
+            src = mods.get(n) or zero_module(ring)
+            tgt = mods.get(n + step) or zero_module(ring)
             try:
                 diffs[n] = FreeModuleMap(src, tgt, ent)
             except KeyError as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freemod import FreeModule, FreeModuleMap
+from .freemod import FreeModule, FreeModuleMap, zero_module
 from .homology_classes import HomologySpace
 from .rings import RingSpec
 
@@ -52,7 +52,7 @@ class ChainComplex:
         return -1 if self.direction == HOMOLOGICAL else 1
 
     def module(self, n) -> FreeModule:
-        return self.modules.get(n, FreeModule(self.ring, []))
+        return self.modules.get(n) or zero_module(self.ring)
 
     def differential(self, n) -> FreeModuleMap:
         d = self.differentials.get(n)
@@ -88,7 +88,7 @@ class OperatorModule:
         self._rule = rule
 
     def module(self, n) -> FreeModule:
-        return self.modules.get(n, FreeModule(self.ring, []))
+        return self.modules.get(n) or zero_module(self.ring)
 
     def structure_map(self, key) -> FreeModuleMap:
         f = self.maps.get(key)

@@ -3,10 +3,13 @@
 FreeModuleMap is the universal carrier for every differential and structure
 map in the engine.  Entries are stored sparsely as (target label, source
 label) -> nonzero ring element; maps compare by structural equality.
-All values are immutable after construction.
+All values are immutable after construction.  A map's columns, read by
+source label, come from an index built on the first column read.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .rings import RingSpec
 
@@ -67,10 +70,21 @@ class FreeModule:
         return f"FreeModule({self.ring}, rank {self.rank})"
 
 
-class FreeModuleMap:
-    """Sparse linear map, entries indexed (target label, source label)."""
+@functools.cache
+def zero_module(ring: RingSpec) -> FreeModule:
+    """The rank-zero module over ring, built once per ring and shared (a
+    FreeModule is immutable)."""
+    return FreeModule(ring, ())
 
-    __slots__ = ("source", "target", "entries")
+
+class FreeModuleMap:
+    """Sparse linear map, entries indexed (target label, source label).
+
+    column(s) and compose read the entries grouped by source label; the
+    grouping is built once, on the first such read, and never handed
+    out, so the map stays immutable."""
+
+    __slots__ = ("source", "target", "entries", "_columns")
 
     def __init__(self, source: FreeModule, target: FreeModule, entries):
         if source.ring != target.ring:
@@ -144,16 +158,26 @@ class FreeModuleMap:
                 out[t] = val
         return out
 
+    def _column_index(self):
+        """source label -> {target label: coefficient}, built on first use."""
+        try:
+            return self._columns
+        except AttributeError:
+            columns = {}
+            for (t, s), c in self.entries.items():
+                columns.setdefault(s, {})[t] = c
+            object.__setattr__(self, "_columns", columns)
+            return columns
+
     def column(self, src_label):
-        return {t: c for (t, s), c in self.entries.items() if s == src_label}
+        """The image of one source basis label, as a new dict."""
+        return dict(self._column_index().get(src_label, ()))
 
     def compose(self, first: "FreeModuleMap") -> "FreeModuleMap":
         """self o first."""
         if first.target != self.source:
             raise ValueError("composition mismatch")
-        columns = {}
-        for (t, mid), c in self.entries.items():
-            columns.setdefault(mid, {})[t] = c
+        columns = self._column_index()
         entries = {}
         for (mid, s), c in first.entries.items():
             add_scaled(entries, c, {(t, s): c2 for t, c2

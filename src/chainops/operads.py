@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .complexes import ChainComplex, HOMOLOGICAL, homology
 from .freemod import FreeModule, FreeModuleMap, add_scaled
@@ -43,15 +44,35 @@ def is_surjection_word(u, k) -> bool:
     return all(u[i] != u[i + 1] for i in range(len(u) - 1))
 
 
+@functools.cache
 def surjection_words(k: int, degree: int):
-    """All nondegenerate surjections {1..k+degree} ->> {1..k}, sorted."""
+    """All nondegenerate surjections {1..k+degree} ->> {1..k}, sorted, as
+    a tuple shared by every caller (built once per process)."""
     if k == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
+    # only words without adjacent repeats are listed: after the first
+    # letter, step o picks the o-th smallest letter other than the last,
+    # which keeps the words sorted
     out = []
-    for u in itertools.product(range(1, k + 1), repeat=k + degree):
-        if is_surjection_word(u, k):
-            out.append(u)
-    return out
+    for first in range(1, k + 1):
+        for steps in itertools.product(range(1, k), repeat=k + degree - 1):
+            u = [first]
+            for o in steps:
+                u.append(o if o < u[-1] else o + 1)
+            if len(set(u)) == k:
+                out.append(tuple(u))
+    return tuple(out)
+
+
+def word_count(k: int, degree: int) -> int:
+    """len(surjection_words(k, degree)), without listing the words: of
+    the j (j - 1)^(n - 1) words of length n over j letters that have no
+    adjacent repeats, inclusion-exclusion keeps those using all k."""
+    n = k + degree
+    if k == 0:
+        return int(n == 0)
+    return sum((-1) ** (k - j) * math.comb(k, j) * j * (j - 1) ** (n - 1)
+               for j in range(1, k + 1))
 
 
 def letter_info(u):
@@ -100,12 +121,15 @@ def orientation(u) -> int:
     return koszul_sign([(v, t) for v, t, c in letter_info(u) if c])
 
 
+@functools.cache
 def surjection_boundary(u, k):
     """Differential: signed deletion of single letters.
 
     Deleting the t-th occurrence of value v carries the sign
     or(u) * or(du) * (-1)^(t-1) * (-1)^(caesuras of smaller values);
     deletions that break surjectivity or create adjacent repeats drop out.
+    The integer coefficients hold over every ring, so each word's
+    boundary is computed once per process; callers only read the dict.
     """
     info = letter_info(u)
     occ = occurrence_counts(u)
@@ -210,7 +234,7 @@ def surjection_composition(u, k, vs, arities):
 
 def rename_values(u, perm):
     """Unsigned symmetric-group action: value v becomes perm[v-1]."""
-    return tuple(perm[v - 1] for v in u)
+    return tuple([perm[v - 1] for v in u])
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +249,10 @@ class Operad:
     act(k, perm, label) is the action of the permutation sending v to
     perm[v-1], and compose_basis(u, k, vs, arities) evaluates gamma.
     unit is the basis label of the arity-1 identity in degree 0.
-    The dicts compose_basis returns may be shared between calls (the
-    surjection operad memoises them), so callers only read them.
+    The dicts act and compose_basis return may be shared between calls
+    and between operads (the surjection operad's compositions come from
+    one memo per process, keyed without the ring), so callers only read
+    them.
     """
 
     def __init__(self, ring, levels, act, compose_basis, unit):
@@ -245,19 +271,33 @@ class Operad:
     def group_relation_failures(self):
         """Coxeter relations of the adjacent transpositions (i i+1),
         checked by acting on every basis label of every level."""
+        ring = self.ring
         bad = []
         for k in self.arities():
             C = self.level(k)
             labels = [lab for n in sorted(C.modules)
                       for lab in C.module(n).basis]
+            # transposition[i] swaps i and i + 1; its action on a basis
+            # label is read from act once, however many relations apply it
+            transposition = {}
+            for i in range(1, k):
+                perm = list(range(1, k + 1))
+                perm[i - 1], perm[i] = i + 1, i
+                transposition[i] = tuple(perm)
+            acted = {}
 
             def act_word(word, lab):
                 # the transpositions of word, applied right to left
-                vec = {lab: self.ring.one()}
+                vec = {lab: ring.one()}
                 for i in reversed(word):
-                    perm = list(range(1, k + 1))
-                    perm[i - 1], perm[i] = i + 1, i
-                    vec = _act_vector(self, k, tuple(perm), vec)
+                    out = {}
+                    for b, c in vec.items():
+                        image = acted.get((i, b))
+                        if image is None:
+                            image = acted[(i, b)] = self.act(
+                                k, transposition[i], b)
+                        add_scaled(out, c, image, ring)
+                    vec = out
                 return vec
 
             def holds(left, right):
@@ -290,6 +330,7 @@ def _act_vector(O: Operad, k, perm, vec):
 # ---------------------------------------------------------------------------
 
 MAX_ARITY = 4
+MAX_LEVEL_WORDS = 50_000
 
 
 def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
@@ -298,12 +339,16 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     Each level keeps one guard degree above the cap so that homology
     through the cap is that of the full (infinite) complex.
 
-    Size bounds (SizeBoundError): arity <= MAX_ARITY and degree_cap <=
-    10.  The word counts grow factorially with the arity (k! words of
-    degree 0; 600, 7,800 and 100,800 of degree 2 at arities 4, 5 and
-    6), and the axiom and E-infinity sweeps with them: at degree cap 2,
-    operad-check takes about a second at arity 4 and runs past 30 s at
-    arity 5.
+    Size bounds (SizeBoundError): arity <= MAX_ARITY, degree_cap <= 10,
+    and at most MAX_LEVEL_WORDS words in the top level, counted by
+    word_count before any is listed.  The word counts grow factorially
+    with the arity (k! words of degree 0; 600, 7,800 and 100,800 of
+    degree 2 at arities 4, 5 and 6) and exponentially with the degree
+    (the top level holds 49,068 words at arity 3, degree cap 10, and
+    33,336 and 105,936 at arity 4, degree caps 4 and 5), and the axiom
+    and E-infinity sweeps with them: at degree cap 2, operad-check runs
+    past 30 s at arity 5.  The sweeps have bounds of their own
+    (MAX_SWEEP_TUPLES, MAX_SMITH_ENTRIES).
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
@@ -312,8 +357,13 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
                              f"(arity <= {MAX_ARITY})")
     if degree_cap > 10:
         raise SizeBoundError("degree cap too large for exhaustive levels")
-    levels = {}
     stored = degree_cap + 1
+    words = sum(word_count(arity, d) for d in range(stored + 1))
+    if words > MAX_LEVEL_WORDS:
+        raise SizeBoundError(
+            f"degree cap too large for exhaustive levels ({words} words "
+            f"at arity {arity}, at most {MAX_LEVEL_WORDS})")
+    levels = {}
     for k in range(1, arity + 1):
         top = stored if k > 1 else 0
         modules = {d: FreeModule(ring, surjection_words(k, d))
@@ -330,19 +380,24 @@ def surjection_operad(arity: int, ring: RingSpec, degree_cap: int) -> Operad:
     def act(k, perm, u):
         return {rename_values(u, perm): 1}
 
-    # the axiom sweeps ask for the same composition many times (193
-    # distinct of 3,477 calls at arity cap 3, degree cap 2), so each is
-    # computed once per operad and the stored dict is handed out
-    memo = {}
+    return Operad(ring, levels, act, _compose_basis, (1,))
 
-    def compose_basis(u, k, vs, arities):
-        key = (u, k, tuple(vs), tuple(arities))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = surjection_composition(u, k, vs, arities)
-        return out
 
-    return Operad(ring, levels, act, compose_basis, (1,))
+# The axiom sweeps ask for the same composition many times (193 distinct
+# of 3,477 calls at arity cap 3, degree cap 2), and every operad asks for
+# the same ones: a composition's coefficients are integers that the
+# callers reduce into their ring (add_scaled, ring.normalize), so one
+# memo per process, keyed without the ring, serves Z, Q and every Z/m.
+# The stored dicts are handed out and only read.
+_COMPOSITIONS = {}
+
+
+def _compose_basis(u, k, vs, arities):
+    key = (u, k, tuple(vs), tuple(arities))
+    out = _COMPOSITIONS.get(key)
+    if out is None:
+        out = _COMPOSITIONS[key] = surjection_composition(u, k, vs, arities)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +446,50 @@ def _composable(O: Operad, arity_cap, degree_cap):
                 yield k, u, du, js, vs, ds
 
 
+# check_operad_axioms refuses a sweep of more composable plus
+# associativity tuples than this.  It spends 50 to 80 us per tuple (on a
+# 2-core container with Python 3.11): 9,034 tuples at arity cap 4,
+# degree cap 2 take 0.45 to 0.7 s and 16,294 at (3, 7) 1.1 s, while
+# (4, 3) has 27,462 and (3, 9) 62,942.
+MAX_SWEEP_TUPLES = 20_000
+
+
+def _sweep_size(bases, arity_cap, degree_cap):
+    """The number of composable tuples (_composable) plus the number of
+    associativity tuples (one per composable tuple and input tuple of
+    _inputs) that check_operad_axioms visits, counted from the number of
+    basis labels of each arity and degree without listing any tuple."""
+    sizes = {}
+    for j, basis in bases.items():
+        for _, d in basis:
+            sizes[(j, d)] = sizes.get((j, d), 0) + 1
+    # seqs[c][(a, e)]: sequences of c labels of total arity a <= arity_cap
+    # and total degree e <= degree_cap
+    seqs = [{(0, 0): 1}]
+    for _ in range(arity_cap):
+        longer = {}
+        for (a, e), n in seqs[-1].items():
+            for (j, d), m in sizes.items():
+                if a + j <= arity_cap and e + d <= degree_cap:
+                    key = (a + j, e + d)
+                    longer[key] = longer.get(key, 0) + n * m
+        seqs.append(longer)
+
+    def inputs(count, budget):
+        return sum(n for (_, e), n in seqs[count].items() if e <= budget)
+
+    total = 0
+    for (k, du), m in sizes.items():
+        total += m * inputs(k, degree_cap - du)
+        for (a, e), n in seqs[k].items():
+            if e <= degree_cap - du:
+                total += m * n * inputs(a, degree_cap - du - e)
+    return total
+
+
+@functools.cache
 def _nontrivial_permutations(k):
-    return list(itertools.permutations(range(1, k + 1)))[1:]
+    return tuple(itertools.permutations(range(1, k + 1)))[1:]
 
 
 def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
@@ -402,8 +499,16 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
     the differentials, both unit diagrams, associativity, and the two
     equivariance diagrams (outer block permutation and inner block sum).
     Returns {"passed", "checked", "failures"} with named witnesses.
+    Raises SizeBoundError, before checking anything, when the sweep would
+    visit more than MAX_SWEEP_TUPLES tuples.
     """
     ring = O.ring
+    bases = _bases(O, arity_cap, degree_cap)
+    size = _sweep_size(bases, arity_cap, degree_cap)
+    if size > MAX_SWEEP_TUPLES:
+        raise SizeBoundError(
+            f"operad check too large: {size} composable and associativity "
+            f"tuples (at most {MAX_SWEEP_TUPLES})")
     failures = [{"check": "group-relations", "witness": rel}
                 for rel in O.group_relation_failures()]
     checked = 0
@@ -426,7 +531,9 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
             sgn *= (-1) ** ds[s]
         return lhs == rhs
 
-    bases = _bases(O, arity_cap, degree_cap)
+    # the associativity inputs of a composable tuple depend only on its
+    # total arity and degree, so each such list is built once per check
+    outer_inputs = {}
     for k, u, du, js, vs, ds in _composable(O, arity_cap, degree_cap):
         checked += 1
         if not gamma_commutes_with_d(k, u, du, js, vs, ds):
@@ -437,8 +544,11 @@ def check_operad_axioms(O: Operad, arity_cap: int, degree_cap: int) -> dict:
             failures.append({"check": "right-unit", "witness": (k, u)})
         if k >= 2:
             failures.extend(_equivariance_failures(O, k, u, js, vs, ds))
-        for ls, ws, dws in _inputs(bases, sum(js), arity_cap,
-                                   degree_cap - du - sum(ds)):
+        key = (sum(js), degree_cap - du - sum(ds))
+        if key not in outer_inputs:
+            outer_inputs[key] = list(_inputs(bases, key[0], arity_cap,
+                                             key[1]))
+        for ls, ws, dws in outer_inputs[key]:
             if not _associativity_holds(O, k, u, js, vs, ds, ls, ws, dws):
                 failures.append({"check": "associativity",
                                  "witness": (k, u, vs, ws)})
@@ -491,6 +601,7 @@ def _equivariance_failures(O: Operad, k, u, js, vs, ds):
     return failures
 
 
+@functools.cache
 def _block_permutation(js, perm):
     """Permutation of {1..sum js} moving the s-th block (size js[s-1]) to
     where perm sends it, preserving the order inside blocks."""
@@ -509,6 +620,7 @@ def _block_permutation(js, perm):
     return tuple(out)
 
 
+@functools.cache
 def _block_sum(js, s, tau):
     """id + ... + tau + ... + id acting on the s-th block (0-based s)."""
     off = sum(js[:s])
@@ -518,6 +630,7 @@ def _block_sum(js, s, tau):
     return tuple(out)
 
 
+@functools.cache
 def _block_sign(js, outer, inner):
     """Koszul sign of interleaving o_1..o_k, i_1..i_n into o_1, (block 1),
     o_2, (block 2), ...: block s holds the next js[s] letters i, and
@@ -553,20 +666,46 @@ def _associativity_holds(O, k, u, js, vs, dvs, ls, ws, dws):
     return left == right
 
 
+# Over Z and over Z/m with m composite, check_einfinity refuses a level
+# whose homology would put more entries than this into the dense Smith
+# form (linalg.integer_quotient): at degree n, a kernel of at most
+# rank C_n vectors against the image of rank C_{n+1} columns, plus rank
+# C_n columns m e_c over Z/m.  Measured on a 2-core container with
+# Python 3.11: 86,400 entries (arity 4, degree 1, over Z) take 0.9 s;
+# 107,136 (the same over Z/4) 3.6 s and 430,920 (arity 3, degree 5,
+# over Z/4) 33 s.  Over a field the quotient is an echelon basis, with
+# no Smith form.
+MAX_SMITH_ENTRIES = 100_000
+
+
 def check_einfinity(O: Operad, arity_cap: int, degree_cap: int) -> dict:
     """Freeness of the symmetric group actions and acyclicity per level.
 
     Freeness: every non-identity permutation must send each basis label
     to one other basis label with a nonzero coefficient.  Acyclicity:
     through the cap, each level has the homology of the ring's rank-one
-    unit complex (the ring in degree 0, zero above).
+    unit complex (the ring in degree 0, zero above).  Raises
+    SizeBoundError, before checking anything, when a level's Smith form
+    would be past MAX_SMITH_ENTRIES.
     """
     failures = []
     checked = 0
     ring = O.ring
+    bases = _bases(O, arity_cap, degree_cap)
+    if not ring.is_field():
+        for k in bases:
+            C = O.level(k)
+            for n in range(degree_cap + 1):
+                rows = C.module(n).rank
+                cols = C.module(n + 1).rank + (rows if ring.modulus else 0)
+                if rows * cols > MAX_SMITH_ENTRIES:
+                    raise SizeBoundError(
+                        f"E-infinity check too large: the Smith form at "
+                        f"arity {k}, degree {n} would be {rows} x {cols} "
+                        f"(at most {MAX_SMITH_ENTRIES} entries over {ring})")
     unit = ChainComplex(ring, {0: FreeModule(ring, [()])}, {}, HOMOLOGICAL)
     want = [homology(unit, n) for n in range(degree_cap + 1)]
-    for k, basis in _bases(O, arity_cap, degree_cap).items():
+    for k, basis in bases.items():
         for perm in _nontrivial_permutations(k):
             for s, n in basis:
                 checked += 1
@@ -824,7 +963,7 @@ def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
                 val = theta(vs[s], js[s], block)
                 m = sum(n for _, n in block) - dvs[s]
                 inner.append((val, m))
-            rhs = add_scaled({}, _block_sign(js, dvs, ns),
+            rhs = add_scaled({}, _block_sign(js, dvs, tuple(ns)),
                              interval_cut_action(X, ring, u, k, inner), ring)
             if lhs != rhs:
                 failures.append({"check": "composition-compatibility",

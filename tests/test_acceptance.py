@@ -52,6 +52,7 @@ from chainops.powerops import (
 from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 from chainops.simplicial import classifying_space, cochains
+from conftest import cleared_operad_caches
 from oracles import bockstein, verify_vanishing_pattern
 
 
@@ -329,10 +330,13 @@ class TestCriterion9NegativeControls:
         # no reordering signs at all
         lambda orig: lambda keys, degrees=None: 1,
     ], ids=["degrees-dropped", "sign-one"])
-    def test_corrupted_koszul_rule_is_caught(self, monkeypatch, corrupt):
+    def test_corrupted_koszul_rule_is_caught(self, monkeypatch, corrupt,
+                                             fresh_operad_caches):
         # every graded reordering reads operads.koszul_sign, so one
         # corruption of it before the operad is built must break both the
-        # operad's axioms and the action's
+        # operad's axioms and the action's; the fixture empties the
+        # process-wide boundary, composition and block-sign caches, which
+        # would otherwise serve signs computed before the corruption
         monkeypatch.setattr(operads_module, "koszul_sign",
                             corrupt(operads_module.koszul_sign))
         ring = Zmod(3)
@@ -344,6 +348,20 @@ class TestCriterion9NegativeControls:
         for report in reports:
             assert not report["passed"]
             assert all(f["witness"] for f in report["failures"])
+
+    def test_clean_check_after_a_corrupted_one_passes(self, monkeypatch):
+        # a negative control must not leave its corrupted signs in the
+        # process-wide caches for the checks that run after it
+        ring = Zmod(3)
+        with cleared_operad_caches(), monkeypatch.context() as patch:
+            patch.setattr(operads_module, "koszul_sign",
+                          lambda keys, degrees=None: 1)
+            assert not check_operad_axioms(surjection_operad(3, ring, 2),
+                                           3, 2)["passed"]
+        assert check_operad_axioms(surjection_operad(3, ring, 2), 3,
+                                   2)["passed"]
+        assert check_algebra_axioms(surjection_operad(2, ring, 2),
+                                    classifying_space(3, 2), 2, 2)["passed"]
 
     def test_corrupted_power_normalisation_is_caught(self, monkeypatch):
         # with the unit forced to 1 the operations lose their

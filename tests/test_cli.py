@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from chainops.cli import (
     LEAST_VALUE,
@@ -405,6 +405,24 @@ class TestSizeBounds:
          "arity cap too large for exhaustive levels (arity <= 4)"),
         (["operad-check", "--arity-cap", "5", "--degree-cap", "0"],
          "arity cap too large for exhaustive levels (arity <= 4)"),
+        (["operad-check", "--arity-cap", "4", "--degree-cap", "3"],
+         "operad check too large: 27462 composable and associativity "
+         "tuples (at most 20000)"),
+        (["cartan-check", "--space", "torus", "--p", "5", "--smax", "2",
+          "--degree-cap", "2"],
+         "Cartan check too large: 7350 relations over 35 classes (at most "
+         "2000)"),
+        (["einfinity-check", "--arity-cap", "4", "--degree-cap", "5"],
+         "degree cap too large for exhaustive levels (105936 words at "
+         "arity 4, at most 50000)"),
+        (["einfinity-check", "--arity-cap", "4", "--degree-cap", "2",
+          "--ring", "Z/4"],
+         "E-infinity check too large: the Smith form at arity 4, degree 1 "
+         "would be 144 x 744 (at most 100000 entries over Z/4)"),
+        (["einfinity-check", "--arity-cap", "4", "--degree-cap", "2",
+          "--ring", "Z"],
+         "E-infinity check too large: the Smith form at arity 4, degree 2 "
+         "would be 600 x 2160 (at most 100000 entries over Z)"),
         (["dold-kan-roundtrip", "--length", "11", "--max-rank", "3",
           "--count", "1"],
          "length cap exceeded for the roundtrip (length <= 8)"),
@@ -420,6 +438,16 @@ class TestSizeBounds:
          "0"],
         ["dold-kan-roundtrip", "--length", str(MAX_ROUNDTRIP_LENGTH),
          "--max-rank", "1", "--count", "1"],
+        # 9,034 of at most 20,000 sweep tuples
+        ["operad-check", "--arity-cap", "4", "--degree-cap", "2"],
+        # Smith forms of at most 90 x 276 entries, and 144 x 600 over Z;
+        # over a field there is no Smith form
+        ["einfinity-check", "--arity-cap", "3", "--degree-cap", "3",
+         "--ring", "Z/4"],
+        ["einfinity-check", "--arity-cap", "4", "--degree-cap", "1",
+         "--ring", "Z"],
+        ["einfinity-check", "--arity-cap", "4", "--degree-cap", "2",
+         "--ring", "Z/2"],
     ])
     def test_the_bound_itself_is_accepted(self, capsys, argv):
         assert main(argv) == 0
@@ -575,11 +603,16 @@ class TestMalformedInputsFuzzed:
 # dimensions up to 3, caps up to 2, and arity and length one past their
 # size bounds (operads.MAX_ARITY, cli.MAX_ROUNDTRIP_LENGTH), so that the
 # refusals are drawn; each is drawn from one below its least accepted
-# value (cli.LEAST_VALUE; 2 for --p, the least prime) upward
+# value (cli.LEAST_VALUE; 2 for --p, the least prime) upward.  The
+# operad commands draw degree caps up to 3, where their sweep bounds
+# refuse (operads.MAX_SWEEP_TUPLES at arity 4, MAX_SMITH_ENTRIES over Z
+# and Z/4).
 _LARGEST = {"dim": 3, "arity_cap": MAX_ARITY + 1, "degree_cap": 2,
             "length_cap": 2, "smax": 2, "cap": 2, "amax": 3, "count": 2,
             "length": MAX_ROUNDTRIP_LENGTH + 1,
             "max_rank": 2, "p": 5, "seed": 3}
+_LARGEST_FOR = {"operad-check": {"degree_cap": 3},
+                "einfinity-check": {"degree_cap": 3}}
 _SPACES = ["circle", "torus", "sphere2", "bz2", "bz3", "bz5", "sphere"]
 _RINGS = ["Z", "Q", "Z/2", "Z/3", "Z/4", "Z/1", "F"]
 _FIXTURES = ["trivial", "one-generator", "square-generator", "none"]
@@ -616,8 +649,9 @@ def _request(draw):
     argv = [command]
     for option, values in _OPTIONS[command].items():
         if values is int:
-            value = draw(st.integers(_least(command, option) - 1,
-                                     _LARGEST[option]))
+            largest = _LARGEST_FOR.get(command, {}).get(option,
+                                                        _LARGEST[option])
+            value = draw(st.integers(_least(command, option) - 1, largest))
         else:
             value = draw(st.sampled_from(values))
         argv += ["--" + option.replace("_", "-"), str(value)]
@@ -645,6 +679,15 @@ class TestRequestsFuzzed:
     @settings(max_examples=200, deadline=None, derandomize=True,
               phases=[Phase.explicit, Phase.generate])
     @given(_request())
+    # the smallest requests past the operad size bounds
+    @example(("json", ["operad-check", "--arity-cap", "4", "--degree-cap",
+                       "3", "--ring", "Z/2"]))
+    @example(("json", ["einfinity-check", "--arity-cap", "4",
+                       "--degree-cap", "5", "--ring", "Z/2"]))
+    @example(("tsv", ["einfinity-check", "--arity-cap", "4",
+                      "--degree-cap", "1", "--ring", "Z/4"]))
+    @example(("json", ["einfinity-check", "--arity-cap", "4",
+                       "--degree-cap", "2", "--ring", "Z"]))
     def test_main_never_raises(self, drawn):
         fmt, argv = drawn
 

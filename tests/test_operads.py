@@ -11,7 +11,10 @@ from chainops.freemod import FreeModule, add_scaled
 from chainops.operads import (
     MAX_ARITY,
     Operad,
+    _bases,
     _composable,
+    _inputs,
+    _sweep_size,
     check_algebra_axioms,
     check_einfinity,
     check_operad_axioms,
@@ -25,6 +28,7 @@ from chainops.operads import (
     surjection_composition,
     surjection_operad,
     surjection_words,
+    word_count,
 )
 from chainops.rings import QQ, ZZ, SizeBoundError, Zmod
 from chainops.simplicial import (classifying_space, cochains, product_space,
@@ -62,6 +66,11 @@ class TestWords:
     def test_arity_three_counts(self):
         for d in range(5):
             assert len(surjection_words(3, d)) == 3 * 2 ** (d + 2) - 6
+
+    def test_word_count_matches_the_listing(self):
+        for k in range(5):
+            for d in range(6 if k < 4 else 4):
+                assert word_count(k, d) == len(surjection_words(k, d)), (k, d)
 
     def test_no_adjacent_repeats(self):
         for u in surjection_words(3, 3):
@@ -290,7 +299,10 @@ class TestCompositionMemo:
             assert O.compose_basis(u, k, list(vs), list(js)) \
                 == surjection_composition(u, k, vs, js), (u, vs, js)
 
-    def test_each_distinct_composition_is_computed_once(self, monkeypatch):
+    def test_each_distinct_composition_is_computed_once(
+            self, monkeypatch, fresh_operad_caches):
+        # the memo is one per process, keyed without the ring: it starts
+        # empty here, and a second operad over another ring computes none
         computed = []
 
         def counting(u, k, vs, arities):
@@ -312,6 +324,10 @@ class TestCompositionMemo:
         assert len(requested) == 3477
         assert len(set(requested)) == 193
         assert sorted(computed) == sorted(set(requested))
+        computed.clear()
+        assert check_operad_axioms(surjection_operad(3, ZZ, 2), 3,
+                                   2)["passed"]
+        assert computed == []
 
     def test_shared_results_are_not_mutated(self):
         ring = Zmod(3)
@@ -323,6 +339,24 @@ class TestCompositionMemo:
         fresh = check_algebra_axioms(surjection_operad(3, ring, 2), X, 2, 2)
         assert fresh["passed"]
         assert check_algebra_axioms(O, X, 2, 2) == fresh
+
+
+class TestSweepSize:
+    """check_operad_axioms counts its tuples from the basis sizes before
+    it sweeps; the CLI tests cover the refusal (TestSizeBounds)."""
+
+    @pytest.mark.parametrize("arity_cap,degree_cap", [
+        (1, 0), (2, 3), (3, 1), (3, 2), (4, 1),
+    ])
+    def test_sweep_size_counts_the_tuples_the_sweep_visits(self, arity_cap,
+                                                          degree_cap):
+        O = surjection_operad(arity_cap, ZZ, degree_cap)
+        bases = _bases(O, arity_cap, degree_cap)
+        visited = 0
+        for k, u, du, js, vs, ds in _composable(O, arity_cap, degree_cap):
+            visited += 1 + sum(1 for _ in _inputs(
+                bases, sum(js), arity_cap, degree_cap - du - sum(ds)))
+        assert _sweep_size(bases, arity_cap, degree_cap) == visited
 
 
 class TestComposableSweep:
