@@ -97,7 +97,7 @@ class FreeModuleMap:
             if s not in source.index:
                 raise KeyError(f"unknown source label {s!r}")
             c = ring.normalize(c)
-            if not ring.is_zero(c):
+            if c:       # a normalised zero is 0 or Fraction(0)
                 clean[(t, s)] = c
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

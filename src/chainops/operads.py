@@ -5,9 +5,10 @@ arity k is spanned by the nondegenerate surjections {1..k+d} ->> {1..k}
 (no adjacent repeats).  Its differential deletes letters, its composition
 substitutes words with overlapping splittings, the symmetric groups act
 by renaming values, and it acts on normalized simplicial cochains by
-interval cuts; the arity-2 part reproduces the cup and cup-i products.
-The structure maps are read on basis labels, and the axiom checks sweep
-the composable tuples of basis labels within an arity and a degree cap.
+interval cuts, generated by one walk over a word's letters; the arity-2
+part reproduces the cup and cup-i products.  The structure maps are
+read on basis labels, and the operad's axiom and E-infinity checks
+sweep the composable tuples of basis labels within arity and degree caps.
 
 Sign conventions follow the orientation formalism: a word u carries the
 orientation sign or(u), the number of inversions among its caesura
@@ -30,7 +31,7 @@ import math
 from .complexes import ChainComplex, HOMOLOGICAL, homology
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .rings import RingSpec, SizeBoundError
-from .simplicial import FiniteSimplicialSet, cochains
+from .simplicial import FiniteSimplicialSet
 
 
 # ---------------------------------------------------------------------------
@@ -729,18 +730,6 @@ def check_einfinity(O: Operad, arity_cap: int, degree_cap: int) -> dict:
 # interval-cut action on normalized cochains
 # ---------------------------------------------------------------------------
 
-def _compositions(total, parts):
-    if parts == 0:
-        yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _cut_sign(u, lens, tpts):
     """Sign of one interval-cut term.
 
@@ -752,7 +741,7 @@ def _cut_sign(u, lens, tpts):
     vertex; and (-1)^(d(d-1)/2) for a word with d caesuras, the Koszul
     sign of reversing d degree-one letters.  With the last factor the
     action commutes with the differentials for every word, also past the
-    degrees check_algebra_axioms sweeps.
+    degrees the exhaustive algebra check of the tests sweeps.
     """
     width = 2 * len(u)
     keys = []
@@ -776,8 +765,16 @@ def _cut_table(u, k, degrees):
     """The interval cuts of 0..n for u acting on cochains of the given
     degrees, as (vertex_sets, lens, tpts) triples: vertex_sets[s - 1]
     lists the vertices the cut hands to value s, lens the length of each
-    of u's intervals and tpts their endpoints.  Cuts that repeat a
-    vertex are left out (their faces are degenerate everywhere).
+    of u's intervals and tpts their endpoints.
+
+    One walk over u's letters picks each interval's length.  It carries
+    each value's length budget (its degree, less its occurrences, plus
+    one), which the value's last occurrence takes whole, and the values
+    whose previous interval ended on the current vertex: an interval of
+    one of them would repeat that vertex (a face degenerate everywhere),
+    so it is never formed.  The lengths from letter i on depend only on
+    i and that state, so they are memoised by it, and a state from
+    which no cut can be finished is met once.
 
     The cuts depend on u, k and the degrees only, so the table is built
     once per process and shared by every call on every space.  It holds
@@ -785,36 +782,36 @@ def _cut_table(u, k, degrees):
     its cut first contributes to a call.
     """
     occ = occurrence_counts(u)
-    poss = {}
-    for i, v in enumerate(u):
-        poss.setdefault(v, []).append(i)
-    per_value = []
-    for s in range(1, k + 1):
-        free = degrees[s - 1] - occ[s] + 1
-        if free < 0:
+    budget = tuple(degrees[s] - occ[s + 1] + 1 for s in range(k))
+    if min(budget) < 0:
+        return ()
+    caesura = [c for _, _, c in letter_info(u)]
+
+    @functools.cache
+    def tails(i, budget, ended):
+        # ended: the bitmask of values whose previous interval ended on
+        # the current vertex; () when no cut can be finished from here
+        if i == len(u):
+            return ((),)
+        v = u[i] - 1
+        if ended >> v & 1:
             return ()
-        per_value.append(list(_compositions(free, occ[s])))
+        left = budget[v]
+        out = []
+        for length in range(left + 1) if caesura[i] else (left,):
+            rest = budget[:v] + (left - length,) + budget[v + 1:]
+            now = ended | 1 << v if length == 0 else 1 << v
+            out += [(length,) + tail for tail in tails(i + 1, rest, now)]
+        return tuple(out)
+
     cuts = []
-    for combo in itertools.product(*per_value):
-        lens = [0] * len(u)
-        used = {s: 0 for s in range(1, k + 1)}
+    for lens in tails(0, budget, 0):
+        tpts = (0, *itertools.accumulate(lens))
+        verts = [()] * k
         for i, v in enumerate(u):
-            t = used[v] = used[v] + 1
-            lens[i] = combo[v - 1][t - 1]
-        tpts = [0]
-        for l in lens:
-            tpts.append(tpts[-1] + l)
-        vertex_sets = []
-        for s in range(1, k + 1):
-            verts = []
-            for i in poss[s]:
-                verts.extend(range(tpts[i], tpts[i + 1] + 1))
-            if any(verts[j] == verts[j + 1]
-                   for j in range(len(verts) - 1)):
-                break
-            vertex_sets.append(tuple(verts))
-        else:
-            cuts.append((tuple(vertex_sets), tuple(lens), tuple(tpts)))
+            verts[v - 1] += tuple(range(tpts[i], tpts[i + 1] + 1))
+        cuts.append((tuple(verts), lens, tpts))
+    tails.cache_clear()     # tails refers to itself: free its memo now
     return tuple(cuts)
 
 
@@ -830,10 +827,11 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
     of the x_s evaluated on the concatenations of their intervals.
 
     The cuts come from the shared _cut_table and their faces from the
-    space's vertex_face memo.  Each term is the product of the raw
-    coefficients and the sign, and each output cell's sum is reduced
-    into the ring once: every ring here is Z, Q or a quotient of Z, so
-    that equals reducing each factor.
+    space's vertex_face memo; each call computes a cut's sign through
+    _cut_sign when the cut first contributes.  Each term is the product
+    of the raw coefficients and the sign, and each output cell's sum is
+    reduced into the ring once: every ring here is Z, Q or a quotient of
+    Z, so that equals reducing each factor.
 
     cells, when given, is a function of the output degree n returning
     the n-simplices to evaluate on; the result is then the cochain
@@ -868,107 +866,6 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
                     sign = signs[j] = _cut_sign(u, lens, tpts)
                 total += sign * term
         total = ring.normalize(total)
-        if not ring.is_zero(total):
+        if total:
             out[sigma] = total
     return out
-
-
-# ---------------------------------------------------------------------------
-# algebra axiom checks
-# ---------------------------------------------------------------------------
-
-def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
-                         degree_cap: int) -> dict:
-    """Exhaustive checks, on basis elements within the caps, of the
-    diagrams that make the normalized cochains of X an algebra over the
-    surjection operad O through interval_cut_action (theta).
-
-    Covers: theta commuting with the differentials, the unit acting as
-    the identity, compatibility of theta with the operad composition,
-    and the commutativity diagram (the symmetric action on the operad
-    side absorbs permutations of the arguments up to Koszul signs).
-    The arity-2 degree-0 word acts as the cup product and the degree-i
-    words as the cup-i products.
-    """
-    ring = O.ring
-    C = cochains(X, ring)
-    failures = []
-    checked = 0
-    adeg = _basis_with_degrees(C, degree_cap)
-
-    def theta(u, k, xs):
-        return interval_cut_action(X, ring, u, k,
-                                   [({lab: 1}, n) for lab, n in xs])
-
-    for k, ops in _bases(O, arity_cap, degree_cap).items():
-        for u, du in ops:
-            for xs in itertools.product(adeg, repeat=k):
-                ns = [n for _, n in xs]
-                if sum(ns) > degree_cap:
-                    continue
-                checked += 1
-                # differential compatibility
-                n_out = sum(ns) - du
-                lhs = {}
-                for lab, c in theta(u, k, xs).items():
-                    add_scaled(lhs, c, _d_of_basis(C, lab, n_out), ring)
-                rhs = {}
-                for u2, c in _d_of_basis(O.level(k), u, du).items():
-                    add_scaled(rhs, c, theta(u2, k, xs), ring)
-                sgn = (-1) ** du
-                for s in range(k):
-                    for lab2, c in _d_of_basis(C, xs[s][0], ns[s]).items():
-                        xs2 = list(xs)
-                        xs2[s] = (lab2, ns[s] + 1)
-                        add_scaled(rhs, sgn * c, theta(u, k, xs2), ring)
-                    sgn *= (-1) ** ns[s]
-                if lhs != rhs:
-                    failures.append({"check": "action-chain-map",
-                                     "witness": (k, u, tuple(xs))})
-                # commutativity diagram
-                for perm in _nontrivial_permutations(k):
-                    acted = {}
-                    for u2, c in O.act(k, perm, u).items():
-                        add_scaled(acted, c, theta(u2, k, xs), ring)
-                    xs_in = [xs[perm[s] - 1] for s in range(k)]
-                    sgn = koszul_sign(perm, [ns[s - 1] for s in perm])
-                    direct = add_scaled({}, sgn, theta(u, k, xs_in), ring)
-                    if acted != direct:
-                        failures.append({"check": "commutativity",
-                                         "witness": (k, u, tuple(xs),
-                                                     perm)})
-
-    # unit diagram
-    for (lab, n) in adeg:
-        checked += 1
-        if theta(O.unit, 1, [(lab, n)]) != {lab: ring.one()}:
-            failures.append({"check": "unit-action", "witness": (lab, n)})
-
-    # composition compatibility
-    for k, u, du, js, vs, dvs in _composable(O, arity_cap, degree_cap):
-        prefix = [0]
-        for x in js:
-            prefix.append(prefix[-1] + x)
-        for xs in itertools.product(adeg, repeat=sum(js)):
-            ns = [n for _, n in xs]
-            if du + sum(dvs) + sum(ns) > degree_cap:
-                continue
-            checked += 1
-            lhs = {}
-            for w, c in O.compose_basis(u, k, vs, js).items():
-                add_scaled(lhs, c, theta(w, sum(js), xs), ring)
-            inner = []
-            for s in range(k):
-                block = xs[prefix[s]:prefix[s + 1]]
-                val = theta(vs[s], js[s], block)
-                m = sum(n for _, n in block) - dvs[s]
-                inner.append((val, m))
-            rhs = add_scaled({}, _block_sign(js, dvs, tuple(ns)),
-                             interval_cut_action(X, ring, u, k, inner), ring)
-            if lhs != rhs:
-                failures.append({"check": "composition-compatibility",
-                                 "witness": (k, u, vs, tuple(xs))})
-    failures.sort(key=repr)
-    return {"passed": not failures, "checked": checked,
-            "failures": failures}
-

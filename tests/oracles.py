@@ -1,12 +1,173 @@
-"""Oracles for the power-operation tests: the cochain Bockstein,
-computed by lifting to Z/p^2 rather than through the resolution; the
-vanishing-pattern property of the lifted generators; and the
-coordinates of a sum of cross products built as a cochain on the
-product space, against which the Kuenneth reading is checked."""
+"""Oracles for the operad and power-operation tests: the interval cuts
+listed by filtering every product of per-value compositions; the
+exhaustive check that the cochains are an algebra over the surjection
+operad; the cochain Bockstein, computed by lifting to Z/p^2 rather
+than through the resolution; the vanishing-pattern property of the
+lifted generators; and the coordinates of a sum of cross products built
+as a cochain on the product space, against which the Kuenneth reading
+is checked."""
+import itertools
+
+import chainops.operads as operads
 from chainops.freemod import add_scaled
+from chainops.operads import (Operad, _bases, _basis_with_degrees,
+                              _block_sign, _composable, _d_of_basis,
+                              _nontrivial_permutations, interval_cut_action,
+                              occurrence_counts)
 from chainops.powerops import BigradedClass, cochain_cross, theta_bar
 from chainops.rings import Zmod
-from chainops.simplicial import cochains
+from chainops.simplicial import FiniteSimplicialSet, cochains
+
+
+def _compositions(total, parts):
+    """The ordered ways of writing total as parts non-negative terms."""
+    if parts == 0:
+        yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def filtered_cut_table(u, k, degrees):
+    """The (vertex_sets, lens, tpts) cuts of operads._cut_table, listed
+    the other way: every product of the compositions of each value's
+    length budget over its occurrences, then the cuts in which a value's
+    vertex list repeats a vertex dropped."""
+    occ = occurrence_counts(u)
+    poss = {}
+    for i, v in enumerate(u):
+        poss.setdefault(v, []).append(i)
+    per_value = []
+    for s in range(1, k + 1):
+        free = degrees[s - 1] - occ[s] + 1
+        if free < 0:
+            return []
+        per_value.append(list(_compositions(free, occ[s])))
+    cuts = []
+    for combo in itertools.product(*per_value):
+        lens = [0] * len(u)
+        used = {s: 0 for s in range(1, k + 1)}
+        for i, v in enumerate(u):
+            t = used[v] = used[v] + 1
+            lens[i] = combo[v - 1][t - 1]
+        tpts = [0]
+        for length in lens:
+            tpts.append(tpts[-1] + length)
+        vertex_sets = []
+        for s in range(1, k + 1):
+            verts = []
+            for i in poss[s]:
+                verts.extend(range(tpts[i], tpts[i + 1] + 1))
+            if any(verts[j] == verts[j + 1]
+                   for j in range(len(verts) - 1)):
+                break
+            vertex_sets.append(tuple(verts))
+        else:
+            cuts.append((tuple(vertex_sets), tuple(lens), tuple(tpts)))
+    return cuts
+
+
+def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
+                         degree_cap: int) -> dict:
+    """Exhaustive checks, on basis elements within the caps, of the
+    diagrams that make the normalized cochains of X an algebra over the
+    surjection operad O through interval_cut_action (theta).
+
+    Covers: theta commuting with the differentials, the unit acting as
+    the identity, compatibility of theta with the operad composition,
+    and the commutativity diagram (the symmetric action on the operad
+    side absorbs permutations of the arguments up to Koszul signs).
+    The arity-2 degree-0 word acts as the cup product and the degree-i
+    words as the cup-i products.
+    """
+    ring = O.ring
+    C = cochains(X, ring)
+    failures = []
+    checked = 0
+    adeg = _basis_with_degrees(C, degree_cap)
+
+    def theta(u, k, xs):
+        return interval_cut_action(X, ring, u, k,
+                                   [({lab: 1}, n) for lab, n in xs])
+
+    for k, ops in _bases(O, arity_cap, degree_cap).items():
+        for u, du in ops:
+            for xs in itertools.product(adeg, repeat=k):
+                ns = [n for _, n in xs]
+                if sum(ns) > degree_cap:
+                    continue
+                checked += 1
+                # differential compatibility
+                n_out = sum(ns) - du
+                lhs = {}
+                for lab, c in theta(u, k, xs).items():
+                    add_scaled(lhs, c, _d_of_basis(C, lab, n_out), ring)
+                rhs = {}
+                for u2, c in _d_of_basis(O.level(k), u, du).items():
+                    add_scaled(rhs, c, theta(u2, k, xs), ring)
+                sgn = (-1) ** du
+                for s in range(k):
+                    for lab2, c in _d_of_basis(C, xs[s][0], ns[s]).items():
+                        xs2 = list(xs)
+                        xs2[s] = (lab2, ns[s] + 1)
+                        add_scaled(rhs, sgn * c, theta(u, k, xs2), ring)
+                    sgn *= (-1) ** ns[s]
+                if lhs != rhs:
+                    failures.append({"check": "action-chain-map",
+                                     "witness": (k, u, tuple(xs))})
+                # commutativity diagram
+                for perm in _nontrivial_permutations(k):
+                    acted = {}
+                    for u2, c in O.act(k, perm, u).items():
+                        add_scaled(acted, c, theta(u2, k, xs), ring)
+                    xs_in = [xs[perm[s] - 1] for s in range(k)]
+                    # read through the module, so that a patched rule
+                    # reaches this sign as it reaches the action's
+                    sgn = operads.koszul_sign(perm,
+                                              [ns[s - 1] for s in perm])
+                    direct = add_scaled({}, sgn, theta(u, k, xs_in), ring)
+                    if acted != direct:
+                        failures.append({"check": "commutativity",
+                                         "witness": (k, u, tuple(xs),
+                                                     perm)})
+
+    # unit diagram
+    for (lab, n) in adeg:
+        checked += 1
+        if theta(O.unit, 1, [(lab, n)]) != {lab: ring.one()}:
+            failures.append({"check": "unit-action", "witness": (lab, n)})
+
+    # composition compatibility
+    for k, u, du, js, vs, dvs in _composable(O, arity_cap, degree_cap):
+        prefix = [0]
+        for x in js:
+            prefix.append(prefix[-1] + x)
+        for xs in itertools.product(adeg, repeat=sum(js)):
+            ns = [n for _, n in xs]
+            if du + sum(dvs) + sum(ns) > degree_cap:
+                continue
+            checked += 1
+            lhs = {}
+            for w, c in O.compose_basis(u, k, vs, js).items():
+                add_scaled(lhs, c, theta(w, sum(js), xs), ring)
+            inner = []
+            for s in range(k):
+                block = xs[prefix[s]:prefix[s + 1]]
+                val = theta(vs[s], js[s], block)
+                m = sum(n for _, n in block) - dvs[s]
+                inner.append((val, m))
+            rhs = add_scaled({}, _block_sign(js, dvs, tuple(ns)),
+                             interval_cut_action(X, ring, u, k, inner), ring)
+            if lhs != rhs:
+                failures.append({"check": "composition-compatibility",
+                                 "witness": (k, u, vs, tuple(xs))})
+    failures.sort(key=repr)
+    return {"passed": not failures, "checked": checked,
+            "failures": failures}
 
 
 def bockstein(x, X, p):

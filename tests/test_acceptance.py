@@ -31,7 +31,6 @@ from chainops.freemod import FreeModuleMap
 from chainops.homology_classes import HomologySpace
 from chainops.operads import (
     check_einfinity,
-    check_algebra_axioms,
     check_operad_axioms,
     interval_cut_action,
     surjection_operad,
@@ -53,7 +52,8 @@ from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 from chainops.simplicial import classifying_space, cochains
 from conftest import cleared_operad_caches
-from oracles import bockstein, verify_vanishing_pattern
+from oracles import (bockstein, check_algebra_axioms,
+                     verify_vanishing_pattern)
 
 
 def _cup(X, ring, a, qa, b, qb):

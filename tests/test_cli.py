@@ -705,3 +705,33 @@ class TestRequestsFuzzed:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+class TestPowerOperationsOnSpheres:
+    """Power operations on the minimal spheres finish well inside a
+    request's time: their cost is the interval cuts of long words, which
+    are generated, not filtered out of every product of compositions
+    (each of these ran past 40 s that way)."""
+
+    REQUEST_SECONDS = 10
+
+    @pytest.mark.parametrize("argv", [
+        ["steenrod", "--space", "sphere16", "--degree-cap", "16"],
+        ["steenrod", "--space", "sphere32", "--degree-cap", "32"],
+        ["adem-check", "--space", "sphere8", "--degree-cap", "8",
+         "--amax", "2"],
+    ], ids=["steenrod-sphere16", "steenrod-sphere32", "adem-sphere8"])
+    def test_passes_in_time(self, capsys, argv):
+        def expire(signum, frame):
+            raise TimeoutError(f"chainops {' '.join(argv)} ran past "
+                               f"{self.REQUEST_SECONDS} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, self.REQUEST_SECONDS)
+        try:
+            code, out = run(capsys, argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert json.loads(out)["passed"] is True

@@ -15,7 +15,6 @@ from chainops.operads import (
     _composable,
     _inputs,
     _sweep_size,
-    check_algebra_axioms,
     check_einfinity,
     check_operad_axioms,
     interval_cut_action,
@@ -30,9 +29,11 @@ from chainops.operads import (
     surjection_words,
     word_count,
 )
+from chainops.powerops import build_w, equivariant_lift_j
 from chainops.rings import QQ, ZZ, SizeBoundError, Zmod
 from chainops.simplicial import (classifying_space, cochains, product_space,
                                  torus_space)
+from oracles import _compositions, check_algebra_axioms, filtered_cut_table
 
 
 def _degree(u, k):
@@ -472,7 +473,7 @@ def _reference_interval_cut_action(X, ring, u, k, xs, cells=None):
         free = ns[s - 1] - occ[s] + 1
         if free < 0:
             return {}
-        per_value.append(list(operads_module._compositions(free, occ[s])))
+        per_value.append(list(_compositions(free, occ[s])))
     out = {}
     for sigma in X.simplices(n) if cells is None else cells(n):
         sx = X.nondegenerate(sigma)
@@ -567,6 +568,46 @@ class TestIntervalCutOracle:
                         assert got == want, (u, ns)
                         nonzero += bool(want)
         assert nonzero >= 200, nonzero
+
+
+class TestCutTableOracle:
+    """The walk that lists the interval cuts gives the cuts of the
+    filtering build in tests/oracles.py, each once.
+
+    The lift components stop at degree 8 at p = 3 and 5 at p = 5, where
+    the filter takes about 2 s.  At degree 10 and 6 it takes about 22 s:
+    the filter forms every product of compositions, and their number
+    grows much faster with the degree than the cuts kept."""
+
+    @staticmethod
+    def assert_same_cuts(u, k, degrees):
+        walked = operads_module._cut_table(u, k, degrees)
+        assert len(set(walked)) == len(walked), (u, degrees)
+        assert set(walked) == set(filtered_cut_table(u, k, degrees)), \
+            (u, degrees)
+        return len(walked)
+
+    def test_every_small_word(self):
+        cuts = 0
+        for k in (1, 2, 3):
+            for d in (0, 1, 2):
+                for u in surjection_words(k, d):
+                    for ns in itertools.product(range(4), repeat=k):
+                        cuts += self.assert_same_cuts(u, k, ns)
+        assert cuts > 1000, cuts
+
+    @pytest.mark.parametrize("p, top", [(3, 8), (5, 5)])
+    def test_every_word_of_the_lift(self, p, top):
+        # classical_power reads e_n only on classes of degree
+        # q >= n / (p - 1): the three smallest such q for each n
+        lift = equivariant_lift_j(build_w(p, top), None, top)
+        cuts = 0
+        for n in range(top + 1):
+            least = -(-n // (p - 1))
+            for q in range(least, least + 3):
+                for u in lift.component(n):
+                    cuts += self.assert_same_cuts(u, p, (q,) * p)
+        assert cuts > 10000, cuts
 
 
 class TestCutTableMemo:

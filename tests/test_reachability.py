@@ -11,8 +11,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "chainops"
 ALLOWED = {
     "main": "the console-script entry point",
     "kernel_matrix": "wrapped by the benchmark's tracer",
-    "check_algebra_axioms": "the cochain algebra's E-infinity check, kept "
-                            "in the package without a command",
 }
 
 
