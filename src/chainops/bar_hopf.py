@@ -307,9 +307,6 @@ class HopfData:
             coords[idx] = Fraction(1)
             self.basis.append(self.h0.representative(coords))
 
-    def class_vector(self, vec):
-        return self.h0.class_vector(vec)
-
     def product(self, x, y):
         out = {}
         for w1, c1 in x.items():
@@ -420,20 +417,20 @@ class CoLieData:
         self.hopf = H
         positive = [x for x in H.basis if H.counit(x) == 0 and x]
         self.products = EchelonBasis(QQ, sparse_rows(
-            [H.class_vector(H.product(x, y)) or ()
+            [H.h0.class_vector(H.product(x, y)) or ()
              for x in positive for y in positive], QQ))
         # keep a class only when its reduction raises the rank of the
         # reductions kept so far: a basis of the quotient
         kept = EchelonBasis(QQ)
         self.basis = [
             x for x, v in zip(positive, sparse_rows(
-                [H.class_vector(x) for x in positive], QQ))
+                [H.h0.class_vector(x) for x in positive], QQ))
             if kept.add(self.products.reduce(v))]
 
     def project(self, vec):
         """Canonical coordinates of a class in the indecomposable
         quotient."""
-        coords = self.hopf.class_vector(vec)
+        coords = self.hopf.h0.class_vector(vec)
         if coords is None:
             return None
         red = self.products.reduce(sparse_rows([coords], QQ)[0])
@@ -459,7 +456,6 @@ class CoLieData:
         """Cyclic sum of (cobracket (x) id) . cobracket vanishes."""
         failures = []
         index = {}
-        rep = {}
         for x in self.basis:
             key = self.project(x)
             index[key] = x
@@ -469,11 +465,8 @@ class CoLieData:
                 if a not in index:
                     continue
                 for (a1, a2), c2 in self.cobracket(index[a]).items():
-                    for (t1, t2, t3), s in (((a1, a2, b), 1),
-                                            ((a2, b, a1), 1),
-                                            ((b, a1, a2), 1)):
-                        key = (t1, t2, t3)
-                        acc[key] = acc.get(key, Fraction(0)) + c * c2 * s
+                    for key in ((a1, a2, b), (a2, b, a1), (b, a1, a2)):
+                        acc[key] = acc.get(key, Fraction(0)) + c * c2
             acc = {k: c for k, c in acc.items() if c}
             if acc:
                 failures.append({"check": "co-jacobi", "witness": repr(x)})

@@ -273,13 +273,8 @@ def builtin_space(name: str, dim: int) -> FiniteSimplicialSet:
 # commands
 # ---------------------------------------------------------------------------
 
-def _w(x):
-    """Canonical JSON-safe rendering of a witness."""
-    return repr(x)
-
-
 def _failures(report):
-    return [{"check": f["check"], "witness": _w(f["witness"])}
+    return [{"check": f["check"], "witness": repr(f["witness"])}
             for f in report["failures"]]
 
 
@@ -338,17 +333,17 @@ def cmd_dold_kan_roundtrip(args):
             N = normalize(denormalize(L, top + 1))
             if N.modules != L.modules or N.differentials != L.differentials:
                 failures.append({"check": "simplicial-roundtrip",
-                                 "witness": _w((str(ring), trial))})
+                                 "witness": repr((str(ring), trial))})
             C = nc(dnc(L, top + 1))
             comp = dnc_projection(L, C).compose(dnc_inclusion(L, C))
             for n in comp.source.modules:
                 if comp.component(n) != \
                         FreeModuleMap.identity(comp.source.module(n)):
                     failures.append({"check": "cubical-roundtrip",
-                                     "witness": _w((str(ring), trial, n))})
+                                     "witness": repr((str(ring), trial, n))})
             if verify_differential(C):
                 failures.append({"check": "cubical-differential",
-                                 "witness": _w((str(ring), trial))})
+                                 "witness": repr((str(ring), trial))})
     return {"results": [{"checked": checked}], "failures": failures}
 
 
@@ -390,11 +385,11 @@ def cmd_steenrod(args):
                 H = alg.homology_space(out.degree)
                 got = H.class_vector(out.rep)
                 want = H.class_vector(cup_i_oracle(X, ring, q - i, rep, q))
-                results.append({"degree": q, "class": _w(label), "i": i,
-                                "value": _w(got)})
+                results.append({"degree": q, "class": repr(label), "i": i,
+                                "value": repr(got)})
                 if got != want:
                     failures.append({"check": "cup-i-oracle",
-                                     "witness": _w((q, label, i))})
+                                     "witness": repr((q, label, i))})
     return {"results": results, "failures": failures}
 
 
@@ -424,13 +419,13 @@ def cmd_w_resolution(args):
     Q = W.quotient_complex()
     for n in range(args.cap):
         if HomologySpace(Q, n).rank != 1:
-            failures.append({"check": "quotient-homology", "witness": _w(n)})
+            failures.append({"check": "quotient-homology", "witness": repr(n)})
         beta = W.quotient_bockstein(n)
         if n % 2 == 0 and n > 0:
             if beta != {("e", n - 1): 1}:
-                failures.append({"check": "bockstein", "witness": _w(n)})
+                failures.append({"check": "bockstein", "witness": repr(n)})
         elif beta:
-            failures.append({"check": "bockstein", "witness": _w(n)})
+            failures.append({"check": "bockstein", "witness": repr(n)})
     return {"results": [{"p": args.p, "cap": args.cap}],
             "failures": failures}
 
@@ -454,9 +449,9 @@ def cmd_bar(args):
     B = reduced_bar(A, args.length_cap, args.degree_cap)
     rep = B.verify()
     for w in rep["square_failures"]:
-        failures.append({"check": "bar-d-squared", "witness": _w(w)})
+        failures.append({"check": "bar-d-squared", "witness": repr(w)})
     for w in rep["incomplete"]:
-        failures.append({"check": "bar-window", "witness": _w(w)})
+        failures.append({"check": "bar-window", "witness": repr(w)})
     rank = HomologySpace(B.complex, 0).rank
     return {"results": [{"h0_rank": rank}], "failures": failures}
 

@@ -3,10 +3,12 @@ listed by filtering every product of per-value compositions; the
 exhaustive check that the cochains are an algebra over the surjection
 operad; the cochain Bockstein, computed by lifting to Z/p^2 rather
 than through the resolution; the vanishing-pattern property of the
-lifted generators; and the coordinates of a sum of cross products built
+lifted generators; the coordinates of a sum of cross products built
 as a cochain on the product space, against which the Kuenneth reading
-is checked."""
+is checked; and the power operations on the rings H*((BZ/p)^n; F_p), on
+which the Adem relations are checked term by term."""
 import itertools
+import math
 
 import chainops.operads as operads
 from chainops.freemod import add_scaled
@@ -244,3 +246,52 @@ def full_product_coordinates(classifier, P, terms, n):
         add_scaled(cochain, sign, cochain_cross(
             classifier.X, classifier.Y, ring, a, qa, b, qb, P), ring)
     return classifier.coordinates(cochain, n)
+
+
+# H*(BZ/p; F_p) = Lambda(x) (x) F_p[y] with |x| = 1, |y| = 2 and beta x = y,
+# and its n-fold tensor power H*((BZ/p)^n; F_p) (Kuenneth).  An element
+# is a dict from monomials to coefficients mod p; a monomial is a tuple of
+# one (e, k) per factor, for x^e y^k with e in {0, 1}.
+
+def bzp_power(s, z, p):
+    """P^s on H*((BZ/p)^n; F_p).  On one factor
+    P^t(y^k) = (k choose t) y^(k + t(p-1)) and P^t(x y^k) = x P^t(y^k),
+    since P^0 x = x and P^t x = 0 for t > 0; on a tensor product the
+    Cartan formula P^s(u v) = sum_t P^t(u) P^(s-t)(v) holds, with no
+    sign, as every P^t has even degree."""
+    out = {}
+    for mono, c in z.items():
+        for split in _compositions(s, len(mono)):
+            coeff = c
+            for (_, k), t in zip(mono, split):
+                coeff = coeff * math.comb(k, t) % p
+            if coeff:
+                key = tuple((e, k + t * (p - 1))
+                            for (e, k), t in zip(mono, split))
+                out[key] = (out.get(key, 0) + coeff) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def bzp_bockstein(z, p):
+    """beta on H*((BZ/p)^n; F_p): beta(x y^k) = y^(k+1) and
+    beta(y^k) = 0 on one factor, extended to tensor products as a
+    derivation, beta(u v) = beta(u) v + (-1)^|u| u beta(v)."""
+    out = {}
+    for mono, c in z.items():
+        sign = c
+        for j, (e, k) in enumerate(mono):
+            if e:
+                key = mono[:j] + ((0, k + 1),) + mono[j + 1:]
+                out[key] = (out.get(key, 0) + sign) % p
+                sign = -sign
+    return {key: c for key, c in out.items() if c}
+
+
+def bzp_apply(ops, z, p):
+    """Apply the operations (bockstein, s), read right to left as in
+    beta^eps P^a beta^delta P^b, to the element z."""
+    for bock, s in reversed(ops):
+        z = bzp_power(s, z, p)
+        if bock:
+            z = bzp_bockstein(z, p)
+    return z

@@ -379,7 +379,7 @@ class TestCriterion9NegativeControls:
         assert any(f["check"] == "cartan" for f in report["failures"])
         assert all(f["witness"] for f in report["failures"])
 
-    def test_corrupted_adem_table_is_caught(self):
+    def test_corrupted_adem_table_is_caught(self, monkeypatch):
         ring = Zmod(3)
         X = classifying_space(3, 2)
         alg = CochainSystem(X, ring)
@@ -387,8 +387,8 @@ class TestCriterion9NegativeControls:
         def corrupted(i, j, p):
             return (adem_coefficient(i, j, p) + 1) % p
 
-        report = verify_adem(alg, p=3, pair_bound=3, degree_cap=1,
-                             coefficient=corrupted)
+        monkeypatch.setattr(powerops_module, "adem_coefficient", corrupted)
+        report = verify_adem(alg, p=3, pair_bound=3, degree_cap=1)
         assert not report["passed"]
         bad = [f for f in report["failures"]
                if f["check"] == "adem-coefficient"]
