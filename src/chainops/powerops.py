@@ -410,6 +410,16 @@ def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
     return out
 
 
+def power_degree(q: int, s: int, p: int, bocksteined=False):
+    """(degree, vanishes) for P^s, or beta P^s when bocksteined, on a
+    class of degree q: the output degree q + 2s(p-1) (plus one when
+    bocksteined), and whether the operation is zero on every class,
+    that is s < 0 or a negative generator index (q-2s)(p-1) (one lower
+    when bocksteined).  The degree is returned in both cases."""
+    idx = (q - 2 * s) * (p - 1) - (1 if bocksteined else 0)
+    return p * q - idx, s < 0 or idx < 0
+
+
 def classical_power(x: BigradedClass, s: int, alg, lift: EquivariantLift,
                     bocksteined=False, cells=None) -> BigradedClass:
     """P^s of a cocycle class, or beta P^s when bocksteined, in the
@@ -419,22 +429,22 @@ def classical_power(x: BigradedClass, s: int, alg, lift: EquivariantLift,
     bocksteined).  At p = 2 this is Sq^{2s} (Sq^{2s+1} when
     bocksteined), unscaled.
 
-    A negative s, or an s with 2s > q, makes the operation zero, the
-    zero class goes to the zero class, and so does every class when the
-    output degree is not a dimension of the space; none of these touches
-    the lift.  Otherwise the lift grows to the index, at most q(p-1), if
-    needed.
+    The class is zero in the degree power_degree gives when that rule
+    says the operation vanishes (s < 0, or 2s > q), when x is the zero
+    class, and when the output degree is not a dimension of the space;
+    none of these touches the lift.  Otherwise the lift grows to the
+    index, at most q(p-1), if needed.
     cells, when given, selects the output simplices evaluated (see
     interval_cut_action); the representative is then the operation's
     value restricted to them, which need not be a cocycle."""
     p = lift.p
     q = x.degree
-    idx = (q - 2 * s) * (p - 1) - (1 if bocksteined else 0)
-    out_degree = p * q - idx
-    if (s < 0 or idx < 0 or not x.rep
-            or out_degree not in alg.space.dims()):
+    out_degree, vanishes = power_degree(q, s, p, bocksteined)
+    if vanishes or not x.rep or out_degree not in alg.space.dims():
         return BigradedClass(out_degree, None, {})
-    rep = theta_bar(alg.space, alg.ring, lift, idx, x.rep, q, cells)
+    # the generator index: p q less the output degree
+    rep = theta_bar(alg.space, alg.ring, lift, p * q - out_degree, x.rep,
+                    q, cells)
     if p > 2:
         rep = add_scaled({}, power_unit(q, s, p), rep, alg.ring)
     return BigradedClass(out_degree, None, rep)
@@ -840,6 +850,22 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
             "failures": failures}
 
 
+def adem_side(op, x: BigradedClass, inner, outer, p: int, dims):
+    """beta^eps P^r beta^delta P^i x for inner = (delta, i) and
+    outer = (eps, r), where op(cls, s, bock) is classical_power.  Both
+    degrees are decided first (power_degree): when either operation
+    vanishes, or either degree is not in dims (the space's dimensions),
+    the side is the empty cochain of the outer degree and op is never
+    called, so the lift does not grow."""
+    (delta, i), (eps, r) = inner, outer
+    middle, inner_vanishes = power_degree(x.degree, i, p, delta)
+    degree, outer_vanishes = power_degree(middle, r, p, eps)
+    if (inner_vanishes or outer_vanishes or middle not in dims
+            or degree not in dims):
+        return BigradedClass(degree, None, {})
+    return op(op(x, i, delta), r, eps)
+
+
 def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
     """Check the Adem relations on every class of degree <= degree_cap,
     for all pairs a < p b with a + b <= pair_bound and inner and outer
@@ -854,15 +880,19 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
 
     where C(n, k) is n choose k, and beta of both sides (eps = 1).
     The right sides are read from ADEM_TERMS through adem_terms, and
-    each binomial is checked against a digit-by-digit Lucas oracle
-    ("adem-coefficient").  A relation fails ("adem" for delta = 0,
-    "adem-bockstein" for delta = 1) when the class of lhs - rhs is not
-    zero; a right-side term whose degree differs from the left side's
-    is reported ("adem-degree") and left out.
+    each binomial is checked once per sweep against a digit-by-digit
+    Lucas oracle ("adem-coefficient").  Every side is evaluated by
+    adem_side, which decides it by its degrees first, so a side that
+    vanishes or leaves the skeleton runs no operation.  A relation whose
+    lhs - rhs is the empty cochain is zero and reads no class; otherwise
+    it fails ("adem" for delta = 0, "adem-bockstein" for delta = 1) when
+    the class of lhs - rhs is not zero.  A right-side term whose degree
+    differs from the left side's is reported ("adem-degree") and left
+    out.
 
     The lift starts at degree 0 and grows to the highest index a
-    nonzero class asks for; the resolution is built to p times the
-    dimension of the space, which bounds every such index.
+    side that does not vanish asks for; the resolution is built to p
+    times the dimension of the space, which bounds every such index.
 
     p must be odd: the relations are the odd-prime ones, and at p = 2
     they are not the Adem relations of the squares (at a = b = 1 they
@@ -871,7 +901,8 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
         raise ValueError("verify_adem needs an odd prime p, got 2")
     X = alg.space
     ring = alg.ring
-    W = build_w(p, p * max(X.dims()))
+    dims = X.dims()
+    W = build_w(p, p * max(dims))
     lift = equivariant_lift_j(W, None, 0)
     failures = []
     checked = 0
@@ -899,41 +930,46 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
             k //= p
         return out
 
+    # the relations, each right side as its nonzero terms (c, outer,
+    # inner); a binomial shared by several relations is checked once
     pairs = [(a, b) for b in range(1, pair_bound)
              for a in range(1, pair_bound - b + 1) if a < p * b]
-    for q in [n for n in X.dims() if n <= degree_cap]:
+    relations = []
+    seen = set()
+    for (a, b), eps, delta in itertools.product(pairs, (0, 1), (0, 1)):
+        terms = []
+        for sign, (m, n), outer, inner in adem_terms(a, b, eps, delta, p):
+            got = adem_coefficient(m, n, p) % p
+            if (m, n) not in seen:
+                seen.add((m, n))
+                if got != lucas(m, n):
+                    failures.append({"check": "adem-coefficient",
+                                     "witness": (m, n, got, lucas(m, n))})
+            if got:
+                terms.append((sign * got, outer, inner))
+        relations.append((a, b, eps, delta, terms))
+    for q in [n for n in dims if n <= degree_cap]:
         for xc, xrep in alg.homology_space(q).all_classes():
             x = BigradedClass(q, 0, xrep)
-            for (a, b) in pairs:
-                for eps in (0, 1):
-                    for delta in (0, 1):
-                        checked += 1
-                        lhs = op(op(x, b, delta), a, eps)
-                        diff = dict(lhs.rep)
-                        for sign, (m, n), (outer, r), (inner, i) in \
-                                adem_terms(a, b, eps, delta, p):
-                            got = adem_coefficient(m, n, p) % p
-                            if got != lucas(m, n):
-                                failures.append({
-                                    "check": "adem-coefficient",
-                                    "witness": (m, n, got, lucas(m, n))})
-                            if not got:
-                                continue
-                            term = op(op(x, i, inner), r, outer)
-                            if term.degree != lhs.degree and term.rep:
-                                failures.append({
-                                    "check": "adem-degree",
-                                    "witness": (q, a, b, eps, delta, i)})
-                                continue
-                            add_scaled(diff, -sign * got, term.rep, ring)
-                        if lhs.degree not in X.dims():
-                            continue    # every side is empty there
-                        coords = alg.homology_space(
-                            lhs.degree).class_vector(diff)
-                        if coords is None or any(coords):
-                            failures.append({
-                                "check": ("adem", "adem-bockstein")[delta],
-                                "witness": (q, a, b, eps, xc)})
+            for a, b, eps, delta, terms in relations:
+                checked += 1
+                lhs = adem_side(op, x, (delta, b), (eps, a), p, dims)
+                diff = dict(lhs.rep)
+                for c, outer, inner in terms:
+                    term = adem_side(op, x, inner, outer, p, dims)
+                    if term.degree != lhs.degree and term.rep:
+                        failures.append({
+                            "check": "adem-degree",
+                            "witness": (q, a, b, eps, delta, inner[1])})
+                        continue
+                    add_scaled(diff, -c, term.rep, ring)
+                if not diff:
+                    continue    # the zero cochain: no class to read
+                coords = alg.homology_space(lhs.degree).class_vector(diff)
+                if coords is None or any(coords):
+                    failures.append({
+                        "check": ("adem", "adem-bockstein")[delta],
+                        "witness": (q, a, b, eps, xc)})
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}

@@ -5,8 +5,10 @@ operad; the cochain Bockstein, computed by lifting to Z/p^2 rather
 than through the resolution; the vanishing-pattern property of the
 lifted generators; the coordinates of a sum of cross products built
 as a cochain on the product space, against which the Kuenneth reading
-is checked; and the power operations on the rings H*((BZ/p)^n; F_p), on
-which the Adem relations are checked term by term."""
+is checked; the eager composite of two power operations, against which
+the Adem sides decided by degree are checked; and the power operations
+on the rings H*((BZ/p)^n; F_p), on which the Adem relations are checked
+term by term."""
 import itertools
 import math
 
@@ -16,7 +18,8 @@ from chainops.operads import (Operad, _bases, _basis_with_degrees,
                               _block_sign, _composable, _d_of_basis,
                               _nontrivial_permutations, interval_cut_action,
                               occurrence_counts)
-from chainops.powerops import BigradedClass, cochain_cross, theta_bar
+from chainops.powerops import (BigradedClass, classical_power, cochain_cross,
+                               theta_bar)
 from chainops.rings import Zmod
 from chainops.simplicial import FiniteSimplicialSet, cochains
 
@@ -232,6 +235,16 @@ def verify_vanishing_pattern(alg, lift, degree_cap, index_cap):
     failures.sort(key=repr)
     return {"passed": not failures, "checked": checked,
             "failures": failures}
+
+
+def eager_adem_side(x, inner, outer, alg, lift):
+    """beta^eps P^r beta^delta P^i x for inner = (delta, i) and
+    outer = (eps, r), both operations run in turn: the inner one is
+    evaluated in full even where the outer one then vanishes or leaves
+    the skeleton."""
+    (delta, i), (eps, r) = inner, outer
+    return classical_power(classical_power(x, i, alg, lift, delta), r, alg,
+                           lift, eps)
 
 
 def full_product_coordinates(classifier, P, terms, n):

@@ -396,6 +396,9 @@ class TestCriterion9NegativeControls:
         # the witness names the offending pair and both values
         i, j, got, want = bad[0]["witness"]
         assert got != want
+        # each binomial is checked once per sweep, not once per class
+        # and relation that reads it
+        assert len({f["witness"][:2] for f in bad}) == len(bad)
 
 
 class TestCriterion10Determinism:

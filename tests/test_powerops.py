@@ -3,10 +3,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import chainops.operads as operads_module
+import chainops.powerops as powerops_module
 from chainops.complexes import verify_differential
 from chainops.homology_classes import HomologySpace
 from chainops.operads import interval_cut_action, surjection_words
@@ -15,12 +17,14 @@ from chainops.powerops import (
     CochainSystem,
     ProductClassifier,
     adem_coefficient,
+    adem_side,
     adem_terms,
     build_w,
     classical_power,
     cochain_cross,
     cup_i_oracle,
     equivariant_lift_j,
+    power_degree,
     power_op,
     power_unit,
     steenrod_square,
@@ -30,9 +34,10 @@ from chainops.powerops import (
 )
 from chainops.rings import QQ, SizeBoundError, Zmod
 from chainops.simplicial import (chains, circle_space, classifying_space,
-                                 cochains, product_space, torus_space)
-from oracles import (bockstein, bzp_apply, full_product_coordinates,
-                     verify_vanishing_pattern)
+                                 cochains, product_space, sphere_space,
+                                 torus_space)
+from oracles import (bockstein, bzp_apply, eager_adem_side,
+                     full_product_coordinates, verify_vanishing_pattern)
 
 
 def _cup(X, ring, a, qa, b, qb):
@@ -273,6 +278,117 @@ class TestAdemTable:
         z = {((1, 2),): 1}
         assert bzp_apply([(0, 1), (1, 1)], z, 3) == {((0, 7),): 1}
         assert self._rhs(1, 1, 0, 1, 3, z) == {((0, 7),): 1}
+
+
+class TestPowerDegree:
+    """power_degree states once where P^s (beta P^s) lands and when it
+    vanishes; classical_power evaluates exactly the operations it says
+    do not vanish, at the generator index (q - 2s)(p - 1) - eps."""
+
+    CASES = [(p, q, s, eps) for p in (3, 5, 7) for q in range(13)
+             for s in range(-1, q + 2) for eps in (0, 1)]
+
+    def test_matches_the_unstable_rule(self):
+        # P^s x = 0 for 2s > q, and beta P^s x = beta(x^p) = 0 for 2s = q
+        for p, q, s, eps in self.CASES:
+            vanishes = s < 0 or 2 * s > q or (2 * s == q and eps == 1)
+            assert power_degree(q, s, p, eps) == \
+                (q + 2 * s * (p - 1) + eps, vanishes), (p, q, s, eps)
+
+    def test_classical_power_reads_it(self, monkeypatch):
+        # theta_bar records the index it is asked for, on a space whose
+        # dimensions hold every output degree, so nothing is evaluated
+        asked = []
+
+        def record(X, ring, lift, n, x, q, cells):
+            asked.append(n)
+            return {"cell": 1}
+
+        monkeypatch.setattr(powerops_module, "theta_bar", record)
+        space = SimpleNamespace(dims=lambda: range(200))
+        for p, q, s, eps in self.CASES:
+            alg = CochainSystem(space, Zmod(p))
+            lift = SimpleNamespace(p=p)
+            asked.clear()
+            out = classical_power(BigradedClass(q, None, {"x": 1}), s, alg,
+                                  lift, eps)
+            degree, vanishes = power_degree(q, s, p, eps)
+            index = (q - 2 * s) * (p - 1) - eps
+            assert out.degree == degree, (p, q, s, eps)
+            assert asked == ([] if s < 0 or index < 0 else [index]), \
+                (p, q, s, eps)
+            assert out.is_zero() == vanishes, (p, q, s, eps)
+
+
+class TestAdemSidesByDegree:
+    """adem_side decides a side of an Adem relation by its two degrees
+    before it runs an operation.  On every class of degree <= the cap and
+    every side the sweep asks for, it must equal the eager composite of
+    two classical_power calls (oracles.eager_adem_side), in degree and in
+    cochain.  Every side those sweeps ask for is zero on these spaces, so
+    beta^eps P^0 beta^delta P^0 is compared too: P^0 P^0 x is the class
+    x, a nonempty cochain whenever x is not zero."""
+
+    @pytest.mark.parametrize("space, p, degree_cap, pair_bound", [
+        (classifying_space(3, 5), 3, 4, 3),
+        (classifying_space(3, 8), 3, 4, 3),
+        (sphere_space(8), 3, 8, 2),
+        (torus_space(), 3, 2, 3),
+        (circle_space(), 5, 1, 3),
+    ], ids=["bz3-dim5", "bz3-dim8", "sphere8", "torus", "circle-p5"])
+    def test_equals_the_eager_composite(self, space, p, degree_cap,
+                                        pair_bound):
+        alg = CochainSystem(space, Zmod(p))
+        lift = equivariant_lift_j(build_w(p, p * max(space.dims())), None, 0)
+
+        def op(cls, s, bock):
+            return classical_power(cls, s, alg, lift, bock)
+
+        sides = {((delta, 0), (eps, 0))
+                 for eps, delta in itertools.product((0, 1), repeat=2)}
+        for b in range(1, pair_bound):
+            for a in range(1, pair_bound - b + 1):
+                if a >= p * b:
+                    continue
+                for eps, delta in itertools.product((0, 1), repeat=2):
+                    sides.add(((delta, b), (eps, a)))
+                    sides.update((inner, outer) for _, _, outer, inner
+                                 in adem_terms(a, b, eps, delta, p))
+        nonzero = 0
+        for q in [n for n in space.dims() if n <= degree_cap]:
+            for _, rep in alg.homology_space(q).all_classes():
+                x = BigradedClass(q, 0, rep)
+                for inner, outer in sorted(sides):
+                    got = adem_side(op, x, inner, outer, p, space.dims())
+                    want = eager_adem_side(x, inner, outer, alg, lift)
+                    assert (got.degree, got.rep) == (want.degree, want.rep), \
+                        (q, inner, outer)
+                    nonzero += not got.is_zero()
+        assert nonzero
+
+    def test_bench_size_runs_no_operation(self, monkeypatch):
+        # the size of the adem-bz3 benchmark job: every side vanishes or
+        # leaves the 5-skeleton, so no lifted generator is evaluated
+        calls = []
+        real = powerops_module.theta_bar
+        monkeypatch.setattr(powerops_module, "theta_bar",
+                            lambda *args: calls.append(args[3]) or real(*args))
+        alg = CochainSystem(classifying_space(3, 5), Zmod(3))
+        report = verify_adem(alg, p=3, pair_bound=3, degree_cap=4)
+        assert report == {"passed": True, "checked": 180, "failures": []}
+        assert calls == []
+
+    def test_gate_size_reads_no_class(self, monkeypatch):
+        # on the 8-skeleton every lhs - rhs is the empty cochain, which
+        # reads no class
+        reads = []
+        real = HomologySpace.class_vector
+        monkeypatch.setattr(HomologySpace, "class_vector",
+                            lambda self, z: reads.append(z) or real(self, z))
+        alg = CochainSystem(classifying_space(3, 8), Zmod(3))
+        report = verify_adem(alg, p=3, pair_bound=3, degree_cap=4)
+        assert report == {"passed": True, "checked": 180, "failures": []}
+        assert reads == []
 
 
 class TestSteenrodSquares:
