@@ -368,9 +368,11 @@ def cmd_steenrod(args):
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
     W = build_w(2, 2 * max(X.dims()))
-    lift = equivariant_lift_j(W, None, 0)
+    lift = equivariant_lift_j(W, cap=0)
     results = []
     failures = []
+    # the lift's component q - i is the word cup_i_oracle evaluates, so
+    # this check verifies the lift, not the value of Sq^i
     for q in X.dims():
         if q == 0 or q > args.degree_cap:
             continue

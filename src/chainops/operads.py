@@ -4,11 +4,12 @@ The concrete instance is the surjection operad: the degree-d piece of
 arity k is spanned by the nondegenerate surjections {1..k+d} ->> {1..k}
 (no adjacent repeats).  Its differential deletes letters, its composition
 substitutes words with overlapping splittings, the symmetric groups act
-by renaming values, and it acts on normalized simplicial cochains by
-interval cuts, generated by one walk over a word's letters; the arity-2
-part reproduces the cup and cup-i products.  The structure maps are
-read on basis labels, and the operad's axiom and E-infinity checks
-sweep the composable tuples of basis labels within arity and degree caps.
+by renaming values, and a chain of its arity-k words acts on the k-th
+tensor power of one cochain by interval cuts (McClure-Smith,
+Berger-Fresse), generated by one walk over each word's letters and kept
+in one table per chain.  The structure maps are read on basis labels,
+and the operad's axiom and E-infinity checks sweep the composable
+tuples of basis labels within arity and degree caps.
 
 Sign conventions follow the orientation formalism: a word u carries the
 orientation sign or(u), the number of inversions among its caesura
@@ -760,7 +761,6 @@ def _cut_sign(u, lens, tpts):
     return -sign if extra % 2 else sign
 
 
-@functools.cache
 def _cut_table(u, k, degrees):
     """The interval cuts of 0..n for u acting on cochains of the given
     degrees, as (vertex_sets, lens, tpts) triples: vertex_sets[s - 1]
@@ -776,10 +776,8 @@ def _cut_table(u, k, degrees):
     i and that state, so they are memoised by it, and a state from
     which no cut can be finished is met once.
 
-    The cuts depend on u, k and the degrees only, so the table is built
-    once per process and shared by every call on every space.  It holds
-    no signs: interval_cut_action computes each through _cut_sign when
-    its cut first contributes to a call.
+    The cuts hold no signs: _chain_table signs each one once, in the
+    table it keeps for a chain.
     """
     occ = occurrence_counts(u)
     budget = tuple(degrees[s] - occ[s + 1] + 1 for s in range(k))
@@ -815,56 +813,69 @@ def _cut_table(u, k, degrees):
     return tuple(cuts)
 
 
-def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, u, k, xs,
-                        cells=None):
-    """theta(u; x_1..x_k) on normalized cochains of X.
+@functools.cache
+def _chain_table(terms, k, q):
+    """(faces, groups) for the chain of (word, coefficient) terms acting
+    on k cochains of degree q: faces lists the distinct vertex tuples
+    the cuts hand to a value, and group (first, cuts) holds the cuts
+    whose value 1 reads face first, as (coefficient * _cut_sign, the
+    indices of the faces of values 2..k).  Built once per process per
+    chain, k and q, on first use, and shared by every space."""
+    index, groups = {}, {}
+    for u, coeff in terms:
+        for vertex_sets, lens, tpts in _cut_table(u, k, (q,) * k):
+            first, *rest = [index.setdefault(verts, len(index))
+                            for verts in vertex_sets]
+            groups.setdefault(first, []).append(
+                (coeff * _cut_sign(u, lens, tpts), tuple(rest)))
+    return tuple(index), tuple((f, tuple(c)) for f, c in groups.items())
 
-    xs: list of (cochain, degree) pairs, where a cochain is a dict
-    mapping simplex labels to coefficients.  A surjection of degree d
-    lowers the total degree by d: the result is the cochain whose value
-    on an n-simplex is the signed sum over all ways of cutting 0..n into
-    k+d intervals, assigned to the values of u in order, of the product
-    of the x_s evaluated on the concatenations of their intervals.
 
-    The cuts come from the shared _cut_table and their faces from the
-    space's vertex_face memo; each call computes a cut's sign through
-    _cut_sign when the cut first contributes.  Each term is the product
-    of the raw coefficients and the sign, and each output cell's sum is
-    reduced into the ring once: every ring here is Z, Q or a quotient of
-    Z, so that equals reducing each factor.
-
-    cells, when given, is a function of the output degree n returning
-    the n-simplices to evaluate on; the result is then the cochain
-    restricted to them.  It selects outputs only: the inputs are read
-    wherever the cuts' faces land.
+def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, chain, k,
+                        x, q, cells=None):
+    """theta(chain; x, ..., x) for a chain (a dict word -> coefficient)
+    of arity-k words of one degree d and a cochain x of degree q: on an
+    n-simplex, n = kq - d, the sum over the words, with their
+    coefficients, and over the ways of cutting 0..n into k + d intervals
+    assigned to the letters in order, of the signed product of x on each
+    value's intervals.  The cuts come from _chain_table.  On each cell x
+    is read at most once per face, when a cut first needs it, a group of
+    cuts whose first face reads 0 is skipped, and the sum is reduced
+    into the ring once (every ring here is Z, Q or a quotient of Z).
+    cells, when given, maps the output degree n to the n-simplices to
+    evaluate on; x is still read wherever the cuts' faces land.
     """
-    ns = tuple(deg for _, deg in xs)
-    n = sum(ns) - (len(u) - k)
-    if n < 0 or n not in X.dims():
+    n = k * q - (len(next(iter(chain), ())) - k)
+    if not chain or n < 0 or n not in X.dims():
         return {}
-    cuts = _cut_table(u, k, ns)
-    if not cuts:
-        return {}
-    entries = [entry for entry, _ in xs]
-    signs = [None] * len(cuts)      # filled as the cuts contribute
-    vertex_face = X.vertex_face
+    faces, groups = _chain_table(frozenset(chain.items()), k, q)
+
+    def value(sx, j):
+        face = X.vertex_face(sx, faces[j])
+        return 0 if face.word else x.get(face.base, 0)
+
     out = {}
     for sigma in X.simplices(n) if cells is None else cells(n):
         sx = X.nondegenerate(sigma)
+        values = [None] * len(faces)    # this cell's reads, by face
         total = 0
-        for j, (vertex_sets, lens, tpts) in enumerate(cuts):
-            term = 1
-            for entry, verts in zip(entries, vertex_sets):
-                face = vertex_face(sx, verts)
-                c = 0 if face.word else entry.get(face.base, 0)
-                if not c:
-                    break
-                term *= c
-            else:
-                sign = signs[j]
-                if sign is None:
-                    sign = signs[j] = _cut_sign(u, lens, tpts)
-                total += sign * term
+        for first, cuts in groups:
+            head = values[first]
+            if head is None:
+                head = values[first] = value(sx, first)
+            if not head:
+                continue
+            for coeff, rest in cuts:
+                term = coeff * head
+                for j in rest:
+                    c = values[j]
+                    if c is None:
+                        c = values[j] = value(sx, j)
+                    if not c:
+                        break
+                    term *= c
+                else:
+                    total += term
         total = ring.normalize(total)
         if total:
             out[sigma] = total

@@ -239,10 +239,9 @@ class EquivariantLift:
     times.  Degree 0 is the identity permutation word, matching the
     augmentations on both sides.  Each new degree solves the chain-map
     equation with the contracting homotopy, adds the seeded
-    perturbation (drawn from an rng kept on the lift), checks the
-    equation, and, when an operad level is given, checks that the
-    image lies in it.  Because degrees are always built in order from
-    one rng, a lift grown to n equals one prebuilt to n, seeded or not.
+    perturbation (drawn from an rng kept on the lift) and checks the
+    equation.  Because degrees are always built in order from one rng,
+    a lift grown to n equals one prebuilt to n, seeded or not.
 
     The only bound is the resolution: growing past W.cap raises
     ValueError.  An operation on a nonzero class of degree q asks for
@@ -251,11 +250,10 @@ class EquivariantLift:
     dimension maxdim.
     """
 
-    def __init__(self, W: WResolution, level=None, seed=None):
+    def __init__(self, W: WResolution, seed=None):
         self.W = W
         self.p = W.p
         self.ring = Zmod(W.p)
-        self.level = level
         self._rng = random.Random(seed) if seed is not None else None
         self.components = {0: {tuple(range(1, W.p + 1)): self.ring.one()}}
 
@@ -292,11 +290,6 @@ class EquivariantLift:
             raise ValueError(
                 "lift failed at degree %d: the level is not acyclic "
                 "within the cap" % n)
-        if self.level is not None and n in self.level.modules:
-            basis = set(self.level.module(n).basis)
-            if any(w not in basis for w in x):
-                raise ValueError("lift left the given operad level "
-                                 "at degree %d" % n)
         self.components[n] = x
 
     def rotation(self, j):
@@ -319,20 +312,17 @@ class EquivariantLift:
         return out
 
 
-def equivariant_lift_j(W: WResolution, level, cap: int,
+def equivariant_lift_j(W: WResolution, cap: int,
                        seed=None) -> EquivariantLift:
     """An equivariant lift of the resolution generators into the
     arity-p surjection complex, prebuilt through degree cap.
 
     The lift grows further on demand (see EquivariantLift), so cap only
     moves work up front: pass 0 to build nothing beyond degree 0.  It
-    must not exceed W.cap.  level: the operad level (a ChainComplex)
-    the lift lands in; every degree it holds is checked for
-    containment, and None skips that check.  A seed perturbs every
-    positive degree by a boundary, giving an independent but equally
-    valid lift.
+    must not exceed W.cap.  A seed perturbs every positive degree by a
+    boundary, giving an independent but equally valid lift.
     """
-    lift = EquivariantLift(W, level, seed)
+    lift = EquivariantLift(W, seed)
     lift.component(cap)
     return lift
 
@@ -398,16 +388,11 @@ def adem_terms(a, b, eps, delta, p):
 def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
               lift: EquivariantLift, n: int, x: dict, q: int,
               cells=None) -> dict:
-    """Evaluate the lifted generator e_n on the p-th tensor power of
-    the cochain x of degree q, growing the lift to degree n first if
-    it has not reached it.  cells, when given, selects the output
+    """Evaluate the lifted generator e_n, a chain of arity-p words, on
+    the p-th tensor power of the cochain x of degree q, growing the lift
+    to degree n first if needed.  cells, when given, selects the output
     simplices evaluated, as in interval_cut_action."""
-    p = lift.p
-    out = {}
-    for w, c in lift.component(n).items():
-        add_scaled(out, c, interval_cut_action(X, ring, w, p, [(x, q)] * p,
-                                               cells), ring)
-    return out
+    return interval_cut_action(X, ring, lift.component(n), lift.p, x, q, cells)
 
 
 def power_degree(q: int, s: int, p: int, bocksteined=False):
@@ -435,8 +420,8 @@ def classical_power(x: BigradedClass, s: int, alg, lift: EquivariantLift,
     none of these touches the lift.  Otherwise the lift grows to the
     index, at most q(p-1), if needed.
     cells, when given, selects the output simplices evaluated (see
-    interval_cut_action); the representative is then the operation's
-    value restricted to them, which need not be a cocycle."""
+    theta_bar); the representative is then the operation's value
+    restricted to them, which need not be a cocycle."""
     p = lift.p
     q = x.degree
     out_degree, vanishes = power_degree(q, s, p, bocksteined)
@@ -516,13 +501,14 @@ def steenrod_square(x: BigradedClass, i: int, alg,
 
 def cup_i_oracle(X: FiniteSimplicialSet, ring: RingSpec, i: int,
                  x: dict, q: int) -> dict:
-    """Direct cup-i evaluation of x with itself, bypassing the
-    resolution and the lift: the alternating arity-2 word of degree i
-    acting through the interval-cut formula."""
+    """x cup_i x, bypassing the resolution and the lift: the chain
+    {(1, 2, 1, ...): 1} of degree i through interval_cut_action.  At
+    p = 2 the lift's component i is that word, so a comparison with
+    steenrod_square checks the lift, not the value of Sq^i."""
     if i < 0:
         return {}
     word = tuple((1, 2)[j % 2] for j in range(i + 2))
-    return interval_cut_action(X, ring, word, 2, [(x, q), (x, q)])
+    return interval_cut_action(X, ring, {word: 1}, 2, x, q)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +780,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     P = product_space(X, X)
     palg = CochainSystem(P, ring)
     W = build_w(p, max(p * max(P.dims()), lift_cap or 0))
-    lift = equivariant_lift_j(W, None, lift_cap or 0)
+    lift = equivariant_lift_j(W, cap=lift_cap or 0)
     classifier = ProductClassifier(X, X, ring)
     failures = []
     checked = 0
@@ -903,7 +889,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
     ring = alg.ring
     dims = X.dims()
     W = build_w(p, p * max(dims))
-    lift = equivariant_lift_j(W, None, 0)
+    lift = equivariant_lift_j(W, cap=0)
     failures = []
     checked = 0
 

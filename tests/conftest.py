@@ -8,7 +8,7 @@ import chainops.operads as operads_module
 
 def clear_operad_caches():
     """Empty every process-wide cache of chainops.operads: the memoised
-    functions (words, letters, boundaries, block signs, cut tables) and
+    functions (words, letters, boundaries, block signs, chain tables) and
     the composition memo."""
     for value in vars(operads_module).values():
         if callable(getattr(value, "cache_clear", None)):

@@ -1,6 +1,8 @@
 """Oracles for the operad and power-operation tests: the interval cuts
 listed by filtering every product of per-value compositions; the
-exhaustive check that the cochains are an algebra over the surjection
+interval-cut action of one word on k cochains of independent degrees,
+against which the chain kernel is checked on k copies of one cochain;
+the exhaustive check that the cochains are an algebra over the surjection
 operad; the cochain Bockstein, computed by lifting to Z/p^2 rather
 than through the resolution; the vanishing-pattern property of the
 lifted generators; the coordinates of a sum of cross products built
@@ -8,7 +10,8 @@ as a cochain on the product space, against which the Kuenneth reading
 is checked; the eager composite of two power operations, against which
 the Adem sides decided by degree are checked; and the power operations
 on the rings H*((BZ/p)^n; F_p), on which the Adem relations are checked
-term by term."""
+term by term, and the squares on H*(BZ/2; F_2)."""
+import functools
 import itertools
 import math
 
@@ -16,8 +19,7 @@ import chainops.operads as operads
 from chainops.freemod import add_scaled
 from chainops.operads import (Operad, _bases, _basis_with_degrees,
                               _block_sign, _composable, _d_of_basis,
-                              _nontrivial_permutations, interval_cut_action,
-                              occurrence_counts)
+                              _nontrivial_permutations, occurrence_counts)
 from chainops.powerops import (BigradedClass, classical_power, cochain_cross,
                                theta_bar)
 from chainops.rings import Zmod
@@ -76,11 +78,68 @@ def filtered_cut_table(u, k, degrees):
     return cuts
 
 
+# the cuts of one word for given degrees hold no signs, so one memo for
+# the tests serves every call, under a patched sign rule too
+_word_cuts = functools.cache(operads._cut_table)
+
+
+def k_input_action(X: FiniteSimplicialSet, ring, u, k, xs, cells=None):
+    """theta(u; x_1..x_k) on normalized cochains of X, for one word u
+    and k cochains of independent degrees.
+
+    xs: list of (cochain, degree) pairs.  A surjection of degree d
+    lowers the total degree by d: the result is the cochain whose value
+    on an n-simplex is the signed sum over all ways of cutting 0..n into
+    k+d intervals, assigned to the values of u in order, of the product
+    of the x_s evaluated on the concatenations of their intervals.  The
+    cuts are those of operads._cut_table; each call signs a cut through
+    operads._cut_sign when the cut first contributes, and reduces each
+    output cell's sum into the ring once.  cells selects the output
+    simplices, as in operads.interval_cut_action.
+    """
+    ns = tuple(deg for _, deg in xs)
+    n = sum(ns) - (len(u) - k)
+    if n < 0 or n not in X.dims():
+        return {}
+    cuts = _word_cuts(u, k, ns)
+    if not cuts:
+        return {}
+    entries = [entry for entry, _ in xs]
+    signs = [None] * len(cuts)      # filled as the cuts contribute
+    vertex_face = X.vertex_face
+    out = {}
+    for sigma in X.simplices(n) if cells is None else cells(n):
+        sx = X.nondegenerate(sigma)
+        total = 0
+        for j, (vertex_sets, lens, tpts) in enumerate(cuts):
+            term = 1
+            for entry, verts in zip(entries, vertex_sets):
+                face = vertex_face(sx, verts)
+                c = 0 if face.word else entry.get(face.base, 0)
+                if not c:
+                    break
+                term *= c
+            else:
+                sign = signs[j]
+                if sign is None:
+                    sign = signs[j] = operads._cut_sign(u, lens, tpts)
+                total += sign * term
+        total = ring.normalize(total)
+        if total:
+            out[sigma] = total
+    return out
+
+
+def cup(X, ring, a, qa, b, qb):
+    """a cup b: the arity-2 degree-0 word acting by interval cuts."""
+    return k_input_action(X, ring, (1, 2), 2, [(a, qa), (b, qb)])
+
+
 def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
                          degree_cap: int) -> dict:
     """Exhaustive checks, on basis elements within the caps, of the
     diagrams that make the normalized cochains of X an algebra over the
-    surjection operad O through interval_cut_action (theta).
+    surjection operad O through k_input_action (theta).
 
     Covers: theta commuting with the differentials, the unit acting as
     the identity, compatibility of theta with the operad composition,
@@ -96,8 +155,8 @@ def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
     adeg = _basis_with_degrees(C, degree_cap)
 
     def theta(u, k, xs):
-        return interval_cut_action(X, ring, u, k,
-                                   [({lab: 1}, n) for lab, n in xs])
+        return k_input_action(X, ring, u, k,
+                              [({lab: 1}, n) for lab, n in xs])
 
     for k, ops in _bases(O, arity_cap, degree_cap).items():
         for u, du in ops:
@@ -166,7 +225,7 @@ def check_algebra_axioms(O: Operad, X: FiniteSimplicialSet, arity_cap: int,
                 m = sum(n for _, n in block) - dvs[s]
                 inner.append((val, m))
             rhs = add_scaled({}, _block_sign(js, dvs, tuple(ns)),
-                             interval_cut_action(X, ring, u, k, inner), ring)
+                             k_input_action(X, ring, u, k, inner), ring)
             if lhs != rhs:
                 failures.append({"check": "composition-compatibility",
                                  "witness": (k, u, vs, tuple(xs))})
@@ -308,3 +367,17 @@ def bzp_apply(ops, z, p):
         if bock:
             z = bzp_bockstein(z, p)
     return z
+
+
+# H*(BZ/2; F_2) = F_2[x] with |x| = 1.  An element is a dict from the
+# exponent n of x^n to its coefficient mod 2.
+
+def bz2_square(i, z):
+    """Sq^i on H*(BZ/2; F_2): Sq^i(x^n) = (n choose i) x^(n + i), the
+    Cartan formula applied to Sq(x) = x + x^2."""
+    out = {}
+    for n, c in z.items():
+        coeff = c * math.comb(n, i) % 2
+        if coeff:
+            out[n + i] = (out.get(n + i, 0) + coeff) % 2
+    return {n: c for n, c in out.items() if c}

@@ -32,7 +32,6 @@ from chainops.homology_classes import HomologySpace
 from chainops.operads import (
     check_einfinity,
     check_operad_axioms,
-    interval_cut_action,
     surjection_operad,
 )
 from chainops.powerops import (
@@ -52,13 +51,8 @@ from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 from chainops.simplicial import classifying_space, cochains
 from conftest import cleared_operad_caches
-from oracles import (bockstein, check_algebra_axioms,
+from oracles import (bockstein, check_algebra_axioms, cup,
                      verify_vanishing_pattern)
-
-
-def _cup(X, ring, a, qa, b, qb):
-    """a cup b: the arity-2 degree-0 word acting by interval cuts."""
-    return interval_cut_action(X, ring, (1, 2), 2, [(a, qa), (b, qb)])
 
 
 def _add(ring, a, b):
@@ -132,7 +126,7 @@ class TestCriterion4ModTwoOperations:
         X = classifying_space(2, 6)
         alg = CochainSystem(X, ring)
         W = build_w(2, 14)
-        lift = equivariant_lift_j(W, None, 12)
+        lift = equivariant_lift_j(W, cap=12)
         spaces = {n: HomologySpace(alg.complex, n) for n in X.dims()}
 
         classes = {}
@@ -151,7 +145,7 @@ class TestCriterion4ModTwoOperations:
                         H.class_vector(oracle), (q, i)
                     if i == q:
                         # top operation is the cup square
-                        sq = _cup(X, ring, rep, q, rep, q)
+                        sq = cup(X, ring, rep, q, rep, q)
                         assert H.class_vector(out.rep) == \
                             H.class_vector(sq), q
                 # vanishing above the degree
@@ -236,8 +230,8 @@ class TestCriterion7WellDefined:
         H2 = HomologySpace(alg.complex, 2)
         x = BigradedClass(1, 0, H1.representative([1]))
         for seed in range(10):
-            a = equivariant_lift_j(W, None, 6, seed=2 * seed + 1)
-            b = equivariant_lift_j(W, None, 6, seed=2 * seed + 2)
+            a = equivariant_lift_j(W, cap=6, seed=2 * seed + 1)
+            b = equivariant_lift_j(W, cap=6, seed=2 * seed + 2)
             assert a.components != b.components
             za = power_op(x, 1, alg, a)
             zb = power_op(x, 1, alg, b)
@@ -252,7 +246,7 @@ class TestCriterion7WellDefined:
         X = classifying_space(3, 4)
         alg = CochainSystem(X, ring)
         W = build_w(3, 8)
-        lift = equivariant_lift_j(W, None, 8)
+        lift = equivariant_lift_j(W, cap=8)
         C = alg.complex
         H2 = HomologySpace(C, 2)
         H4 = HomologySpace(C, 4)

@@ -29,11 +29,12 @@ from chainops.operads import (
     surjection_words,
     word_count,
 )
-from chainops.powerops import build_w, equivariant_lift_j
+from chainops.powerops import build_w, equivariant_lift_j, theta_bar
 from chainops.rings import QQ, ZZ, SizeBoundError, Zmod
 from chainops.simplicial import (classifying_space, cochains, product_space,
                                  torus_space)
-from oracles import _compositions, check_algebra_axioms, filtered_cut_table
+from oracles import (_compositions, check_algebra_axioms, filtered_cut_table,
+                     k_input_action)
 
 
 def _degree(u, k):
@@ -525,9 +526,10 @@ def _awkward_values(ring):
 
 
 class TestIntervalCutOracle:
-    """interval_cut_action reads its cuts from a shared table and reduces
-    each output cell once; a per-factor reducing loop is its reference,
-    on every surjection word of arity <= 3 and degree <= 2."""
+    """oracles.k_input_action, the reference for the chain kernel, reads
+    its cuts from the walk and reduces each output cell once; a
+    per-factor reducing loop is its own reference, on every surjection
+    word of arity <= 3 and degree <= 2 and distinct inputs."""
 
     @pytest.fixture(scope="class", params=["bz3", "torus", "bz3xbz3"])
     def space(self, request):
@@ -562,7 +564,7 @@ class TestIntervalCutOracle:
                     for ns in itertools.product(range(top + 1), repeat=k):
                         xs = [(cochain(q, slot), q)
                               for slot, q in enumerate(ns)]
-                        got = interval_cut_action(X, ring, u, k, xs, cells)
+                        got = k_input_action(X, ring, u, k, xs, cells)
                         want = _reference_interval_cut_action(
                             X, ring, u, k, xs, cells)
                         assert got == want, (u, ns)
@@ -600,7 +602,7 @@ class TestCutTableOracle:
     def test_every_word_of_the_lift(self, p, top):
         # classical_power reads e_n only on classes of degree
         # q >= n / (p - 1): the three smallest such q for each n
-        lift = equivariant_lift_j(build_w(p, top), None, top)
+        lift = equivariant_lift_j(build_w(p, top), cap=top)
         cuts = 0
         for n in range(top + 1):
             least = -(-n // (p - 1))
@@ -610,36 +612,113 @@ class TestCutTableOracle:
         assert cuts > 10000, cuts
 
 
-class TestCutTableMemo:
-    """The cuts of a (word, arity, degrees) shape are listed once per
-    process and shared by every call, on every space."""
+class TestChainKernel:
+    """interval_cut_action, a chain of arity-p words acting on the p-th
+    power of one cochain, against oracles.k_input_action run on p copies
+    of that cochain: each word alone, and each whole component with its
+    coefficients, of the lifts TestCutTableOracle sweeps (p = 3 to degree
+    8, p = 5 to degree 5, on the same degrees q).  At p = 3 a seeded
+    lift, whose coefficients are not all 1, is swept too; at p = 5 its
+    perturbation lists every word one degree up, about 7 s to degree 5.
+    On BZ/3, and on BZ/3 x BZ/3 with a proper subset of the cells, as
+    verify_cartan passes them."""
 
-    def test_each_shape_is_listed_once(self, monkeypatch):
-        table = operads_module._cut_table
+    @pytest.fixture(scope="class", params=["bz3", "bz3xbz3"])
+    def space(self, request):
+        if request.param == "bz3":
+            return classifying_space(3, 5), None
+        X = classifying_space(3, 2)
+        P = product_space(X, X)
+        return P, lambda n: P.simplices(n)[::3]
+
+    @pytest.mark.parametrize("p, top", [(3, 8), (5, 5)])
+    def test_matches_the_reference(self, space, p, top):
+        X, cells = space
+        ring = Zmod(p)
+        values = _awkward_values(ring)
+        W = build_w(p, top)
+        lifts = [equivariant_lift_j(W, cap=top)]
+        if p == 3:
+            lifts.append(equivariant_lift_j(W, cap=top, seed=1))
+            assert any(c != 1 for n in range(top + 1)
+                       for c in lifts[1].component(n).values())
+        words = {}
+        nonzero, reached = set(), set()
+        for n in range(top + 1):
+            least = -(-n // (p - 1))
+            for q in range(least, least + 3):
+                if q not in X.dims() or p * q - n not in X.dims():
+                    continue
+                reached.add(n)
+                x = {lab: values[i % len(values)]
+                     for i, lab in enumerate(X.simplices(q)) if i % 5 != 4}
+                for lift in lifts:
+                    chain = lift.component(n)
+                    want = {}
+                    for u, c in chain.items():
+                        if (u, q) not in words:
+                            words[u, q] = k_input_action(
+                                X, ring, u, p, [(x, q)] * p, cells)
+                            assert interval_cut_action(
+                                X, ring, {u: 1}, p, x, q, cells) == \
+                                words[u, q], (u, q)
+                        add_scaled(want, c, words[u, q], ring)
+                    assert interval_cut_action(X, ring, chain, p, x, q,
+                                               cells) == want, (n, q)
+                    if want:
+                        nonzero.add(n)
+        # every component that lands on the space is compared where it
+        # is not 0; on BZ/3 that is every component
+        assert nonzero == reached, (nonzero, reached)
+        if cells is None:
+            assert reached == set(range(top + 1))
+
+
+class TestChainTableMemo:
+    """The table of a (chain, k, q) is built once per process, on first
+    use, and shared by every call on every space; a seeded lift's
+    component, whose words differ, gets a table of its own."""
+
+    def test_each_chain_is_tabled_once(self, monkeypatch):
+        table = operads_module._chain_table
         requested = []
+        current = [None]
 
-        def recording(u, k, degrees):
-            requested.append((u, k, degrees))
-            return table(u, k, degrees)
+        def recording(terms, k, q):
+            requested.append(((terms, k, q), current[0]))
+            return table(terms, k, q)
 
         table.cache_clear()
-        monkeypatch.setattr(operads_module, "_cut_table", recording)
-        spaces = [classifying_space(3, 3), torus_space(),
-                  classifying_space(3, 3)]
-        for X in spaces:
-            for d in (0, 1, 2):
-                for u in surjection_words(2, d):
-                    for ns in itertools.product(range(3), repeat=2):
-                        interval_cut_action(
-                            X, Zmod(3), u, 2,
-                            [({lab: 1 for lab in X.simplices(q)}, q)
-                             for q in ns])
-        distinct = len(set(requested))
-        assert distinct < len(requested)
-        # one build per shape, every later request read from the table
+        monkeypatch.setattr(operads_module, "_chain_table", recording)
+        ring = Zmod(3)
+        W = build_w(3, 6)
+        plain = equivariant_lift_j(W, cap=4)
+        seeded = equivariant_lift_j(W, cap=4, seed=3)
+        spaces = {"bz3": classifying_space(3, 3), "torus": torus_space(),
+                  "bz3-again": classifying_space(3, 3)}
+        for name, X in spaces.items():
+            current[0] = name
+            for lift in (plain, seeded):
+                for n in range(5):
+                    for q in (1, 2):
+                        x = {lab: 1 for lab in X.simplices(q)}
+                        theta_bar(X, ring, lift, n, x, q)
+        keys = [key for key, _ in requested]
+        distinct = set(keys)
         info = table.cache_info()
-        assert (info.misses, info.hits) == (distinct,
-                                            len(requested) - distinct)
+        assert (info.misses, info.hits) == (len(distinct),
+                                            len(keys) - len(distinct))
+        # a table read on three spaces, built on the first
+        read_on = {}
+        for key, name in requested:
+            read_on.setdefault(key, set()).add(name)
+        assert any(len(names) == 3 for names in read_on.values())
+        # the seeded component of a degree is a chain of its own
+        for n in (1, 2):
+            ours = frozenset(plain.component(n).items())
+            theirs = frozenset(seeded.component(n).items())
+            assert ours != theirs
+            assert (ours, 3, 1) in distinct and (theirs, 3, 1) in distinct
 
 
 class TestActionIsAChainMap:
@@ -676,20 +755,19 @@ class TestActionIsAChainMap:
         out = sum(ns) - d
         compared = 0
         for u in surjection_words(k, d):
-            terms = [add_scaled({}, c, interval_cut_action(X, ZZ, w, k, xs),
-                                ZZ)
+            terms = [add_scaled({}, c, k_input_action(X, ZZ, w, k, xs), ZZ)
                      for w, c in surjection_boundary(u, k).items()]
             sign = (-1) ** d
             for s in range(k):
                 moved = list(xs)
                 moved[s] = (delta(*xs[s]), ns[s] + 1)
                 terms.append(add_scaled(
-                    {}, sign, interval_cut_action(X, ZZ, u, k, moved), ZZ))
+                    {}, sign, k_input_action(X, ZZ, u, k, moved), ZZ))
                 sign *= (-1) ** ns[s]
             rhs = {}
             for term in terms:
                 add_scaled(rhs, 1, term, ZZ)
-            lhs = delta(interval_cut_action(X, ZZ, u, k, xs), out)
+            lhs = delta(k_input_action(X, ZZ, u, k, xs), out)
             assert lhs == {lab: c for lab, c in rhs.items() if c}, u
             compared += any(terms)
         assert compared, "every term of every identity was 0"

@@ -11,7 +11,6 @@ import chainops.operads as operads_module
 import chainops.powerops as powerops_module
 from chainops.complexes import verify_differential
 from chainops.homology_classes import HomologySpace
-from chainops.operads import interval_cut_action, surjection_words
 from chainops.powerops import (
     BigradedClass,
     CochainSystem,
@@ -36,13 +35,9 @@ from chainops.rings import QQ, SizeBoundError, Zmod
 from chainops.simplicial import (chains, circle_space, classifying_space,
                                  cochains, product_space, sphere_space,
                                  torus_space)
-from oracles import (bockstein, bzp_apply, eager_adem_side,
+from conftest import cleared_operad_caches
+from oracles import (bockstein, bz2_square, bzp_apply, cup, eager_adem_side,
                      full_product_coordinates, verify_vanishing_pattern)
-
-
-def _cup(X, ring, a, qa, b, qb):
-    """a cup b: the arity-2 degree-0 word acting by interval cuts."""
-    return interval_cut_action(X, ring, (1, 2), 2, [(a, qa), (b, qb)])
 
 
 class TestWResolution:
@@ -86,17 +81,17 @@ class TestWResolution:
 
 class TestLift:
     def test_p2_lift_is_alternating_words(self):
+        # component n is the one word (1, 2, 1, ...) of length n + 2, the
+        # word cup_i_oracle evaluates for cup_n
         W = build_w(2, 8)
-        lift = equivariant_lift_j(W, None, 8)
+        lift = equivariant_lift_j(W, cap=8)
         for n in range(9):
-            (word, c), = lift.components[n].items()
-            assert c % 2 == 1
-            assert len(word) == n + 2
-            assert all(word[i] != word[i + 1] for i in range(len(word) - 1))
+            word = tuple((1, 2)[j % 2] for j in range(n + 2))
+            assert lift.components[n] == {word: 1}, n
 
     def test_lift_satisfies_boundary_equations(self):
         W = build_w(3, 6)
-        lift = equivariant_lift_j(W, None, 6)
+        lift = equivariant_lift_j(W, cap=6)
         ring = Zmod(3)
         from chainops.powerops import _apply_word_boundary
         for n in range(1, 7):
@@ -109,15 +104,15 @@ class TestLift:
 
     def test_seeded_lifts_differ_but_solve_same_equations(self):
         W = build_w(3, 5)
-        a = equivariant_lift_j(W, None, 5, seed=11)
-        b = equivariant_lift_j(W, None, 5, seed=12)
+        a = equivariant_lift_j(W, cap=5, seed=11)
+        b = equivariant_lift_j(W, cap=5, seed=12)
         assert a.components != b.components
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_grown_lift_equals_prebuilt(self, seed):
         W = build_w(3, 6)
-        grown = equivariant_lift_j(W, None, 2, seed=seed)
-        prebuilt = equivariant_lift_j(W, None, 6, seed=seed)
+        grown = equivariant_lift_j(W, cap=2, seed=seed)
+        prebuilt = equivariant_lift_j(W, cap=6, seed=seed)
         assert grown.cap == 2
         assert grown.component(6) == prebuilt.component(6)
         assert grown.components == prebuilt.components
@@ -129,7 +124,7 @@ class TestLift:
         from chainops.powerops import CochainSystem
         alg = CochainSystem(X, ring)
         W = build_w(2, 1)
-        lift = equivariant_lift_j(W, None, 1)
+        lift = equivariant_lift_j(W, cap=1)
         H = HomologySpace(alg.complex, 2)
         x = BigradedClass(2, 0, H.representative([1] + [0] * (H.rank - 1)))
         with pytest.raises(SizeBoundError, match="resolution cap"):
@@ -140,7 +135,7 @@ class TestLift:
         from chainops.powerops import CochainSystem
         alg = CochainSystem(X, Zmod(2))
         W = build_w(2, 1)
-        lift = equivariant_lift_j(W, None, 1)
+        lift = equivariant_lift_j(W, cap=1)
         out = steenrod_square(BigradedClass(2, 0, {}), 0, alg, lift)
         assert out.is_zero()
         assert out.degree == 2
@@ -157,7 +152,7 @@ class TestPowerUnit:
         ring = Zmod(p)
         X = circle_space()
         W = build_w(p, p)
-        lift = equivariant_lift_j(W, None, 0)
+        lift = equivariant_lift_j(W, cap=0)
         m = (p - 1) // 2
         c = (-1) ** m * math.factorial(m)
         for v in range(1, p):
@@ -171,7 +166,7 @@ class TestPowerUnit:
     def test_p0_is_identity(self, p, dim, degrees):
         alg = CochainSystem(classifying_space(p, dim), Zmod(p))
         W = build_w(p, p * dim)
-        lift = equivariant_lift_j(W, None, 0)
+        lift = equivariant_lift_j(W, cap=0)
         for q in degrees:
             H = alg.homology_space(q)
             for _, rep in H.all_classes():
@@ -188,11 +183,11 @@ class TestPowerUnit:
         X = classifying_space(2, 2 * p)
         alg = CochainSystem(X, ring)
         W = build_w(p, 2 * p)
-        lift = equivariant_lift_j(W, None, 0)
+        lift = equivariant_lift_j(W, cap=0)
         x = {sx: 1 for sx in X.simplices(2)}
         power, q = x, 2
         for _ in range(p - 1):
-            power = _cup(X, ring, power, q, x, 2)
+            power = cup(X, ring, power, q, x, 2)
             q += 2
         assert power
         out = classical_power(BigradedClass(2, 0, x), 1, alg, lift)
@@ -339,7 +334,7 @@ class TestAdemSidesByDegree:
     def test_equals_the_eager_composite(self, space, p, degree_cap,
                                         pair_bound):
         alg = CochainSystem(space, Zmod(p))
-        lift = equivariant_lift_j(build_w(p, p * max(space.dims())), None, 0)
+        lift = equivariant_lift_j(build_w(p, p * max(space.dims())), cap=0)
 
         def op(cls, s, bock):
             return classical_power(cls, s, alg, lift, bock)
@@ -398,7 +393,7 @@ class TestSteenrodSquares:
         from chainops.powerops import CochainSystem
         self.alg = CochainSystem(self.X, self.ring)
         self.W = build_w(2, 10)
-        self.lift = equivariant_lift_j(self.W, None, 10)
+        self.lift = equivariant_lift_j(self.W, cap=10)
         self.spaces = {n: HomologySpace(self.alg.complex, n)
                        for n in self.X.dims()}
 
@@ -428,9 +423,31 @@ class TestSteenrodSquares:
         for q in (1, 2):
             x = self._gen(q)
             out = steenrod_square(x, q, self.alg, self.lift)
-            sq = _cup(self.X, self.ring, x.rep, q, x.rep, q)
+            sq = cup(self.X, self.ring, x.rep, q, x.rep, q)
             H = self.spaces[2 * q]
             assert H.class_vector(out.rep) == H.class_vector(sq)
+
+    def test_squares_on_the_polynomial_ring(self):
+        # H*(BZ/2; F_2) = F_2[x], one class in each degree, so the class
+        # of x^n is the nonzero class of H^n, and Sq^i(x^n) is
+        # C(n, i) x^(n + i) (oracles.bz2_square): a value that does not
+        # come from the interval-cut kernel
+        X = classifying_space(2, 10)
+        alg = CochainSystem(X, self.ring)
+        lift = equivariant_lift_j(build_w(2, 20), cap=0)
+        nonzero = 0
+        for n in range(1, 11):
+            H = alg.homology_space(n)
+            assert H.rank == 1
+            x = BigradedClass(n, 0, H.representative([1]))
+            for i in range(0, 11 - n):
+                out = steenrod_square(x, i, alg, lift)
+                assert out.degree == n + i
+                want = bz2_square(i, {n: 1}).get(n + i, 0)
+                got = alg.homology_space(n + i).class_vector(out.rep)
+                assert got == (want,), (n, i)
+                nonzero += want
+        assert nonzero > 10, nonzero
 
     def test_vanishing_above_degree(self):
         x = self._gen(1)
@@ -444,7 +461,7 @@ class TestSteenrodSquares:
         from chainops.powerops import CochainSystem
         alg = CochainSystem(X, ring)
         W = build_w(2, 6)
-        lift = equivariant_lift_j(W, None, 6)
+        lift = equivariant_lift_j(W, cap=6)
         H1 = HomologySpace(alg.complex, 1)
         H2 = HomologySpace(alg.complex, 2)
         assert H1.rank == 2
@@ -468,7 +485,7 @@ class TestOddPrimaryPowers:
         self.X = classifying_space(3, 4)
         self.alg = CochainSystem(self.X, self.ring)
         self.W = build_w(3, 10)
-        self.lift = equivariant_lift_j(self.W, None, 10)
+        self.lift = equivariant_lift_j(self.W, cap=10)
 
     def _gen(self, q):
         H = HomologySpace(self.alg.complex, q)
@@ -533,7 +550,7 @@ class TestOddPrimaryPowers:
     def test_empty_class_above_cap_maps_to_empty(self):
         # the zero class has zero powers at every index, even one the
         # lift has not reached; a nonzero class grows the lift there
-        lift = equivariant_lift_j(self.W, None, 2)
+        lift = equivariant_lift_j(self.W, cap=2)
         empty = BigradedClass(2, None, {})
         x = self._gen(2)
         # generator index (2s - q)(p - 1) = 4 > 2
@@ -554,7 +571,7 @@ class TestOddPrimaryPowers:
         # beta P^1 in degree 8: both are zero, and neither grows the lift
         # to its generator index (2, and 1 for beta)
         alg = CochainSystem(classifying_space(3, 3), self.ring)
-        lift = equivariant_lift_j(build_w(3, 9), None, 0)
+        lift = equivariant_lift_j(build_w(3, 9), cap=0)
         H = alg.homology_space(3)
         x = BigradedClass(3, None, H.representative([1] + [0] * (H.rank - 1)))
         for bock, degree in ((False, 7), (True, 8)):
@@ -572,8 +589,8 @@ class TestThetaWellDefined:
         H1 = HomologySpace(C, 1)
         x = H1.representative([1])
         H2 = HomologySpace(C, 2)
-        a = equivariant_lift_j(W, None, 6, seed=5)
-        b = equivariant_lift_j(W, None, 6, seed=6)
+        a = equivariant_lift_j(W, cap=6, seed=5)
+        b = equivariant_lift_j(W, cap=6, seed=6)
         za = theta_bar(X, ring, a, 1, x, 1)
         zb = theta_bar(X, ring, b, 1, x, 1)
         assert H2.class_vector(za) == H2.class_vector(zb)
@@ -582,7 +599,7 @@ class TestThetaWellDefined:
         ring = Zmod(3)
         X = classifying_space(3, 4)
         W = build_w(3, 6)
-        lift = equivariant_lift_j(W, None, 6)
+        lift = equivariant_lift_j(W, cap=6)
         C = cochains(X, ring)
         H2 = HomologySpace(C, 2)
         y = H2.representative([1] + [0] * (H2.rank - 1))
@@ -786,7 +803,7 @@ class TestCrossCoordinates:
         X = self.SPACES[space]()
         alg = CochainSystem(X, ring)
         P = product_space(X, X)
-        lift = equivariant_lift_j(build_w(3, 3 * max(P.dims())), None, 0)
+        lift = equivariant_lift_j(build_w(3, 3 * max(P.dims())), cap=0)
         classifier = ProductClassifier(X, X, ring)
         outputs = {}
         for q in range(3):
@@ -833,7 +850,7 @@ class TestCartanSupportRestriction:
         P = product_space(X, X)
         palg = CochainSystem(P, ring)
         W = build_w(3, 3 * max(P.dims()))
-        lift = equivariant_lift_j(W, None, 0)
+        lift = equivariant_lift_j(W, cap=0)
         classifier = ProductClassifier(X, X, ring)
         nonzero = set()
         for q1, q2 in itertools.product(range(3), repeat=2):
@@ -863,23 +880,26 @@ class TestCartanSupportRestriction:
 
 
 class TestCartanCutSignControl:
-    """The interval-cut signs are computed within each call, never kept
-    across calls: a verifier run that follows a passing one on the same
-    space, in the same process, must still see a corrupted sign."""
+    """The interval-cut signs are kept in the per-process chain tables.
+    A verifier run whose tables are rebuilt under a corrupted sign, after
+    a passing one on the same space in the same process, must see it;
+    and a run after that, on clean tables again, must pass."""
 
     def test_dropped_cut_sign_fails_on_the_same_space(self, monkeypatch):
         alg = CochainSystem(classifying_space(3, 2), Zmod(3))
         baseline = verify_cartan(alg, degree_cap=1, p=3, smax=2)
         assert baseline["passed"], baseline["failures"][:3]
-        monkeypatch.setattr(operads_module, "_cut_sign",
-                            lambda u, lens, tpts: 1)
-        report = verify_cartan(alg, degree_cap=1, p=3, smax=2)
+        with cleared_operad_caches(), monkeypatch.context() as patch:
+            patch.setattr(operads_module, "_cut_sign",
+                          lambda u, lens, tpts: 1)
+            report = verify_cartan(alg, degree_cap=1, p=3, smax=2)
         assert not report["passed"]
         assert report["checked"] == baseline["checked"]
         assert len(report["failures"]) == 8
         assert {f["check"] for f in report["failures"]} == {
             "cartan", "cartan-bockstein"}
         assert all(f["witness"] for f in report["failures"])
+        assert verify_cartan(alg, degree_cap=1, p=3, smax=2) == baseline
 
 
 class TestCartanBeyondTheGate:
@@ -908,10 +928,10 @@ class TestCartanBeyondTheGate:
         X = classifying_space(3, 8)
         alg = CochainSystem(X, ring)
         W = build_w(3, 12)
-        lift = equivariant_lift_j(W, None, 0)
+        lift = equivariant_lift_j(W, cap=0)
         y = alg.homology_space(2).representative([1])
-        y2 = _cup(X, ring, y, 2, y, 2)
-        y4 = _cup(X, ring, y2, 4, y2, 4)
+        y2 = cup(X, ring, y, 2, y, 2)
+        y4 = cup(X, ring, y2, 4, y2, 4)
         out = classical_power(BigradedClass(4, 0, y2), 1, alg, lift)
         assert out.degree == 8
         H8 = alg.homology_space(8)
@@ -955,7 +975,7 @@ class TestHomologySpacesPerDegree:
         alg = CochainSystem(classifying_space(3, 2), Zmod(3))
         assert verify_cartan(alg, degree_cap=1, p=3, smax=2)["passed"]
         W = build_w(3, 6)
-        lift = equivariant_lift_j(W, None, 6)
+        lift = equivariant_lift_j(W, cap=6)
         assert verify_vanishing_pattern(alg, lift, degree_cap=1,
                                         index_cap=6)["passed"]
         # the rest are the Cartan classifier's spaces of the factor chains
