@@ -838,39 +838,48 @@ def interval_cut_action(X: FiniteSimplicialSet, ring: RingSpec, chain, k,
     n-simplex, n = kq - d, the sum over the words, with their
     coefficients, and over the ways of cutting 0..n into k + d intervals
     assigned to the letters in order, of the signed product of x on each
-    value's intervals.  The cuts come from _chain_table.  On each cell x
-    is read at most once per face, when a cut first needs it, a group of
-    cuts whose first face reads 0 is skipped, and the sum is reduced
-    into the ring once (every ring here is Z, Q or a quotient of Z).
-    cells, when given, maps the output degree n to the n-simplices to
-    evaluate on; x is still read wherever the cuts' faces land.
+    value's intervals.  The cuts come from _chain_table.  x is laid out
+    as one list by X.cell_index, with a trailing 0 that every degenerate
+    face (-1) reads; a key that is not a q-cell is ignored.  A cell's
+    faces are read from its row in X.face_rows, filled when a cut first
+    needs a face, so a group of cuts whose first face reads 0 computes
+    no other face.  The sum is reduced into the ring once (every ring
+    here is Z, Q or a quotient of Z).  cells, when given, maps the
+    output degree n to the n-simplices to evaluate on; x is still read
+    wherever the cuts' faces land.
     """
     n = k * q - (len(next(iter(chain), ())) - k)
     if not chain or n < 0 or n not in X.dims():
         return {}
     faces, groups = _chain_table(frozenset(chain.items()), k, q)
-
-    def value(sx, j):
-        face = X.vertex_face(sx, faces[j])
-        return 0 if face.word else x.get(face.base, 0)
-
+    index = X.cell_index(q)
+    xs = [0] * (len(index) + 1)
+    for cell, value in x.items():
+        i = index.get(cell)
+        if i is not None:
+            xs[i] = value
+    rows = X.face_rows(n, faces)
+    face_index = X.face_index
     out = {}
     for sigma in X.simplices(n) if cells is None else cells(n):
-        sx = X.nondegenerate(sigma)
-        values = [None] * len(faces)    # this cell's reads, by face
+        row = rows.get(sigma)
+        if row is None:
+            row = rows[sigma] = [None] * len(faces)
         total = 0
         for first, cuts in groups:
-            head = values[first]
-            if head is None:
-                head = values[first] = value(sx, first)
+            f = row[first]
+            if f is None:
+                f = row[first] = face_index(sigma, faces[first])
+            head = xs[f]
             if not head:
                 continue
             for coeff, rest in cuts:
                 term = coeff * head
                 for j in rest:
-                    c = values[j]
-                    if c is None:
-                        c = values[j] = value(sx, j)
+                    f = row[j]
+                    if f is None:
+                        f = row[j] = face_index(sigma, faces[j])
+                    c = xs[f]
                     if not c:
                         break
                     term *= c

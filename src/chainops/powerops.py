@@ -34,7 +34,7 @@ from .complexes import ChainComplex, homology, verify_differential
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
 from .operads import (interval_cut_action, koszul_sign, rename_values,
-                      surjection_boundary, surjection_words)
+                      surjection_boundary, word_count)
 from .rings import ZZ, RingSpec, SizeBoundError, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains, cochains,
                          product_space, word_for_positions)
@@ -278,10 +278,17 @@ class EquivariantLift:
         x = _contraction_solve(dict(target), p, ring)
         if rng is not None:
             # perturb by the boundary of a sparse random chain one
-            # degree up: the lift equations are preserved exactly
-            words_up = surjection_words(p, n + 1)
-            picks = rng.sample(words_up, min(3, len(words_up)))
-            pert = {w: rng.randrange(p) for w in picks}
+            # degree up: the lift equations are preserved exactly.  Its
+            # three words are drawn uniformly, as letter sequences with
+            # no adjacent repeat kept when they are surjective.
+            pert = {}
+            while len(pert) < min(3, word_count(p, n + 1)):
+                u = [rng.randrange(1, p + 1)]
+                while len(u) < p + n + 1:
+                    v = rng.randrange(1, p)
+                    u.append(v if v < u[-1] else v + 1)
+                if len(set(u)) == p and tuple(u) not in pert:
+                    pert[tuple(u)] = rng.randrange(p)
             add_scaled(x, 1, _apply_word_boundary(pert, p), ring)
         check = _apply_word_boundary({w: int(c) for w, c in x.items()}, p)
         check = {w: co % p for w, co in check.items() if co % p}
@@ -724,9 +731,9 @@ def _shuffles(i, j):
 # verify_cartan refuses a sweep of more relations than this.  It checks
 # every pair of classes, p^rank of them per degree, and a relation's cost
 # grows with p and with the product space: on a 2-core container with
-# Python 3.11, 1,350 relations on the torus at p = 3 take 1.8 s and on
-# the BZ/5 3-skeleton at p = 5 6 s, while 3,600 on the torus at p = 5
-# (smax 1, degree cap 1) take 5 s and 5,400 (smax 2) a minute.
+# Python 3.11, 1,350 relations on the torus at p = 3 take 0.4 s and on
+# the BZ/5 3-skeleton at p = 5 0.5 s, while 3,600 on the torus at p = 5
+# (smax 1, degree cap 1) take 0.3 s and 5,400 (smax 2) 4 s.
 MAX_CARTAN_CHECKS = 2_000
 
 
@@ -748,9 +755,13 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     ProductClassifier's product cycles.  The left side is a cochain on
     X x X, paired through the classifier's table; since that table
     reads only its support, the left side is evaluated on the support
-    cells alone.  Its input, the cross product x cross y, is built on
-    every cell, since the cuts of a support cell read it on faces
-    outside the support.  The right side is never built on X x X: each
+    cells alone.  Each left side is decided by its degree first
+    (power_degree, the test classical_power makes): one that vanishes
+    or leaves the product's skeleton is the empty cochain of its
+    degree.  The cross product x cross y is built once per pair, for
+    the first side that is evaluated, and then on every cell of its
+    degree, since the cuts of a support cell read it on faces outside
+    the support.  The right side is never built on X x X: each
     term P^i(x) cross P^j(y) is read by Kuenneth from the pairings of
     its factors on X (ProductClassifier.cross_coordinates).
 
@@ -794,22 +805,29 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                 bocksteined=bock)
         return ops[key]
 
+    pdims = P.dims()
     for q1 in degrees:
         for q2 in degrees:
+            q = q1 + q2
             for xc, xrep in alg.homology_space(q1).all_classes():
                 for yc, yrep in alg.homology_space(q2).all_classes():
                     x = (q1, xc, xrep)
                     y = (q2, yc, yrep)
-                    z = BigradedClass(
-                        q1 + q2, 0,
-                        cochain_cross(X, X, ring, xrep, q1, yrep, q2, P))
+                    z = None    # x cross y, built for the first side read
                     for s in range(smax + 1):
                         for bock in ((False, True) if with_bockstein
                                      else (False,)):
                             checked += 1
-                            lhs = power_op(z, s, palg, lift,
-                                           bocksteined=bock,
-                                           cells=classifier.support)
+                            n_out, vanishes = power_degree(q, q - s, p, bock)
+                            if vanishes or n_out not in pdims:
+                                lhs = {}
+                            else:
+                                if z is None:
+                                    z = BigradedClass(q, 0, cochain_cross(
+                                        X, X, ring, xrep, q1, yrep, q2, P))
+                                lhs = power_op(z, s, palg, lift,
+                                               bocksteined=bock,
+                                               cells=classifier.support).rep
                             terms = []
                             for i in range(s + 1):
                                 j = s - i
@@ -821,8 +839,7 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
                                                   op(*y, j), 1))
                                     terms.append((a2, op(*y, j, True),
                                                   (-1) ** (a2.degree % 2)))
-                            n_out = lhs.degree
-                            lc = classifier.coordinates(lhs.rep, n_out)
+                            lc = classifier.coordinates(lhs, n_out)
                             rc = classifier.cross_coordinates(
                                 [(a.rep, a.degree, b.rep, b.degree, sign)
                                  for a, b, sign in terms], n_out)

@@ -56,9 +56,13 @@ class FiniteSimplicialSet:
     """Nondegenerate simplices per dimension plus a face incidence table.
 
     A space memoises the faces it computes, those of degenerate simplices
-    and the vertex faces keyed by (simplex, tuple of vertices): the
-    interval cuts and the cross product ask for the same ones many
-    times.  The memos live on the space, so no two spaces share one."""
+    and the vertex faces keyed by (simplex, tuple of vertices): the cross
+    product and the face maps ask for the same ones many times.  For the
+    interval cuts it keeps two more memos, both read by index: the
+    position of each n-cell in simplices(n) (cell_index), and per
+    (n, faces) a row for each n-cell of the positions of its faces on
+    those vertex tuples (face_rows).  The memos live on the space, so no
+    two spaces share one."""
 
     def __init__(self, name, simplices, faces):
         """simplices: dim -> list of ids; faces: (dim, id, i) -> Simplex."""
@@ -71,6 +75,8 @@ class FiniteSimplicialSet:
         self._faces = dict(faces)
         self._degenerate_faces = {}     # (simplex, i) -> face, memoized
         self._vertex_faces = {}         # (simplex, vertices) -> face
+        self._cell_index = {}           # n -> {n-cell: its position}
+        self._face_rows = {}            # (n, faces) -> {n-cell: row}
 
     def dims(self):
         return sorted(self._simplices)
@@ -115,6 +121,28 @@ class FiniteSimplicialSet:
         if out is None:
             out = self._vertex_faces[key] = self._vertex_face(sx, key[1])
         return out
+
+    def cell_index(self, n):
+        """The position of each n-cell in simplices(n), built on first
+        use."""
+        if n not in self._cell_index:
+            self._cell_index[n] = {s: i for i, s in
+                                   enumerate(self.simplices(n))}
+        return self._cell_index[n]
+
+    def face_rows(self, n, faces):
+        """n-cell -> row for the vertex tuples faces, each of q + 1
+        vertices: row[j] is face_index(cell, faces[j]), or None until the
+        row's reader fills it.  The rows depend only on the space, so
+        every cochain and every chain with these faces shares them."""
+        return self._face_rows.setdefault((n, faces), {})
+
+    def face_index(self, cell, vertices):
+        """The position in cell_index(q) of the face of the nondegenerate
+        cell on q + 1 of its vertices, or -1 when that face is
+        degenerate.  It is not memoised: face_rows keeps it."""
+        face = self._vertex_face(self.nondegenerate(cell), vertices)
+        return -1 if face.word else self.cell_index(face.base_dim)[face.base]
 
     def _vertex_face(self, sx: Simplex, vertices) -> Simplex:
         keep = set(vertices)
@@ -268,7 +296,9 @@ class ProductSpace(FiniteSimplicialSet):
         self._degrees = sorted({n for px in X.dims() for py in Y.dims()
                                 for n in range(max(px, py), px + py + 1)})
         self._simplices = {}
-        self._vertex_faces = {}     # the base class's vertex-face memo
+        self._vertex_faces = {}     # the base class's memos
+        self._cell_index = {}
+        self._face_rows = {}
 
     def dims(self):
         return list(self._degrees)

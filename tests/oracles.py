@@ -8,7 +8,9 @@ than through the resolution; the vanishing-pattern property of the
 lifted generators; the coordinates of a sum of cross products built
 as a cochain on the product space, against which the Kuenneth reading
 is checked; the eager composite of two power operations, against which
-the Adem sides decided by degree are checked; and the power operations
+the Adem sides decided by degree are checked; the left sides of the
+Cartan relations with x cross y built for every side, against which the
+sides decided by degree are checked; and the power operations
 on the rings H*((BZ/p)^n; F_p), on which the Adem relations are checked
 term by term, and the squares on H*(BZ/2; F_2)."""
 import functools
@@ -20,10 +22,12 @@ from chainops.freemod import add_scaled
 from chainops.operads import (Operad, _bases, _basis_with_degrees,
                               _block_sign, _composable, _d_of_basis,
                               _nontrivial_permutations, occurrence_counts)
-from chainops.powerops import (BigradedClass, classical_power, cochain_cross,
+from chainops.powerops import (BigradedClass, CochainSystem,
+                               ProductClassifier, build_w, classical_power,
+                               cochain_cross, equivariant_lift_j, power_op,
                                theta_bar)
 from chainops.rings import Zmod
-from chainops.simplicial import FiniteSimplicialSet, cochains
+from chainops.simplicial import FiniteSimplicialSet, cochains, product_space
 
 
 def _compositions(total, parts):
@@ -304,6 +308,33 @@ def eager_adem_side(x, inner, outer, alg, lift):
     (delta, i), (eps, r) = inner, outer
     return classical_power(classical_power(x, i, alg, lift, delta), r, alg,
                            lift, eps)
+
+
+def eager_cartan_sides(alg, degree_cap, p, smax):
+    """The left sides of the Cartan relations verify_cartan compares, as
+    (cochain, degree), in its order: for every pair of classes x, y of
+    degrees <= degree_cap, every s <= smax and both variants, x cross y
+    is built on every cell of the product space and power_op is run on
+    it, evaluated on the classifier's support, even where the side
+    vanishes or leaves the product's skeleton."""
+    X, ring = alg.space, alg.ring
+    P = product_space(X, X)
+    palg = CochainSystem(P, ring)
+    lift = equivariant_lift_j(build_w(p, p * max(P.dims())), cap=0)
+    classifier = ProductClassifier(X, X, ring)
+    degrees = [n for n in X.dims() if n <= degree_cap]
+    sides = []
+    for q1, q2 in itertools.product(degrees, repeat=2):
+        for _, x in alg.homology_space(q1).all_classes():
+            for _, y in alg.homology_space(q2).all_classes():
+                z = BigradedClass(q1 + q2, 0, cochain_cross(
+                    X, X, ring, x, q1, y, q2, P))
+                for s, bock in itertools.product(range(smax + 1),
+                                                 (False, True)):
+                    side = power_op(z, s, palg, lift, bock,
+                                    classifier.support)
+                    sides.append((side.rep, side.degree))
+    return sides
 
 
 def full_product_coordinates(classifier, P, terms, n):

@@ -617,11 +617,12 @@ class TestChainKernel:
     power of one cochain, against oracles.k_input_action run on p copies
     of that cochain: each word alone, and each whole component with its
     coefficients, of the lifts TestCutTableOracle sweeps (p = 3 to degree
-    8, p = 5 to degree 5, on the same degrees q).  At p = 3 a seeded
-    lift, whose coefficients are not all 1, is swept too; at p = 5 its
-    perturbation lists every word one degree up, about 7 s to degree 5.
-    On BZ/3, and on BZ/3 x BZ/3 with a proper subset of the cells, as
-    verify_cartan passes them."""
+    8, p = 5 to degree 5, on the same degrees q), and of a seeded lift,
+    whose coefficients are not all 1.  On BZ/3, and on BZ/3 x BZ/3 with
+    a proper subset of the cells, as verify_cartan passes them.  The
+    kernel reads x by cell index, through face rows kept on the space:
+    repeated calls with other cochains and other cells read the rows
+    the earlier calls filled."""
 
     @pytest.fixture(scope="class", params=["bz3", "bz3xbz3"])
     def space(self, request):
@@ -637,11 +638,10 @@ class TestChainKernel:
         ring = Zmod(p)
         values = _awkward_values(ring)
         W = build_w(p, top)
-        lifts = [equivariant_lift_j(W, cap=top)]
-        if p == 3:
-            lifts.append(equivariant_lift_j(W, cap=top, seed=1))
-            assert any(c != 1 for n in range(top + 1)
-                       for c in lifts[1].component(n).values())
+        lifts = [equivariant_lift_j(W, cap=top),
+                 equivariant_lift_j(W, cap=top, seed=1)]
+        assert any(c != 1 for n in range(top + 1)
+                   for c in lifts[1].component(n).values())
         words = {}
         nonzero, reached = set(), set()
         for n in range(top + 1):
@@ -672,6 +672,55 @@ class TestChainKernel:
         assert nonzero == reached, (nonzero, reached)
         if cells is None:
             assert reached == set(range(top + 1))
+
+    def test_repeated_calls_on_one_space(self):
+        # one fresh product space: cells= a subset, then every cell, then
+        # the subset again, each with two cochains, so that calls read
+        # rows that earlier calls left partly or wholly filled
+        ring = Zmod(3)
+        values = _awkward_values(ring)
+        X = classifying_space(3, 2)
+        P = product_space(X, X)
+        lift = equivariant_lift_j(build_w(3, 4), cap=4)
+        inputs = [{lab: values[(i + shift) % len(values)]
+                   for i, lab in enumerate(P.simplices(2))
+                   if i % 4 != shift}
+                  for shift in (0, 3)]
+        nonzero = 0
+        for cells in (lambda n: P.simplices(n)[1::4], None,
+                      lambda n: P.simplices(n)[1::4]):
+            for x in inputs:
+                for n in (2, 3, 4):
+                    chain = lift.component(n)
+                    want = {}
+                    for u, c in chain.items():
+                        add_scaled(want, c, k_input_action(
+                            P, ring, u, 3, [(x, 2)] * 3, cells), ring)
+                    assert interval_cut_action(P, ring, chain, 3, x, 2,
+                                               cells) == want, n
+                    nonzero += bool(want)
+        assert nonzero == 18
+
+    def test_keys_outside_the_q_cells_are_ignored(self):
+        # x read by cell index ignores a key that is not a q-cell, as the
+        # reference's read by label does: cells of other degrees and a
+        # label of no cell
+        ring = Zmod(3)
+        X = classifying_space(3, 4)
+        lift = equivariant_lift_j(build_w(3, 6), cap=4)
+        x = {lab: 1 + i % 2 for i, lab in enumerate(X.simplices(2))}
+        stray = dict(x)
+        stray.update({(1,): 2, (1, 2, 1): 1, (2, 2, 2, 2): 1, "stray": 1})
+        nonzero = 0
+        for n in range(2, 5):
+            chain = lift.component(n)
+            want = {}
+            for u, c in chain.items():
+                add_scaled(want, c, k_input_action(X, ring, u, 3,
+                                                   [(x, 2)] * 3), ring)
+            assert interval_cut_action(X, ring, chain, 3, stray, 2) == want
+            nonzero += bool(want)
+        assert nonzero == 3
 
 
 class TestChainTableMemo:

@@ -37,7 +37,8 @@ from chainops.simplicial import (chains, circle_space, classifying_space,
                                  torus_space)
 from conftest import cleared_operad_caches
 from oracles import (bockstein, bz2_square, bzp_apply, cup, eager_adem_side,
-                     full_product_coordinates, verify_vanishing_pattern)
+                     eager_cartan_sides, full_product_coordinates,
+                     verify_vanishing_pattern)
 
 
 class TestWResolution:
@@ -877,6 +878,52 @@ class TestCartanSupportRestriction:
         # nonzero classes were compared at s = q1 + q2, where the output
         # degree is the input degree (plain) or one above it (Bockstein)
         assert {(True, 0), (True, 1)} <= nonzero
+
+
+class TestCartanSidesByDegree:
+    """verify_cartan decides each left side P^s(x cross y) (beta P^s
+    when bocksteined) by its degree, as classical_power does, before it
+    builds x cross y: a side that vanishes or leaves the product's
+    skeleton is the empty cochain of its degree, and x cross y is built
+    once per pair, for the first side that is evaluated.  Every side it
+    reads must equal oracles.eager_cartan_sides, which builds x cross y
+    for every side, in cochain and in degree."""
+
+    @pytest.mark.parametrize("space, p, degree_cap", [
+        (classifying_space(3, 2), 3, 1),
+        (classifying_space(3, 3), 3, 2),
+        (classifying_space(3, 4), 3, 2),
+        (torus_space(), 3, 2),
+        (circle_space(), 5, 1),
+    ], ids=["bz3-dim2", "bz3-dim3", "bz3-dim4", "torus", "circle-p5"])
+    def test_equals_the_eager_sides(self, monkeypatch, space, p,
+                                    degree_cap):
+        alg = CochainSystem(space, Zmod(p))
+        read = []
+        real = ProductClassifier.coordinates
+        monkeypatch.setattr(
+            ProductClassifier, "coordinates",
+            lambda self, z, n: read.append((z, n)) or real(self, z, n))
+        report = verify_cartan(alg, degree_cap, p, smax=2)
+        assert report["passed"], report["failures"][:3]
+        want = eager_cartan_sides(alg, degree_cap, p, smax=2)
+        assert len(read) == report["checked"] == len(want)
+        for index, (got, side) in enumerate(zip(read, want)):
+            assert got == side, index
+        assert any(z for z, _ in read)
+
+    def test_bench_size_builds_54_cross_products(self, monkeypatch):
+        # the cartan-bz3 benchmark job: every side of the 27 pairs of
+        # degree 3 or 4 vanishes or leaves the 6-dimensional product
+        calls = []
+        real = powerops_module.cochain_cross
+        monkeypatch.setattr(powerops_module, "cochain_cross",
+                            lambda *args: calls.append(args) or real(*args))
+        alg = CochainSystem(classifying_space(3, 3), Zmod(3))
+        report = verify_cartan(alg, degree_cap=2, p=3, smax=2)
+        assert report == {"passed": True, "checked": 486, "failures": []}
+        assert len(calls) == 54
+        assert {args[4] + args[6] for args in calls} == {0, 1, 2}
 
 
 class TestCartanCutSignControl:
