@@ -371,8 +371,9 @@ def cmd_steenrod(args):
     lift = equivariant_lift_j(W, cap=0)
     results = []
     failures = []
-    # the lift's component q - i is the word cup_i_oracle evaluates, so
-    # this check verifies the lift, not the value of Sq^i
+    # the lift's recursion gives component q - i as the word cup_i_oracle
+    # writes out, so this check verifies the recursion, not the value of
+    # Sq^i
     for q in X.dims():
         if q == 0 or q > args.degree_cap:
             continue

@@ -2,10 +2,11 @@
 
 The pieces: the period-two free resolution of the p-element field over
 the cyclic group ring (with its coproduct), an equivariant lift of its
-generators into the arity-p level of the surjection operad, and the
-operations obtained by evaluating lifted generators on p-th tensor
-powers of a cocycle.  Verifiers check the Cartan and Adem relations
-exhaustively on finite test algebras.
+generators into the arity-p level of the surjection operad, listed by a
+closed-form recursion (lift_words), and the operations obtained by
+evaluating lifted generators on p-th tensor powers of a cocycle.
+Verifiers check the Cartan and Adem relations exhaustively on finite
+test algebras.
 
 One routine, classical_power, evaluates every reduced power, under two
 indexings of the same family on a class of degree q:
@@ -28,14 +29,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 
 from .complexes import ChainComplex, homology, verify_differential
 from .freemod import FreeModule, FreeModuleMap, add_scaled
 from .homology_classes import HomologySpace
-from .operads import (interval_cut_action, koszul_sign, rename_values,
-                      surjection_boundary, word_count)
-from .rings import ZZ, RingSpec, SizeBoundError, Zmod, _is_prime
+from .operads import interval_cut_action, koszul_sign
+from .rings import RingSpec, SizeBoundError, Zmod, _is_prime
 from .simplicial import (FiniteSimplicialSet, Simplex, chains, cochains,
                          product_space, word_for_positions)
 
@@ -194,142 +193,101 @@ def _verify_psi(W: WResolution):
 # equivariant lift into the surjection operad level
 # ---------------------------------------------------------------------------
 
-def _apply_word_boundary(vector, k, ring=ZZ):
-    out = {}
-    for w, c in vector.items():
-        add_scaled(out, c, surjection_boundary(w, k), ring)
-    return out
+# EquivariantLift.component refuses a component of more words than this,
+# before listing any.  It admits degree 25 at p = 3 (8,191 words), 11 at
+# p = 5 (7,770) and 7 at p = 7 (2,646).  e_12 at p = 7 has 1,323,652
+# words: unbounded, the Cartan request that reads it (smax 2 on the
+# circle) took 58 s and 826 MiB on a 2-core container.
+MAX_LIFT_WORDS = 10_000
 
 
-def _contraction_solve(c, k, ring):
-    """A word combination x with boundary(x) = c, for c a boundary in
-    the arity-k surjection complex over the given ring.
+def lift_word_count(p: int, n: int) -> int:
+    """len(lift_words(p, n)) without listing the words: the Stirling
+    number of the second kind S(floor(n/2) + p - 1, p - 1), by
+    inclusion-exclusion."""
+    m, k = n // 2 + p - 1, p - 1
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** m
+               for i in range(k + 1)) // math.factorial(k)
 
-    Prepending the value 1 is a contracting homotopy onto the span of
-    words that start with 1 and never repeat it; stripping that leading
-    letter lands in the arity-(k-1) complex, where we recurse.
-    """
-    x = {}
-    if not c:
-        return x
-    hx = {}
-    for w, co in c.items():
-        if w[0] != 1:
-            hx[(1,) + w] = co
-    rem = add_scaled({w: co for w, co in c.items() if not ring.is_zero(co)},
-                     -1, _apply_word_boundary(hx, k, ring), ring)
-    x.update(hx)
-    if rem:
-        if any(w[0] != 1 or 1 in w[1:] for w in rem) or k < 2:
-            raise ValueError("input is not a boundary")
-        inner = {tuple(v - 1 for v in w[1:]): co for w, co in rem.items()}
-        for w, co in _contraction_solve(inner, k - 1, ring).items():
-            uw = (1,) + tuple(v + 1 for v in w)
-            x[uw] = co
-    return {w: co for w, co in x.items() if not ring.is_zero(co)}
+
+@functools.cache
+def lift_words(r: int, n: int):
+    """The words of e_n in the equivariant lift into arity r, each with
+    coefficient 1, as a tuple shared by every caller:
+
+    - e_0 is the identity word (1, 2, ..., r); at r = 1 every e_n with
+      n > 0 is empty;
+    - odd n: (1,) + alpha(w) for w in e_{n-1}, alpha(v) = v mod r + 1;
+    - even n > 0: (1,) + alpha^j(w) for j = 1..r-1 and w in e_{n-1},
+      then (1,) + (w + 1) for w in e_n of arity r - 1.
+
+    This is the contraction solve of the chain-map equations worked out
+    in closed form.  Prepending the letter 1 is a contracting homotopy h
+    that kills words starting with 1, as every word here does.  So
+    boundary(e_n) = T e_{n-1} (n odd) is solved by h(alpha e_{n-1}).
+    For n even, boundary(e_n) = N e_{n-1} is solved by h(N e_{n-1})
+    plus a solve of the remainder N e_{n-1} - boundary h(N e_{n-1}).
+    The remainder's words start with 1 and never repeat it, so with
+    that letter stripped it is solved in arity r - 1, where the solve
+    is e_n of arity r - 1; its words come back with the 1 prepended and
+    their values shifted up by one.  tests/oracles.py keeps the solve,
+    and the tests check the words against it and against the chain-map
+    equations."""
+    if n == 0:
+        return (tuple(range(1, r + 1)),)
+    if r == 1:
+        return ()
+    below = lift_words(r, n - 1)
+    words = [(1,) + tuple((v + j - 1) % r + 1 for v in w)
+             for j in ((1,) if n % 2 else range(1, r)) for w in below]
+    if n % 2 == 0:
+        words += [(1,) + tuple(v + 1 for v in w)
+                  for w in lift_words(r - 1, n)]
+    return tuple(words)
 
 
 class EquivariantLift:
     """A chain map from W into the arity-p surjection complex,
-    equivariant for the cyclic rotation of values, grown on demand.
+    equivariant for the cyclic rotation of values: e_n goes to the sum
+    of lift_words(p, n), every coefficient 1.  Degree 0 is the identity
+    permutation word, matching the augmentations on both sides.
 
-    component(n) gives the image of e_n as a dict word -> coefficient
-    over Z/p, first building every missing degree up to n in increasing
-    order; images of alpha^j e_n follow by applying the rotation j
-    times.  Degree 0 is the identity permutation word, matching the
-    augmentations on both sides.  Each new degree solves the chain-map
-    equation with the contracting homotopy, adds the seeded
-    perturbation (drawn from an rng kept on the lift) and checks the
-    equation.  Because degrees are always built in order from one rng,
-    a lift grown to n equals one prebuilt to n, seeded or not.
-
-    The only bound is the resolution: growing past W.cap raises
-    ValueError.  An operation on a nonzero class of degree q asks for
-    an index of at most p*q (a larger one has negative output degree),
-    so W = build_w(p, p * maxdim) covers every request on a space of
-    dimension maxdim.
+    Two bounds (SizeBoundError): the resolution, since a degree past
+    W.cap has no generator, and MAX_LIFT_WORDS, read off lift_word_count
+    before any word is listed.  An operation on a nonzero class of
+    degree q asks for an index of at most p*q (a larger one has negative
+    output degree), so W = build_w(p, p * maxdim) covers every request
+    on a space of dimension maxdim.
     """
 
-    def __init__(self, W: WResolution, seed=None):
+    def __init__(self, W: WResolution):
         self.W = W
         self.p = W.p
-        self.ring = Zmod(W.p)
-        self._rng = random.Random(seed) if seed is not None else None
-        self.components = {0: {tuple(range(1, W.p + 1)): self.ring.one()}}
-
-    @property
-    def cap(self):
-        """The highest degree built so far."""
-        return max(self.components)
 
     def component(self, n):
-        """Image of e_n, growing the lift up to degree n if needed."""
-        while self.cap < n:
-            self._grow()
-        return self.components[n]
-
-    def _grow(self):
-        W, p, ring, rng = self.W, self.p, self.ring, self._rng
-        n = self.cap + 1
-        if n > W.cap:
+        """Image of e_n, as a dict word -> coefficient."""
+        if n > self.W.cap:
             raise SizeBoundError(
-                "lift degree %d is past the resolution cap %d" % (n, W.cap))
-        target = self.apply_group_element(n - 1, W.boundary_element(n))
-        x = _contraction_solve(dict(target), p, ring)
-        if rng is not None:
-            # perturb by the boundary of a sparse random chain one
-            # degree up: the lift equations are preserved exactly.  Its
-            # three words are drawn uniformly, as letter sequences with
-            # no adjacent repeat kept when they are surjective.
-            pert = {}
-            while len(pert) < min(3, word_count(p, n + 1)):
-                u = [rng.randrange(1, p + 1)]
-                while len(u) < p + n + 1:
-                    v = rng.randrange(1, p)
-                    u.append(v if v < u[-1] else v + 1)
-                if len(set(u)) == p and tuple(u) not in pert:
-                    pert[tuple(u)] = rng.randrange(p)
-            add_scaled(x, 1, _apply_word_boundary(pert, p), ring)
-        check = _apply_word_boundary({w: int(c) for w, c in x.items()}, p)
-        check = {w: co % p for w, co in check.items() if co % p}
-        want = {w: int(c) % p for w, c in target.items() if int(c) % p}
-        if check != want:
-            raise ValueError(
-                "lift failed at degree %d: the level is not acyclic "
-                "within the cap" % n)
-        self.components[n] = x
-
-    def rotation(self, j):
-        p = self.p
-        return tuple((v - 1 + j) % p + 1 for v in range(1, p + 1))
-
-    def vector(self, n, j=0):
-        """Image of alpha^j e_n."""
-        base = self.component(n)
-        if j % self.p == 0:
-            return dict(base)
-        perm = self.rotation(j % self.p)
-        return {rename_values(w, perm): c for w, c in base.items()}
-
-    def apply_group_element(self, n, element):
-        """Image of (sum_j c_j alpha^j) e_n."""
-        out = {}
-        for j, c in element.items():
-            add_scaled(out, c, self.vector(n, j), self.ring)
-        return out
+                "lift degree %d is past the resolution cap %d"
+                % (n, self.W.cap))
+        count = lift_word_count(self.p, n)
+        if count > MAX_LIFT_WORDS:
+            raise SizeBoundError(
+                "lift degree %d has %d words at p = %d (at most %d)"
+                % (n, count, self.p, MAX_LIFT_WORDS))
+        return dict.fromkeys(lift_words(self.p, n), 1)
 
 
-def equivariant_lift_j(W: WResolution, cap: int,
-                       seed=None) -> EquivariantLift:
-    """An equivariant lift of the resolution generators into the
-    arity-p surjection complex, prebuilt through degree cap.
+def equivariant_lift_j(W: WResolution, cap: int) -> EquivariantLift:
+    """The equivariant lift of the resolution generators into the
+    arity-p surjection complex (see EquivariantLift), with its words
+    listed through degree cap.
 
-    The lift grows further on demand (see EquivariantLift), so cap only
-    moves work up front: pass 0 to build nothing beyond degree 0.  It
-    must not exceed W.cap.  A seed perturbs every positive degree by a
-    boundary, giving an independent but equally valid lift.
+    Every other degree is listed on first use, so cap only moves work up
+    front: pass 0 to list nothing beyond degree 0.  It must not exceed
+    W.cap.
     """
-    lift = EquivariantLift(W, seed)
+    lift = EquivariantLift(W)
     lift.component(cap)
     return lift
 
@@ -396,9 +354,9 @@ def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
               lift: EquivariantLift, n: int, x: dict, q: int,
               cells=None) -> dict:
     """Evaluate the lifted generator e_n, a chain of arity-p words, on
-    the p-th tensor power of the cochain x of degree q, growing the lift
-    to degree n first if needed.  cells, when given, selects the output
-    simplices evaluated, as in interval_cut_action."""
+    the p-th tensor power of the cochain x of degree q; the lift's
+    bounds on n apply (EquivariantLift.component).  cells, when given,
+    selects the output simplices evaluated, as in interval_cut_action."""
     return interval_cut_action(X, ring, lift.component(n), lift.p, x, q, cells)
 
 
@@ -424,8 +382,8 @@ def classical_power(x: BigradedClass, s: int, alg, lift: EquivariantLift,
     The class is zero in the degree power_degree gives when that rule
     says the operation vanishes (s < 0, or 2s > q), when x is the zero
     class, and when the output degree is not a dimension of the space;
-    none of these touches the lift.  Otherwise the lift grows to the
-    index, at most q(p-1), if needed.
+    none of these reads the lift.  Otherwise the lift's component at
+    the index, at most q(p-1), is evaluated.
     cells, when given, selects the output simplices evaluated (see
     theta_bar); the representative is then the operation's value
     restricted to them, which need not be a cocycle."""
@@ -509,9 +467,10 @@ def steenrod_square(x: BigradedClass, i: int, alg,
 def cup_i_oracle(X: FiniteSimplicialSet, ring: RingSpec, i: int,
                  x: dict, q: int) -> dict:
     """x cup_i x, bypassing the resolution and the lift: the chain
-    {(1, 2, 1, ...): 1} of degree i through interval_cut_action.  At
-    p = 2 the lift's component i is that word, so a comparison with
-    steenrod_square checks the lift, not the value of Sq^i."""
+    {(1, 2, 1, ...): 1} of degree i, written out by hand, through
+    interval_cut_action.  At p = 2 the lift's recursion gives component
+    i as that word, so a comparison with steenrod_square checks the
+    recursion against the hand-written word, not the value of Sq^i."""
     if i < 0:
         return {}
     word = tuple((1, 2)[j % 2] for j in range(i + 2))
@@ -732,8 +691,12 @@ def _shuffles(i, j):
 # every pair of classes, p^rank of them per degree, and a relation's cost
 # grows with p and with the product space: on a 2-core container with
 # Python 3.11, 1,350 relations on the torus at p = 3 take 0.4 s and on
-# the BZ/5 3-skeleton at p = 5 0.5 s, while 3,600 on the torus at p = 5
-# (smax 1, degree cap 1) take 0.3 s and 5,400 (smax 2) 4 s.
+# the BZ/5 3-skeleton at p = 5 0.15 s (0.45 s when the lift was solved
+# degree by degree in each process), while 3,600 on the torus at p = 5
+# (smax 1, degree cap 1) take 0.3 s and 5,400 (smax 2) 3.5 s.  A sweep
+# under this bound can still read a lift component past MAX_LIFT_WORDS
+# (smax 2 on the circle at p = 7, 1,176 relations, reads e_12); the lift
+# refuses it.
 MAX_CARTAN_CHECKS = 2_000
 
 
@@ -765,9 +728,9 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     term P^i(x) cross P^j(y) is read by Kuenneth from the pairings of
     its factors on X (ProductClassifier.cross_coordinates).
 
-    The lift grows to whatever index the sweep asks for, and the
+    The sweep reads the lift at whatever index it asks for, and the
     resolution is built to p times the dimension of the product space,
-    which bounds every such index.  lift_cap only prebuilds the lift
+    which bounds every such index.  lift_cap only lists the lift's words
     through that index before the sweep starts; the report is the same
     with or without it.  It stays because callers that time the sweep
     apart from the lift pass it.
@@ -859,7 +822,7 @@ def adem_side(op, x: BigradedClass, inner, outer, p: int, dims):
     degrees are decided first (power_degree): when either operation
     vanishes, or either degree is not in dims (the space's dimensions),
     the side is the empty cochain of the outer degree and op is never
-    called, so the lift does not grow."""
+    called, so the lift is not read."""
     (delta, i), (eps, r) = inner, outer
     middle, inner_vanishes = power_degree(x.degree, i, p, delta)
     degree, outer_vanishes = power_degree(middle, r, p, eps)
@@ -893,9 +856,9 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
     differs from the left side's is reported ("adem-degree") and left
     out.
 
-    The lift starts at degree 0 and grows to the highest index a
-    side that does not vanish asks for; the resolution is built to p
-    times the dimension of the space, which bounds every such index.
+    The lift is read at every index a side that does not vanish asks
+    for; the resolution is built to p times the dimension of the space,
+    which bounds every such index.
 
     p must be odd: the relations are the odd-prime ones, and at p = 2
     they are not the Adem relations of the squares (at a = b = 1 they

@@ -96,8 +96,9 @@ def _is_prime(n: int) -> bool:
 
 class SizeBoundError(ValueError):
     """A request past one of the engine's size bounds: the classifying
-    space skeleton, the surjection operad's degree cap, or the cyclic
-    resolution a power-operation lift is built in."""
+    space skeleton, the surjection operad's degree cap, the cyclic
+    resolution a power-operation lift is built in, or the lift's word
+    count."""
 
 
 ZZ = RingSpec("Z")

@@ -4,29 +4,35 @@ interval-cut action of one word on k cochains of independent degrees,
 against which the chain kernel is checked on k copies of one cochain;
 the exhaustive check that the cochains are an algebra over the surjection
 operad; the cochain Bockstein, computed by lifting to Z/p^2 rather
-than through the resolution; the vanishing-pattern property of the
-lifted generators; the coordinates of a sum of cross products built
-as a cochain on the product space, against which the Kuenneth reading
-is checked; the eager composite of two power operations, against which
-the Adem sides decided by degree are checked; the left sides of the
-Cartan relations with x cross y built for every side, against which the
-sides decided by degree are checked; and the power operations
-on the rings H*((BZ/p)^n; F_p), on which the Adem relations are checked
-term by term, and the squares on H*(BZ/2; F_2)."""
+than through the resolution; the equivariant lift solved degree by
+degree by the contracting homotopy, optionally perturbed by a seeded
+boundary, and the chain-map equation it is checked by, against which
+the lift's closed-form words are checked; the vanishing-pattern
+property of the lifted generators; the coordinates of a sum of cross
+products built as a cochain on the product space, against which the
+Kuenneth reading is checked; the eager composite of two power
+operations, against which the Adem sides decided by degree are checked;
+the left sides of the Cartan relations with x cross y built for every
+side, against which the sides decided by degree are checked; and the
+power operations on the rings H*((BZ/p)^n; F_p), on which the Adem
+relations are checked term by term, and the squares on H*(BZ/2; F_2)."""
 import functools
 import itertools
 import math
+import random
 
 import chainops.operads as operads
 from chainops.freemod import add_scaled
 from chainops.operads import (Operad, _bases, _basis_with_degrees,
                               _block_sign, _composable, _d_of_basis,
-                              _nontrivial_permutations, occurrence_counts)
+                              _nontrivial_permutations, occurrence_counts,
+                              rename_values, surjection_boundary,
+                              word_count)
 from chainops.powerops import (BigradedClass, CochainSystem,
                                ProductClassifier, build_w, classical_power,
                                cochain_cross, equivariant_lift_j, power_op,
                                theta_bar)
-from chainops.rings import Zmod
+from chainops.rings import ZZ, SizeBoundError, Zmod
 from chainops.simplicial import FiniteSimplicialSet, cochains, product_space
 
 
@@ -258,6 +264,136 @@ def bockstein(x, X, p):
             if v:
                 out[lab] = ring.normalize(v)
     return BigradedClass(q + 1, x.weight, out)
+
+
+def word_boundary(vector, k, ring=ZZ):
+    """The boundary of a chain of arity-k surjection words."""
+    out = {}
+    for w, c in vector.items():
+        add_scaled(out, c, surjection_boundary(w, k), ring)
+    return out
+
+
+def group_image(chain, p, element):
+    """(sum_j c_j alpha^j) applied to a chain of arity-p words over Z/p,
+    for element the dict j -> c_j, alpha renaming each value v to
+    v mod p + 1."""
+    out = {}
+    for j, c in element.items():
+        perm = tuple((v - 1 + j) % p + 1 for v in range(1, p + 1))
+        add_scaled(out, c, {rename_values(w, perm): co
+                            for w, co in chain.items()}, Zmod(p))
+    return out
+
+
+def chain_map_defect(W, n, chain, below):
+    """boundary(chain) less b_n below, mod p, where below is the image of
+    e_{n-1} and b_n = T (n odd) or N (n even) is W.boundary_element(n):
+    empty exactly when chain is an image of e_n that satisfies the
+    chain-map equation."""
+    ring = Zmod(W.p)
+    return add_scaled(word_boundary(chain, W.p, ring), -1,
+                      group_image(below, W.p, W.boundary_element(n)), ring)
+
+
+def _contraction_solve(c, k, ring):
+    """A word combination x with boundary(x) = c, for c a boundary in
+    the arity-k surjection complex over the given ring.
+
+    Prepending the value 1 is a contracting homotopy onto the span of
+    words that start with 1 and never repeat it; stripping that leading
+    letter lands in the arity-(k-1) complex, where we recurse.
+    """
+    x = {}
+    if not c:
+        return x
+    hx = {}
+    for w, co in c.items():
+        if w[0] != 1:
+            hx[(1,) + w] = co
+    rem = add_scaled({w: co for w, co in c.items() if not ring.is_zero(co)},
+                     -1, word_boundary(hx, k, ring), ring)
+    x.update(hx)
+    if rem:
+        if any(w[0] != 1 or 1 in w[1:] for w in rem) or k < 2:
+            raise ValueError("input is not a boundary")
+        inner = {tuple(v - 1 for v in w[1:]): co for w, co in rem.items()}
+        for w, co in _contraction_solve(inner, k - 1, ring).items():
+            uw = (1,) + tuple(v + 1 for v in w)
+            x[uw] = co
+    return {w: co for w, co in x.items() if not ring.is_zero(co)}
+
+
+class SolvedLift:
+    """The reference lift: a chain map from W into the arity-p surjection
+    complex, equivariant for the cyclic rotation of values, solved degree
+    by degree, with the lift's p and component(n) interface.
+
+    component(n) builds every missing degree up to n in increasing
+    order.  Each new degree solves the chain-map equation with the
+    contracting homotopy, adds the seeded perturbation (drawn from an
+    rng kept on the lift) and checks the equation.  Because degrees are
+    always built in order from one rng, a lift grown to n equals one
+    prebuilt to n, seeded or not.  Unseeded, it is the lift that
+    powerops.lift_words lists; seeded, an independent but equally valid
+    lift, whose coefficients are not all 1.  Growing past W.cap raises
+    SizeBoundError.
+    """
+
+    def __init__(self, W, seed=None):
+        self.W = W
+        self.p = W.p
+        self.ring = Zmod(W.p)
+        self._rng = random.Random(seed) if seed is not None else None
+        self.components = {0: {tuple(range(1, W.p + 1)): self.ring.one()}}
+
+    @property
+    def cap(self):
+        """The highest degree built so far."""
+        return max(self.components)
+
+    def component(self, n):
+        """Image of e_n, growing the lift up to degree n if needed."""
+        while self.cap < n:
+            self._grow()
+        return self.components[n]
+
+    def _grow(self):
+        W, p, ring, rng = self.W, self.p, self.ring, self._rng
+        n = self.cap + 1
+        if n > W.cap:
+            raise SizeBoundError(
+                "lift degree %d is past the resolution cap %d" % (n, W.cap))
+        below = self.components[n - 1]
+        x = _contraction_solve(group_image(below, p, W.boundary_element(n)),
+                               p, ring)
+        if rng is not None:
+            # perturb by the boundary of a sparse random chain one
+            # degree up: the lift equations are preserved exactly.  Its
+            # three words are drawn uniformly, as letter sequences with
+            # no adjacent repeat kept when they are surjective.
+            pert = {}
+            while len(pert) < min(3, word_count(p, n + 1)):
+                u = [rng.randrange(1, p + 1)]
+                while len(u) < p + n + 1:
+                    v = rng.randrange(1, p)
+                    u.append(v if v < u[-1] else v + 1)
+                if len(set(u)) == p and tuple(u) not in pert:
+                    pert[tuple(u)] = rng.randrange(p)
+            add_scaled(x, 1, word_boundary(pert, p), ring)
+        if chain_map_defect(W, n, x, below):
+            raise ValueError(
+                "lift failed at degree %d: the level is not acyclic "
+                "within the cap" % n)
+        self.components[n] = x
+
+
+def solved_lift(W, cap, seed=None):
+    """A SolvedLift prebuilt through degree cap; a seed perturbs every
+    positive degree by a boundary."""
+    lift = SolvedLift(W, seed)
+    lift.component(cap)
+    return lift
 
 
 def verify_vanishing_pattern(alg, lift, degree_cap, index_cap):

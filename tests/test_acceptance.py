@@ -51,7 +51,7 @@ from chainops.randomgen import random_chain_complex
 from chainops.rings import ZZ, Zmod
 from chainops.simplicial import classifying_space, cochains
 from conftest import cleared_operad_caches
-from oracles import (bockstein, check_algebra_axioms, cup,
+from oracles import (bockstein, check_algebra_axioms, cup, solved_lift,
                      verify_vanishing_pattern)
 
 
@@ -230,8 +230,8 @@ class TestCriterion7WellDefined:
         H2 = HomologySpace(alg.complex, 2)
         x = BigradedClass(1, 0, H1.representative([1]))
         for seed in range(10):
-            a = equivariant_lift_j(W, cap=6, seed=2 * seed + 1)
-            b = equivariant_lift_j(W, cap=6, seed=2 * seed + 2)
+            a = solved_lift(W, cap=6, seed=2 * seed + 1)
+            b = solved_lift(W, cap=6, seed=2 * seed + 2)
             assert a.components != b.components
             za = power_op(x, 1, alg, a)
             zb = power_op(x, 1, alg, b)

@@ -412,6 +412,12 @@ class TestSizeBounds:
           "--degree-cap", "2"],
          "Cartan check too large: 7350 relations over 35 classes (at most "
          "2000)"),
+        # 1,176 relations, but at p = 7 the left side P^0(x cross y) of
+        # weight 2, for x and y of degree one, reads e_12, of 1,323,652
+        # words
+        (["cartan-check", "--space", "circle", "--p", "7", "--smax", "2",
+          "--degree-cap", "1"],
+         "lift degree 12 has 1323652 words at p = 7 (at most 10000)"),
         (["einfinity-check", "--arity-cap", "4", "--degree-cap", "5"],
          "degree cap too large for exhaustive levels (105936 words at "
          "arity 4, at most 50000)"),

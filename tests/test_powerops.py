@@ -12,8 +12,10 @@ import chainops.powerops as powerops_module
 from chainops.complexes import verify_differential
 from chainops.homology_classes import HomologySpace
 from chainops.powerops import (
+    MAX_LIFT_WORDS,
     BigradedClass,
     CochainSystem,
+    EquivariantLift,
     ProductClassifier,
     adem_coefficient,
     adem_side,
@@ -23,6 +25,8 @@ from chainops.powerops import (
     cochain_cross,
     cup_i_oracle,
     equivariant_lift_j,
+    lift_word_count,
+    lift_words,
     power_degree,
     power_op,
     power_unit,
@@ -36,8 +40,9 @@ from chainops.simplicial import (chains, circle_space, classifying_space,
                                  cochains, product_space, sphere_space,
                                  torus_space)
 from conftest import cleared_operad_caches
-from oracles import (bockstein, bz2_square, bzp_apply, cup, eager_adem_side,
-                     eager_cartan_sides, full_product_coordinates,
+from oracles import (bockstein, bz2_square, bzp_apply, chain_map_defect, cup,
+                     eager_adem_side, eager_cartan_sides,
+                     full_product_coordinates, solved_lift,
                      verify_vanishing_pattern)
 
 
@@ -80,7 +85,36 @@ class TestWResolution:
         assert W.boundary_element(2) == {0: 1, 1: 1, 2: 1}
 
 
+def _without_the_arity_term(r, n):
+    """lift_words with the even degrees' arity-(r - 1) words left out."""
+    if n == 0:
+        return (tuple(range(1, r + 1)),)
+    below = _without_the_arity_term(r, n - 1)
+    return tuple((1,) + tuple((v + j - 1) % r + 1 for v in w)
+                 for j in ((1,) if n % 2 else range(1, r)) for w in below)
+
+
+def _stirling2(n, k):
+    """S(n, k) by its recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
 class TestLift:
+    """The lift's closed-form words (lift_words) against the lift solved
+    degree by degree by the contracting homotopy (oracles.solved_lift),
+    and against the chain-map equation boundary(e_n) = T e_{n-1} (n odd)
+    or N e_{n-1} (n even) that the solve is made to satisfy."""
+
+    @staticmethod
+    def equation_failures(words, p, top):
+        W = build_w(p, top)
+        return [n for n in range(1, top + 1) if chain_map_defect(
+            W, n, dict.fromkeys(words(p, n), 1),
+            dict.fromkeys(words(p, n - 1), 1))]
+
     def test_p2_lift_is_alternating_words(self):
         # component n is the one word (1, 2, 1, ...) of length n + 2, the
         # word cup_i_oracle evaluates for cup_n
@@ -88,32 +122,71 @@ class TestLift:
         lift = equivariant_lift_j(W, cap=8)
         for n in range(9):
             word = tuple((1, 2)[j % 2] for j in range(n + 2))
-            assert lift.components[n] == {word: 1}, n
+            assert lift.component(n) == {word: 1}, n
 
-    def test_lift_satisfies_boundary_equations(self):
-        W = build_w(3, 6)
-        lift = equivariant_lift_j(W, cap=6)
-        ring = Zmod(3)
-        from chainops.powerops import _apply_word_boundary
-        for n in range(1, 7):
-            got = _apply_word_boundary(
-                {w: int(c) for w, c in lift.components[n].items()}, 3)
-            got = {w: c % 3 for w, c in got.items() if c % 3}
-            want = lift.apply_group_element(n - 1, W.boundary_element(n))
-            want = {w: int(c) % 3 for w, c in want.items() if int(c) % 3}
-            assert got == want
+    @pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (5, 6), (7, 4)])
+    def test_equals_the_solved_lift(self, p, top):
+        W = build_w(p, top)
+        lift = equivariant_lift_j(W, cap=top)
+        reference = solved_lift(W, cap=top)
+        for n in range(top + 1):
+            assert lift.component(n) == reference.component(n), (p, n)
+
+    # p = 3 to degree 20 is the highest index a CLI request reaches:
+    # q(p - 1) with q <= 10
+    @pytest.mark.parametrize("p, top", [(2, 20), (3, 20), (5, 10), (7, 6)])
+    def test_satisfies_the_chain_map_equation(self, p, top):
+        assert self.equation_failures(lift_words, p, top) == []
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_dropping_the_arity_term_breaks_the_equation(self, p):
+        assert self.equation_failures(_without_the_arity_term, p, 4)[0] == 2
+
+    def test_word_counts_are_stirling_numbers(self):
+        # S(floor(n/2) + p - 1, p - 1): 2^(k+1) - 1 at p = 3, and 1, 10,
+        # 65, 350, 1,701, 7,770 at p = 5 for k = n // 2 = 0..5
+        for p, top in ((2, 20), (3, 20), (5, 10), (7, 6)):
+            for n in range(top + 1):
+                want = _stirling2(n // 2 + p - 1, p - 1)
+                assert len(lift_words(p, n)) == want, (p, n)
+                assert lift_word_count(p, n) == want, (p, n)
+        assert [lift_word_count(3, 2 * k) for k in range(6)] == \
+            [1, 3, 7, 15, 31, 63]
+        assert [lift_word_count(5, 2 * k) for k in range(6)] == \
+            [1, 10, 65, 350, 1701, 7770]
+
+    def test_word_bound(self, monkeypatch):
+        # the bound admits p = 3 to degree 25, p = 5 to 11 and p = 7 to
+        # 7, each the last degree under MAX_LIFT_WORDS
+        for p, last, words in ((3, 25, 8191), (5, 11, 7770), (7, 7, 2646)):
+            assert lift_word_count(p, last) == words <= MAX_LIFT_WORDS
+            assert lift_word_count(p, last + 1) > MAX_LIFT_WORDS
+        # component 26 at p = 3 (16,383 words) is refused before any
+        # word is listed
+        listed = []
+        monkeypatch.setattr(powerops_module, "lift_words",
+                            lambda *args: listed.append(args))
+        lift = EquivariantLift(build_w(3, 26))
+        with pytest.raises(SizeBoundError,
+                           match="lift degree 26 has 16383 words"):
+            lift.component(26)
+        assert listed == []
 
     def test_seeded_lifts_differ_but_solve_same_equations(self):
         W = build_w(3, 5)
-        a = equivariant_lift_j(W, cap=5, seed=11)
-        b = equivariant_lift_j(W, cap=5, seed=12)
+        a = solved_lift(W, cap=5, seed=11)
+        b = solved_lift(W, cap=5, seed=12)
         assert a.components != b.components
+        for lift in (a, b):
+            for n in range(1, 6):
+                assert not chain_map_defect(W, n, lift.component(n),
+                                            lift.component(n - 1)), n
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_grown_lift_equals_prebuilt(self, seed):
         W = build_w(3, 6)
-        grown = equivariant_lift_j(W, cap=2, seed=seed)
-        prebuilt = equivariant_lift_j(W, cap=6, seed=seed)
+        grown = solved_lift(W, cap=2, seed=seed)
+        prebuilt = solved_lift(W, cap=6, seed=seed)
         assert grown.cap == 2
         assert grown.component(6) == prebuilt.component(6)
         assert grown.components == prebuilt.components
@@ -549,8 +622,8 @@ class TestOddPrimaryPowers:
         assert classical_power(x, 1, self.alg, self.lift).is_zero()
 
     def test_empty_class_above_cap_maps_to_empty(self):
-        # the zero class has zero powers at every index, even one the
-        # lift has not reached; a nonzero class grows the lift there
+        # the zero class has zero powers at every index, even one past
+        # the lift's prebuilt cap; a nonzero class reads the lift there
         lift = equivariant_lift_j(self.W, cap=2)
         empty = BigradedClass(2, None, {})
         x = self._gen(2)
@@ -567,18 +640,21 @@ class TestOddPrimaryPowers:
         assert classical_power(x, 0, self.alg, lift).rep == \
             classical_power(x, 0, self.alg, self.lift).rep
 
-    def test_zero_for_degree_reasons_leaves_the_lift(self):
+    def test_zero_for_degree_reasons_leaves_the_lift(self, monkeypatch):
         # on the 3-skeleton P^1 of a degree-3 class lands in degree 7, and
-        # beta P^1 in degree 8: both are zero, and neither grows the lift
-        # to its generator index (2, and 1 for beta)
+        # beta P^1 in degree 8: both are zero, and neither evaluates the
+        # lift at its generator index (2, and 1 for beta)
         alg = CochainSystem(classifying_space(3, 3), self.ring)
         lift = equivariant_lift_j(build_w(3, 9), cap=0)
         H = alg.homology_space(3)
         x = BigradedClass(3, None, H.representative([1] + [0] * (H.rank - 1)))
+        calls = []
+        monkeypatch.setattr(powerops_module, "theta_bar",
+                            lambda *args: calls.append(args))
         for bock, degree in ((False, 7), (True, 8)):
             out = classical_power(x, 1, alg, lift, bock)
             assert out.degree == degree and out.is_zero()
-            assert lift.cap == 0
+        assert calls == []
 
 
 class TestThetaWellDefined:
@@ -590,8 +666,8 @@ class TestThetaWellDefined:
         H1 = HomologySpace(C, 1)
         x = H1.representative([1])
         H2 = HomologySpace(C, 2)
-        a = equivariant_lift_j(W, cap=6, seed=5)
-        b = equivariant_lift_j(W, cap=6, seed=6)
+        a = solved_lift(W, cap=6, seed=5)
+        b = solved_lift(W, cap=6, seed=6)
         za = theta_bar(X, ring, a, 1, x, 1)
         zb = theta_bar(X, ring, b, 1, x, 1)
         assert H2.class_vector(za) == H2.class_vector(zb)
