@@ -367,8 +367,7 @@ def cmd_steenrod(args):
     ring = Zmod(2)
     X = _space_from_args(args)
     alg = CochainSystem(X, ring)
-    W = build_w(2, 2 * max(X.dims()))
-    lift = equivariant_lift_j(W, cap=0)
+    lift = equivariant_lift_j(2, cap=0)
     results = []
     failures = []
     # the lift's recursion gives component q - i as the word cup_i_oracle

@@ -1,12 +1,12 @@
 """Mod-p power operations on simplicial cochains.
 
-The pieces: the period-two free resolution of the p-element field over
-the cyclic group ring (with its coproduct), an equivariant lift of its
-generators into the arity-p level of the surjection operad, listed by a
-closed-form recursion (lift_words), and the operations obtained by
+The pieces: the period-two free resolution W of the p-element field
+over the cyclic group ring (with its coproduct), which only the
+w-resolution command builds; an equivariant lift of its generators into
+the arity-p level of the surjection operad, listed by a closed-form
+recursion in p alone (lift_words); and the operations obtained by
 evaluating lifted generators on p-th tensor powers of a cocycle.
-Verifiers check the Cartan and Adem relations exhaustively on finite
-test algebras.
+Verifiers check the Cartan and Adem relations on finite test algebras.
 
 One routine, classical_power, evaluates every reduced power, under two
 indexings of the same family on a class of degree q:
@@ -53,6 +53,8 @@ class WResolution:
     augmentation sending every alpha^j e_0 to 1 makes the whole thing
     exact.  A coproduct psi (a chain map, counital for the
     augmentation) makes W a coalgebra up to the usual Koszul signs.
+    The operations never read W (the lift is a function of p alone);
+    the w-resolution command and the tests' reference lift solve do.
     """
 
     def __init__(self, p: int, cap: int):
@@ -105,12 +107,6 @@ class WResolution:
                         out.append(((2 * j + 1, r), (2 * k + 1, s), 1))
         return out
 
-    def psi_of(self, n, j):
-        """Coproduct of alpha^j e_n (the action is diagonal)."""
-        p = self.p
-        return [((n1, (r + j) % p), (n2, (s + j) % p), c)
-                for (n1, r), (n2, s), c in self.psi(n)]
-
     # -- the pi-coinvariant quotient -----------------------------------
 
     def quotient_complex(self) -> ChainComplex:
@@ -140,12 +136,24 @@ class WResolution:
         return {("e", n - 1): c} if c else {}
 
 
+# build_w's cost grows about as p^2 (cap + 1)^2, mostly in _verify_psi.
+# At this bound the slowest admitted requests take 0.4-0.75 s on a 2-core
+# container (p = 3 with cap 332, 31 with 31, 97 with 9); unbounded,
+# p = 997 with cap 4 took 31 s and p = 7919 with cap 1 15 s.
+MAX_W_SIZE = 1_000_000
+
+
 def build_w(p: int, cap: int) -> WResolution:
-    """Construct the resolution and verify every structural claim:
-    d^2 = 0, exactness of the augmented complex, psi a chain map,
-    psi counital."""
-    if not _is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
+    """Construct the resolution through degree cap, for the w-resolution
+    command, and verify every structural claim: d^2 = 0, exactness of
+    the augmented complex (which fails at degree 0 for a composite p),
+    psi a chain map, psi counital.  p^2 (cap + 1)^2 past MAX_W_SIZE is
+    refused (SizeBoundError) before anything is built."""
+    size = p * p * (cap + 1) ** 2
+    if size > MAX_W_SIZE:
+        raise SizeBoundError(
+            f"resolution too large: p^2 (cap + 1)^2 = {size} "
+            f"(at most {MAX_W_SIZE})")
     W = WResolution(p, cap)
     bad = verify_differential(W.complex)
     if bad:
@@ -182,9 +190,10 @@ def _verify_psi(W: WResolution):
             sgn = (-1) ** n1
             for j2, c2 in W.boundary_element(n2).items() if n2 else ():
                 add(((n1, r), (n2 - 1, (s + j2) % p)), sgn * c * c2)
+        # psi of alpha^j2 e_{n-1}: the action is diagonal
         for j2, c2 in W.boundary_element(n).items():
-            for a, b, c3 in W.psi_of(n - 1, j2):
-                add((a, b), -c2 * c3)
+            for (n1, r), (n2, s), c3 in W.psi(n - 1):
+                add(((n1, (r + j2) % p), (n2, (s + j2) % p)), -c2 * c3)
         if any(v % p for v in lhs.values()):
             raise ValueError("psi is not a chain map at degree %d" % n)
 
@@ -250,26 +259,23 @@ class EquivariantLift:
     """A chain map from W into the arity-p surjection complex,
     equivariant for the cyclic rotation of values: e_n goes to the sum
     of lift_words(p, n), every coefficient 1.  Degree 0 is the identity
-    permutation word, matching the augmentations on both sides.
+    permutation word, matching the augmentations on both sides.  W is
+    not built: the lift is a function of p, which must be prime
+    (ValueError).
 
-    Two bounds (SizeBoundError): the resolution, since a degree past
-    W.cap has no generator, and MAX_LIFT_WORDS, read off lift_word_count
-    before any word is listed.  An operation on a nonzero class of
-    degree q asks for an index of at most p*q (a larger one has negative
-    output degree), so W = build_w(p, p * maxdim) covers every request
-    on a space of dimension maxdim.
+    One bound (SizeBoundError): MAX_LIFT_WORDS, read off lift_word_count
+    before any word is listed.  The index needs none: an operation on a
+    class of degree q reads index (q - 2s)(p - 1) <= q(p - 1), and only
+    when its output degree is a dimension of the space.
     """
 
-    def __init__(self, W: WResolution):
-        self.W = W
-        self.p = W.p
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError("p must be prime, got %r" % (p,))
+        self.p = p
 
     def component(self, n):
         """Image of e_n, as a dict word -> coefficient."""
-        if n > self.W.cap:
-            raise SizeBoundError(
-                "lift degree %d is past the resolution cap %d"
-                % (n, self.W.cap))
         count = lift_word_count(self.p, n)
         if count > MAX_LIFT_WORDS:
             raise SizeBoundError(
@@ -278,16 +284,13 @@ class EquivariantLift:
         return dict.fromkeys(lift_words(self.p, n), 1)
 
 
-def equivariant_lift_j(W: WResolution, cap: int) -> EquivariantLift:
+def equivariant_lift_j(p: int, cap: int) -> EquivariantLift:
     """The equivariant lift of the resolution generators into the
     arity-p surjection complex (see EquivariantLift), with its words
-    listed through degree cap.
-
-    Every other degree is listed on first use, so cap only moves work up
-    front: pass 0 to list nothing beyond degree 0.  It must not exceed
-    W.cap.
+    listed through degree cap.  Every other degree is listed on first
+    use, so cap only moves work up front: 0 lists nothing past degree 0.
     """
-    lift = EquivariantLift(W)
+    lift = EquivariantLift(p)
     lift.component(cap)
     return lift
 
@@ -354,8 +357,8 @@ def theta_bar(X: FiniteSimplicialSet, ring: RingSpec,
               lift: EquivariantLift, n: int, x: dict, q: int,
               cells=None) -> dict:
     """Evaluate the lifted generator e_n, a chain of arity-p words, on
-    the p-th tensor power of the cochain x of degree q; the lift's
-    bounds on n apply (EquivariantLift.component).  cells, when given,
+    the p-th tensor power of the cochain x of degree q; the lift's word
+    bound on n applies (EquivariantLift.component).  cells, when given,
     selects the output simplices evaluated, as in interval_cut_action."""
     return interval_cut_action(X, ring, lift.component(n), lift.p, x, q, cells)
 
@@ -690,13 +693,12 @@ def _shuffles(i, j):
 # verify_cartan refuses a sweep of more relations than this.  It checks
 # every pair of classes, p^rank of them per degree, and a relation's cost
 # grows with p and with the product space: on a 2-core container with
-# Python 3.11, 1,350 relations on the torus at p = 3 take 0.4 s and on
-# the BZ/5 3-skeleton at p = 5 0.15 s (0.45 s when the lift was solved
-# degree by degree in each process), while 3,600 on the torus at p = 5
-# (smax 1, degree cap 1) take 0.3 s and 5,400 (smax 2) 3.5 s.  A sweep
-# under this bound can still read a lift component past MAX_LIFT_WORDS
-# (smax 2 on the circle at p = 7, 1,176 relations, reads e_12); the lift
-# refuses it.
+# Python 3.11 (best of three in one process, four runs), 1,350 relations
+# on the torus at p = 3 take 0.4-0.75 s and on the BZ/5 3-skeleton at
+# p = 5 0.12-0.2 s, while 3,600 on the torus at p = 5 (smax 1, degree
+# cap 1) take 0.3-0.6 s and 5,400 (smax 2) 3.7-6 s.  A sweep under this
+# bound can still read a lift component past MAX_LIFT_WORDS (smax 2 on
+# the circle at p = 7, 1,176 relations, reads e_12); the lift refuses it.
 MAX_CARTAN_CHECKS = 2_000
 
 
@@ -728,17 +730,17 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
     term P^i(x) cross P^j(y) is read by Kuenneth from the pairings of
     its factors on X (ProductClassifier.cross_coordinates).
 
-    The sweep reads the lift at whatever index it asks for, and the
-    resolution is built to p times the dimension of the product space,
-    which bounds every such index.  lift_cap only lists the lift's words
-    through that index before the sweep starts; the report is the same
-    with or without it.  It stays because callers that time the sweep
-    apart from the lift pass it.
+    The sweep reads the lift, a function of p alone, at whatever index
+    it asks for.  lift_cap only lists its words through that index
+    before the sweep starts; the report is the same with or without it.
+    It stays because callers that time the sweep apart from the lift
+    pass it.
 
-    p must be odd: the operations are indexed by the odd-prime rule
-    (2s - q)(p - 1), which does not give the Steenrod squares at p = 2.
-    A sweep of more than MAX_CARTAN_CHECKS relations is refused
-    (SizeBoundError) before anything is built."""
+    p must be an odd prime (ValueError; the lift refuses a composite
+    p): the operations are indexed by the odd-prime rule (2s - q)(p - 1),
+    which does not give the Steenrod squares at p = 2.  A sweep of more
+    than MAX_CARTAN_CHECKS relations is refused (SizeBoundError) before
+    anything is built."""
     if p == 2:
         raise ValueError("verify_cartan needs an odd prime p, got 2")
     X = alg.space
@@ -751,10 +753,9 @@ def verify_cartan(alg, degree_cap: int, p: int, smax: int = 2,
         raise SizeBoundError(
             f"Cartan check too large: {relations} relations over "
             f"{classes} classes (at most {MAX_CARTAN_CHECKS})")
+    lift = equivariant_lift_j(p, cap=lift_cap or 0)
     P = product_space(X, X)
     palg = CochainSystem(P, ring)
-    W = build_w(p, max(p * max(P.dims()), lift_cap or 0))
-    lift = equivariant_lift_j(W, cap=lift_cap or 0)
     classifier = ProductClassifier(X, X, ring)
     failures = []
     checked = 0
@@ -854,13 +855,11 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
     it fails ("adem" for delta = 0, "adem-bockstein" for delta = 1) when
     the class of lhs - rhs is not zero.  A right-side term whose degree
     differs from the left side's is reported ("adem-degree") and left
-    out.
+    out.  The lift, a function of p alone, is read at every index a side
+    that does not vanish asks for.
 
-    The lift is read at every index a side that does not vanish asks
-    for; the resolution is built to p times the dimension of the space,
-    which bounds every such index.
-
-    p must be odd: the relations are the odd-prime ones, and at p = 2
+    p must be an odd prime (ValueError; the lift refuses a composite
+    p): the relations are the odd-prime ones, and at p = 2
     they are not the Adem relations of the squares (at a = b = 1 they
     read Sq^2 Sq^2 = 0, where Sq^2 Sq^2 = Sq^3 Sq^1 holds)."""
     if p == 2:
@@ -868,8 +867,7 @@ def verify_adem(alg, p: int, pair_bound: int, degree_cap: int) -> dict:
     X = alg.space
     ring = alg.ring
     dims = X.dims()
-    W = build_w(p, p * max(dims))
-    lift = equivariant_lift_j(W, cap=0)
+    lift = equivariant_lift_j(p, cap=0)
     failures = []
     checked = 0
 

@@ -29,7 +29,7 @@ from chainops.operads import (Operad, _bases, _basis_with_degrees,
                               rename_values, surjection_boundary,
                               word_count)
 from chainops.powerops import (BigradedClass, CochainSystem,
-                               ProductClassifier, build_w, classical_power,
+                               ProductClassifier, classical_power,
                                cochain_cross, equivariant_lift_j, power_op,
                                theta_bar)
 from chainops.rings import ZZ, SizeBoundError, Zmod
@@ -456,7 +456,7 @@ def eager_cartan_sides(alg, degree_cap, p, smax):
     X, ring = alg.space, alg.ring
     P = product_space(X, X)
     palg = CochainSystem(P, ring)
-    lift = equivariant_lift_j(build_w(p, p * max(P.dims())), cap=0)
+    lift = equivariant_lift_j(p, cap=0)
     classifier = ProductClassifier(X, X, ring)
     degrees = [n for n in X.dims() if n <= degree_cap]
     sides = []

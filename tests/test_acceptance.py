@@ -125,8 +125,7 @@ class TestCriterion4ModTwoOperations:
         ring = Zmod(2)
         X = classifying_space(2, 6)
         alg = CochainSystem(X, ring)
-        W = build_w(2, 14)
-        lift = equivariant_lift_j(W, cap=12)
+        lift = equivariant_lift_j(2, cap=12)
         spaces = {n: HomologySpace(alg.complex, n) for n in X.dims()}
 
         classes = {}
@@ -245,8 +244,7 @@ class TestCriterion7WellDefined:
         ring = Zmod(3)
         X = classifying_space(3, 4)
         alg = CochainSystem(X, ring)
-        W = build_w(3, 8)
-        lift = equivariant_lift_j(W, cap=8)
+        lift = equivariant_lift_j(3, cap=8)
         C = alg.complex
         H2 = HomologySpace(C, 2)
         H4 = HomologySpace(C, 4)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import signal
@@ -27,6 +28,22 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+@contextlib.contextmanager
+def deadline(seconds, argv):
+    """Fail a request that runs past seconds, naming it (SIGALRM)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"chainops {' '.join(argv)} ran past "
+                           f"{seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParseRing:
@@ -432,6 +449,10 @@ class TestSizeBounds:
         (["dold-kan-roundtrip", "--length", "11", "--max-rank", "3",
           "--count", "1"],
          "length cap exceeded for the roundtrip (length <= 8)"),
+        # unbounded, building W took 31 s here
+        (["w-resolution", "--p", "997", "--cap", "4"],
+         "resolution too large: p^2 (cap + 1)^2 = 24850225 (at most "
+         "1000000)"),
     ])
     def test_size_bound_exits_3(self, capsys, argv, message):
         assert main(argv) == 3
@@ -454,6 +475,8 @@ class TestSizeBounds:
          "--ring", "Z"],
         ["einfinity-check", "--arity-cap", "4", "--degree-cap", "2",
          "--ring", "Z/2"],
+        # p^2 (cap + 1)^2 = 984,064 of at most 1,000,000
+        ["w-resolution", "--p", "31", "--cap", "31"],
     ])
     def test_the_bound_itself_is_accepted(self, capsys, argv):
         assert main(argv) == 0
@@ -696,21 +719,11 @@ class TestRequestsFuzzed:
                        "--degree-cap", "2", "--ring", "Z"]))
     def test_main_never_raises(self, drawn):
         fmt, argv = drawn
-
-        def expire(signum, frame):
-            raise TimeoutError(f"chainops {' '.join(argv)} ran past "
-                               f"{self.REQUEST_SECONDS} s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, self.REQUEST_SECONDS)
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                out = os.path.join(tmp, "report")
-                assert main(["--format", fmt, "--out", out] + argv) \
-                    in (0, 1, 2, 3)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        with deadline(self.REQUEST_SECONDS, argv), \
+                tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "report")
+            assert main(["--format", fmt, "--out", out] + argv) \
+                in (0, 1, 2, 3)
 
 
 class TestPowerOperationsOnSpheres:
@@ -734,16 +747,29 @@ class TestPowerOperationsOnSpheres:
     ], ids=["steenrod-sphere16", "steenrod-sphere32", "adem-sphere8",
             "adem-sphere12"])
     def test_passes_in_time(self, capsys, argv):
-        def expire(signum, frame):
-            raise TimeoutError(f"chainops {' '.join(argv)} ran past "
-                               f"{self.REQUEST_SECONDS} s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, self.REQUEST_SECONDS)
-        try:
+        with deadline(self.REQUEST_SECONDS, argv):
             code, out = run(capsys, argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+class TestLargePrimes:
+    """A verifier at a large p builds no resolution, since the lift is a
+    function of p alone; building W to degree 101 at p = 101 took over
+    80 s."""
+
+    REQUEST_SECONDS = 10
+
+    @pytest.mark.parametrize("argv, checked", [
+        (["adem-check", "--space", "circle", "--p", "101", "--degree-cap",
+          "0", "--amax", "2"], 404),
+        (["cartan-check", "--space", "circle", "--p", "31", "--smax", "0",
+          "--degree-cap", "0"], 1922),
+    ], ids=["adem-p101", "cartan-p31"])
+    def test_passes_in_time(self, capsys, argv, checked):
+        with deadline(self.REQUEST_SECONDS, argv):
+            code, out = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["results"] == [{"checked": checked}]

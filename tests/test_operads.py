@@ -602,7 +602,7 @@ class TestCutTableOracle:
     def test_every_word_of_the_lift(self, p, top):
         # classical_power reads e_n only on classes of degree
         # q >= n / (p - 1): the three smallest such q for each n
-        lift = equivariant_lift_j(build_w(p, top), cap=top)
+        lift = equivariant_lift_j(p, cap=top)
         cuts = 0
         for n in range(top + 1):
             least = -(-n // (p - 1))
@@ -638,7 +638,7 @@ class TestChainKernel:
         ring = Zmod(p)
         values = _awkward_values(ring)
         W = build_w(p, top)
-        lifts = [equivariant_lift_j(W, cap=top),
+        lifts = [equivariant_lift_j(p, cap=top),
                  solved_lift(W, cap=top, seed=1)]
         assert any(c != 1 for n in range(top + 1)
                    for c in lifts[1].component(n).values())
@@ -681,7 +681,7 @@ class TestChainKernel:
         values = _awkward_values(ring)
         X = classifying_space(3, 2)
         P = product_space(X, X)
-        lift = equivariant_lift_j(build_w(3, 4), cap=4)
+        lift = equivariant_lift_j(3, cap=4)
         inputs = [{lab: values[(i + shift) % len(values)]
                    for i, lab in enumerate(P.simplices(2))
                    if i % 4 != shift}
@@ -707,7 +707,7 @@ class TestChainKernel:
         # label of no cell
         ring = Zmod(3)
         X = classifying_space(3, 4)
-        lift = equivariant_lift_j(build_w(3, 6), cap=4)
+        lift = equivariant_lift_j(3, cap=4)
         x = {lab: 1 + i % 2 for i, lab in enumerate(X.simplices(2))}
         stray = dict(x)
         stray.update({(1,): 2, (1, 2, 1): 1, (2, 2, 2, 2): 1, "stray": 1})
@@ -740,9 +740,8 @@ class TestChainTableMemo:
         table.cache_clear()
         monkeypatch.setattr(operads_module, "_chain_table", recording)
         ring = Zmod(3)
-        W = build_w(3, 6)
-        plain = equivariant_lift_j(W, cap=4)
-        seeded = solved_lift(W, cap=4, seed=3)
+        plain = equivariant_lift_j(3, cap=4)
+        seeded = solved_lift(build_w(3, 4), cap=4, seed=3)
         spaces = {"bz3": classifying_space(3, 3), "torus": torus_space(),
                   "bz3-again": classifying_space(3, 3)}
         for name, X in spaces.items():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -79,6 +80,18 @@ class TestWResolution:
             else:
                 assert beta == {}
 
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_composite_p_is_not_exact(self, p):
+        with pytest.raises(ValueError, match="not exact at degree 0"):
+            build_w(p, 4)
+
+    def test_size_bound_builds_nothing(self, monkeypatch):
+        # 997^2 (4 + 1)^2 = 24,850,225; unbounded, this took 31 s
+        monkeypatch.setattr(powerops_module, "WResolution",
+                            lambda *args: pytest.fail("W was built"))
+        with pytest.raises(SizeBoundError, match="resolution too large"):
+            build_w(997, 4)
+
     def test_boundary_alternates(self):
         W = build_w(3, 6)
         assert W.boundary_element(1) == {1: 1, 0: -1}
@@ -118,8 +131,7 @@ class TestLift:
     def test_p2_lift_is_alternating_words(self):
         # component n is the one word (1, 2, 1, ...) of length n + 2, the
         # word cup_i_oracle evaluates for cup_n
-        W = build_w(2, 8)
-        lift = equivariant_lift_j(W, cap=8)
+        lift = equivariant_lift_j(2, cap=8)
         for n in range(9):
             word = tuple((1, 2)[j % 2] for j in range(n + 2))
             assert lift.component(n) == {word: 1}, n
@@ -127,7 +139,7 @@ class TestLift:
     @pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (5, 6), (7, 4)])
     def test_equals_the_solved_lift(self, p, top):
         W = build_w(p, top)
-        lift = equivariant_lift_j(W, cap=top)
+        lift = equivariant_lift_j(p, cap=top)
         reference = solved_lift(W, cap=top)
         for n in range(top + 1):
             assert lift.component(n) == reference.component(n), (p, n)
@@ -166,7 +178,7 @@ class TestLift:
         listed = []
         monkeypatch.setattr(powerops_module, "lift_words",
                             lambda *args: listed.append(args))
-        lift = EquivariantLift(build_w(3, 26))
+        lift = EquivariantLift(3)
         with pytest.raises(SizeBoundError,
                            match="lift degree 26 has 16383 words"):
             lift.component(26)
@@ -191,28 +203,53 @@ class TestLift:
         assert grown.component(6) == prebuilt.component(6)
         assert grown.components == prebuilt.components
 
-    def test_cap_violation_raises(self):
-        p = 2
-        X = classifying_space(2, 3)
-        ring = Zmod(2)
-        from chainops.powerops import CochainSystem
-        alg = CochainSystem(X, ring)
-        W = build_w(2, 1)
-        lift = equivariant_lift_j(W, cap=1)
-        H = HomologySpace(alg.complex, 2)
-        x = BigradedClass(2, 0, H.representative([1] + [0] * (H.rank - 1)))
-        with pytest.raises(SizeBoundError, match="resolution cap"):
-            steenrod_square(x, 0, alg, lift)
+    def test_zero_class_reads_no_lift(self, monkeypatch):
+        # the zero class has zero squares in every degree they land in,
+        # and none of them reads a component of the lift
+        alg = CochainSystem(classifying_space(2, 3), Zmod(2))
+        lift = equivariant_lift_j(2, cap=0)
+        monkeypatch.setattr(lift, "component", lambda n: pytest.fail(
+            "component %d read for the zero class" % n))
+        for i in range(2):
+            out = steenrod_square(BigradedClass(2, 0, {}), i, alg, lift)
+            assert out.is_zero()
+            assert out.degree == 2 + i
 
-    def test_zero_class_above_cap_is_zero(self):
-        X = classifying_space(2, 3)
-        from chainops.powerops import CochainSystem
-        alg = CochainSystem(X, Zmod(2))
-        W = build_w(2, 1)
-        lift = equivariant_lift_j(W, cap=1)
-        out = steenrod_square(BigradedClass(2, 0, {}), 0, alg, lift)
-        assert out.is_zero()
-        assert out.degree == 2
+
+class TestNoResolution:
+    """The operations read the lift, a function of p alone: with the
+    resolution W made unbuildable, the verifiers at bench size and the
+    steenrod command give the reports they gave when each built W."""
+
+    @pytest.fixture(autouse=True)
+    def no_resolution(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the resolution W was built")
+        for name in ("build_w", "WResolution"):
+            monkeypatch.setattr(powerops_module, name, refuse)
+        monkeypatch.setattr("chainops.cli.build_w", refuse)
+
+    def test_cartan_at_bench_size(self):
+        alg = CochainSystem(classifying_space(3, 3), Zmod(3))
+        assert verify_cartan(alg, degree_cap=2, p=3, smax=2, lift_cap=8) \
+            == {"passed": True, "checked": 486, "failures": []}
+
+    def test_adem_at_bench_size(self):
+        alg = CochainSystem(classifying_space(3, 5), Zmod(3))
+        assert verify_adem(alg, 3, 3, 4) == \
+            {"passed": True, "checked": 180, "failures": []}
+
+    def test_steenrod_command(self, capsys):
+        from chainops.cli import main
+        assert main(["steenrod", "--space", "bz2", "--dim", "4",
+                     "--degree-cap", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        # Sq^i x^n = C(n, i) x^(n + i) on the generator x of H^1(BZ/2)
+        assert [(r["degree"], r["i"], r["value"])
+                for r in report["results"]] == [
+            (1, 0, "(1,)"), (1, 1, "(1,)"), (2, 0, "(1,)"), (2, 1, "(0,)"),
+            (2, 2, "(1,)"), (3, 0, "(1,)"), (3, 1, "(1,)")]
 
 
 class TestPowerUnit:
@@ -225,8 +262,7 @@ class TestPowerUnit:
         # one 1-simplex, and y^p = y mod p there
         ring = Zmod(p)
         X = circle_space()
-        W = build_w(p, p)
-        lift = equivariant_lift_j(W, cap=0)
+        lift = equivariant_lift_j(p, cap=0)
         m = (p - 1) // 2
         c = (-1) ** m * math.factorial(m)
         for v in range(1, p):
@@ -239,8 +275,7 @@ class TestPowerUnit:
                                                  (5, 3, (1, 2))])
     def test_p0_is_identity(self, p, dim, degrees):
         alg = CochainSystem(classifying_space(p, dim), Zmod(p))
-        W = build_w(p, p * dim)
-        lift = equivariant_lift_j(W, cap=0)
+        lift = equivariant_lift_j(p, cap=0)
         for q in degrees:
             H = alg.homology_space(q)
             for _, rep in H.all_classes():
@@ -256,8 +291,7 @@ class TestPowerUnit:
         ring = Zmod(p)
         X = classifying_space(2, 2 * p)
         alg = CochainSystem(X, ring)
-        W = build_w(p, 2 * p)
-        lift = equivariant_lift_j(W, cap=0)
+        lift = equivariant_lift_j(p, cap=0)
         x = {sx: 1 for sx in X.simplices(2)}
         power, q = x, 2
         for _ in range(p - 1):
@@ -408,7 +442,7 @@ class TestAdemSidesByDegree:
     def test_equals_the_eager_composite(self, space, p, degree_cap,
                                         pair_bound):
         alg = CochainSystem(space, Zmod(p))
-        lift = equivariant_lift_j(build_w(p, p * max(space.dims())), cap=0)
+        lift = equivariant_lift_j(p, cap=0)
 
         def op(cls, s, bock):
             return classical_power(cls, s, alg, lift, bock)
@@ -466,8 +500,7 @@ class TestSteenrodSquares:
         self.X = classifying_space(2, 4)
         from chainops.powerops import CochainSystem
         self.alg = CochainSystem(self.X, self.ring)
-        self.W = build_w(2, 10)
-        self.lift = equivariant_lift_j(self.W, cap=10)
+        self.lift = equivariant_lift_j(2, cap=10)
         self.spaces = {n: HomologySpace(self.alg.complex, n)
                        for n in self.X.dims()}
 
@@ -508,7 +541,7 @@ class TestSteenrodSquares:
         # come from the interval-cut kernel
         X = classifying_space(2, 10)
         alg = CochainSystem(X, self.ring)
-        lift = equivariant_lift_j(build_w(2, 20), cap=0)
+        lift = equivariant_lift_j(2, cap=0)
         nonzero = 0
         for n in range(1, 11):
             H = alg.homology_space(n)
@@ -534,8 +567,7 @@ class TestSteenrodSquares:
         X = torus_space()
         from chainops.powerops import CochainSystem
         alg = CochainSystem(X, ring)
-        W = build_w(2, 6)
-        lift = equivariant_lift_j(W, cap=6)
+        lift = equivariant_lift_j(2, cap=6)
         H1 = HomologySpace(alg.complex, 1)
         H2 = HomologySpace(alg.complex, 2)
         assert H1.rank == 2
@@ -558,8 +590,7 @@ class TestOddPrimaryPowers:
         self.ring = Zmod(3)
         self.X = classifying_space(3, 4)
         self.alg = CochainSystem(self.X, self.ring)
-        self.W = build_w(3, 10)
-        self.lift = equivariant_lift_j(self.W, cap=10)
+        self.lift = equivariant_lift_j(3, cap=10)
 
     def _gen(self, q):
         H = HomologySpace(self.alg.complex, q)
@@ -580,6 +611,18 @@ class TestOddPrimaryPowers:
         alg = CochainSystem(classifying_space(2, 6), Zmod(2))
         with pytest.raises(ValueError, match="odd prime"):
             verify_adem(alg, 2, 2, 2)
+
+    @pytest.mark.parametrize("verifier", ["cartan", "adem"])
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_verifiers_refuse_a_composite_p(self, verifier, p):
+        # the verifiers' own guard refuses only p = 2; the lift's prime
+        # check refuses a composite p
+        alg = CochainSystem(classifying_space(3, 2), Zmod(3))
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            if verifier == "cartan":
+                verify_cartan(alg, degree_cap=1, p=p)
+            else:
+                verify_adem(alg, p, 2, 1)
 
     def test_classical_negative_and_overflow_vanish(self):
         x = self._gen(2)
@@ -624,7 +667,7 @@ class TestOddPrimaryPowers:
     def test_empty_class_above_cap_maps_to_empty(self):
         # the zero class has zero powers at every index, even one past
         # the lift's prebuilt cap; a nonzero class reads the lift there
-        lift = equivariant_lift_j(self.W, cap=2)
+        lift = equivariant_lift_j(3, cap=2)
         empty = BigradedClass(2, None, {})
         x = self._gen(2)
         # generator index (2s - q)(p - 1) = 4 > 2
@@ -645,7 +688,7 @@ class TestOddPrimaryPowers:
         # beta P^1 in degree 8: both are zero, and neither evaluates the
         # lift at its generator index (2, and 1 for beta)
         alg = CochainSystem(classifying_space(3, 3), self.ring)
-        lift = equivariant_lift_j(build_w(3, 9), cap=0)
+        lift = equivariant_lift_j(3, cap=0)
         H = alg.homology_space(3)
         x = BigradedClass(3, None, H.representative([1] + [0] * (H.rank - 1)))
         calls = []
@@ -675,8 +718,7 @@ class TestThetaWellDefined:
     def test_cohomologous_representatives_same_class(self):
         ring = Zmod(3)
         X = classifying_space(3, 4)
-        W = build_w(3, 6)
-        lift = equivariant_lift_j(W, cap=6)
+        lift = equivariant_lift_j(3, cap=6)
         C = cochains(X, ring)
         H2 = HomologySpace(C, 2)
         y = H2.representative([1] + [0] * (H2.rank - 1))
@@ -880,7 +922,7 @@ class TestCrossCoordinates:
         X = self.SPACES[space]()
         alg = CochainSystem(X, ring)
         P = product_space(X, X)
-        lift = equivariant_lift_j(build_w(3, 3 * max(P.dims())), cap=0)
+        lift = equivariant_lift_j(3, cap=0)
         classifier = ProductClassifier(X, X, ring)
         outputs = {}
         for q in range(3):
@@ -926,8 +968,7 @@ class TestCartanSupportRestriction:
         alg = CochainSystem(X, ring)
         P = product_space(X, X)
         palg = CochainSystem(P, ring)
-        W = build_w(3, 3 * max(P.dims()))
-        lift = equivariant_lift_j(W, cap=0)
+        lift = equivariant_lift_j(3, cap=0)
         classifier = ProductClassifier(X, X, ring)
         nonzero = set()
         for q1, q2 in itertools.product(range(3), repeat=2):
@@ -1050,8 +1091,7 @@ class TestCartanBeyondTheGate:
         ring = Zmod(3)
         X = classifying_space(3, 8)
         alg = CochainSystem(X, ring)
-        W = build_w(3, 12)
-        lift = equivariant_lift_j(W, cap=0)
+        lift = equivariant_lift_j(3, cap=0)
         y = alg.homology_space(2).representative([1])
         y2 = cup(X, ring, y, 2, y, 2)
         y4 = cup(X, ring, y2, 4, y2, 4)
@@ -1097,8 +1137,7 @@ class TestHomologySpacesPerDegree:
         from chainops.powerops import CochainSystem
         alg = CochainSystem(classifying_space(3, 2), Zmod(3))
         assert verify_cartan(alg, degree_cap=1, p=3, smax=2)["passed"]
-        W = build_w(3, 6)
-        lift = equivariant_lift_j(W, cap=6)
+        lift = equivariant_lift_j(3, cap=6)
         assert verify_vanishing_pattern(alg, lift, degree_cap=1,
                                         index_cap=6)["passed"]
         # the rest are the Cartan classifier's spaces of the factor chains
